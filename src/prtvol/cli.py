@@ -10,11 +10,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import envlight, field, imageio, metrics, oracle, render, transport
+from . import chunks, envlight, field, imageio, metrics, oracle, render, transport
 
 BAKE_CHUNK = 32  # points per bake batch; fixed so threads cannot reorder math
 
@@ -26,6 +25,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _positive_int(text):
+    """argparse type for counts and sizes: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _require_file(path):
@@ -58,22 +68,13 @@ def _cmd_bake(args):
     points, _ = transport.sample_surface_points(scene, args.points, seed=args.seed)
     positions = np.array([p.position for p in points])
     normals = np.array([p.normal for p in points])
-    jobs = [(lo, min(lo + BAKE_CHUNK, len(points)))
-            for lo in range(0, len(points), BAKE_CHUNK)]
-    out = [None] * len(jobs)
 
-    def run(j):
-        lo, hi = jobs[j]
-        out[j] = transport.bake_transfer_batch(
+    def run(lo, hi):
+        return transport.bake_transfer_batch(
             scene, positions[lo:hi], normals[lo:hi], degree=args.degree,
             resolution=tuple(args.resolution), steps=args.secondary_steps)
 
-    if args.threads <= 1 or len(jobs) == 1:
-        for j in range(len(jobs)):
-            run(j)
-    else:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            list(pool.map(run, range(len(jobs))))
+    out = chunks.map_chunks(run, len(points), BAKE_CHUNK, args.threads)
     coeffs = np.vstack(out)
     samples = [transport.TransferSample(point=p, transfer=c)
                for p, c in zip(points, coeffs)]
@@ -182,7 +183,7 @@ def build_parser():
     p.add_argument("--degree", type=int, default=4, help="SH truncation degree")
     p.add_argument("--exposure", type=float, default=1.0,
                    help="linear multiplier applied on load")
-    p.add_argument("--resolution", type=int, nargs=2, metavar=("H", "W"), default=None,
+    p.add_argument("--resolution", type=_positive_int, nargs=2, metavar=("H", "W"), default=None,
                    help="projection grid; defaults to the map's own texel grid")
     p.add_argument("-o", "--output", required=True, help="output coefficient JSON")
     p.set_defaults(func=_cmd_project_env)
@@ -190,14 +191,14 @@ def build_parser():
     p = sub.add_parser("bake", formatter_class=fmt,
                        help="bake a transfer cache at sampled surface points")
     p.add_argument("scene", help="scene JSON")
-    p.add_argument("--points", type=int, default=500, help="surface points to bake")
+    p.add_argument("--points", type=_positive_int, default=500, help="surface points to bake")
     p.add_argument("--degree", type=int, default=4, help="SH truncation degree")
     p.add_argument("--seed", type=int, default=0, help="probe-ray RNG seed")
-    p.add_argument("--resolution", type=int, nargs=2, metavar=("H", "W"),
+    p.add_argument("--resolution", type=_positive_int, nargs=2, metavar=("H", "W"),
                    default=list(transport.BAKE_GRID), help="bake direction grid")
-    p.add_argument("--secondary-steps", type=int, default=None,
+    p.add_argument("--secondary-steps", type=_positive_int, default=None,
                    help="visibility march steps; scene value if omitted")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                    help="worker threads")
     p.add_argument("-o", "--output", required=True, help="output cache file")
     p.set_defaults(func=_cmd_bake)
@@ -210,13 +211,13 @@ def build_parser():
     p.add_argument("--degree", type=int, default=4,
                    help="projection degree when --env is a PFM map")
     p.add_argument("--mode", choices=render.MODES, default="lit", help="output channel")
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--steps", type=_positive_int, default=None,
                    help="primary march steps; scene value if omitted")
-    p.add_argument("--secondary-steps", type=int, default=None,
+    p.add_argument("--secondary-steps", type=_positive_int, default=None,
                    help="visibility march steps; scene value if omitted")
-    p.add_argument("--transfer-grid", type=int, nargs=2, metavar=("H", "W"),
+    p.add_argument("--transfer-grid", type=_positive_int, nargs=2, metavar=("H", "W"),
                    default=[16, 32], help="per-anchor bake grid")
-    p.add_argument("--anchors", type=int, default=4,
+    p.add_argument("--anchors", type=_positive_int, default=4,
                    help="transfer anchors per primary ray")
     p.add_argument("--cache", default=None,
                    help="transfer cache file; anchors look up instead of baking")
@@ -229,9 +230,9 @@ def build_parser():
     p.add_argument("--up", type=float, nargs=3, metavar=("X", "Y", "Z"),
                    default=None, help="camera up override")
     p.add_argument("--fov", type=float, default=None, help="vertical field of view")
-    p.add_argument("--width", type=int, default=None, help="image width")
-    p.add_argument("--height", type=int, default=None, help="image height")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--width", type=_positive_int, default=None, help="image width")
+    p.add_argument("--height", type=_positive_int, default=None, help="image height")
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                    help="worker threads")
     p.add_argument("-o", "--output", default=None, help="linear PFM output")
     p.add_argument("--srgb", default=None, help="8-bit sRGB PPM output")
@@ -243,16 +244,16 @@ def build_parser():
     p.add_argument("scene", help="scene JSON")
     p.add_argument("--env", required=True,
                    help="SH light JSON, or a PFM map projected at --degree")
-    p.add_argument("--points", type=int, default=100, help="surface points to validate")
-    p.add_argument("--mc-samples", type=int, default=10000,
+    p.add_argument("--points", type=_positive_int, default=100, help="surface points to validate")
+    p.add_argument("--mc-samples", type=_positive_int, default=10000,
                    help="Monte Carlo directions per point")
     p.add_argument("--degree", type=int, default=4, help="SH truncation degree")
-    p.add_argument("--grid", type=int, nargs=2, metavar=("H", "W"), default=[64, 128],
+    p.add_argument("--grid", type=_positive_int, nargs=2, metavar=("H", "W"), default=[64, 128],
                    help="bake and visibility-map grid")
-    p.add_argument("--secondary-steps", type=int, default=None,
+    p.add_argument("--secondary-steps", type=_positive_int, default=None,
                    help="visibility march steps; scene value if omitted")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                    help="worker threads")
     p.add_argument("-o", "--output", default=None,
                    help="report JSON path; printed to stdout if omitted")

@@ -81,11 +81,6 @@ class EquirectLight:
         return top * (1.0 - fr)[..., None] + bot * fr[..., None]
 
 
-def sample_direction(env, dirs):
-    """Radiance of env toward the given directions, shape (..., 3)."""
-    return env.radiance(dirs)
-
-
 def load_envmap(path, exposure=1.0):
     """Load a color PFM as an equirectangular light.
 

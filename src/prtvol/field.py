@@ -154,10 +154,6 @@ class VolumeScene:
             return 0.01 * self.bounds.radius
         return min(p.softness for p in self.primitives) / 4.0
 
-    def lipschitz_bound(self):
-        """Upper bound on |grad density|; smoothstep slope peaks at 1.5/w."""
-        return sum(1.5 * p.density_scale / p.softness for p in self.primitives)
-
     def to_dict(self):
         prims = []
         for p in self.primitives:
@@ -298,10 +294,6 @@ def density(scene, pts):
     return total
 
 
-def density_at(scene, x):
-    return float(density(scene, np.asarray(x, dtype=np.float64)))
-
-
 def material(scene, pts):
     """Density-weighted material blend at pts.
 
@@ -330,11 +322,6 @@ def material(scene, pts):
     albedo = np.where(hit[..., None], albedo, scene.default_material.albedo)
     tint = np.where(hit[..., None], tint, scene.default_material.tint)
     return albedo, tint
-
-
-def material_at(scene, x):
-    a, t = material(scene, np.asarray(x, dtype=np.float64))
-    return Material(albedo=a, tint=t)
 
 
 def normals(scene, pts):
@@ -376,17 +363,3 @@ def surface_point_at(scene, x):
     a, t = material(scene, x)
     return SurfacePoint(position=x, normal=n, albedo=a, tint=t, valid=n is not None)
 
-
-def albedo_smoothness_residual(scene, x, samples=1024, seed=0, scale=0.03):
-    """Mean L1 albedo change under gaussian position jitter.
-
-    Draws eps ~ Normal(0, scale^2 I) with a seeded generator and returns
-    mean |albedo(x) - albedo(x + eps)|_1. Zero for locally constant
-    albedo fields.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, scale, size=(int(samples), 3))
-    base, _ = material(scene, x)
-    jit, _ = material(scene, x[None, :] + eps)
-    return float(np.mean(np.sum(np.abs(jit - base[None, :]), axis=-1)))

@@ -14,12 +14,11 @@ parallel runs produce identical reports.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import envlight, sh, transport
+from . import chunks, envlight, sh, shading, transport
 
 
 def _uniform_sphere(rng, count):
@@ -76,15 +75,21 @@ def visibility_l2(scene, position, normal, transfer, degrees=(2, 3, 4),
     error)}; with an all-zero transfer this is the RMS of the
     reference itself.
     """
+    vals, _, _ = transport.visibility_map(
+        scene, np.asarray(position, dtype=np.float64)[None, :],
+        np.asarray(normal, dtype=np.float64)[None, :], resolution=resolution, steps=steps)
+    return _map_l2(vals[0], transfer, degrees, resolution)
+
+
+def _map_l2(vals, transfer, degrees, resolution):
+    """visibility_l2 against an already marched (D,) map."""
     transfer = np.asarray(transfer, dtype=np.float64)
-    vals, _, weights = transport.visibility_map(
-        scene, position, normal, resolution=resolution, steps=steps)
     max_deg = max(degrees)
     if sh.num_coeffs(max_deg) > transfer.shape[0]:
         raise ValueError(
             f"transfer has {transfer.shape[0]} coefficients; degree {max_deg} "
             f"needs {sh.num_coeffs(max_deg)}")
-    _, _, basis = sh._cached_grid(max_deg, resolution[0], resolution[1])
+    _, weights, basis = sh.basis_grid(max_deg, resolution[0], resolution[1])
     total = np.sum(weights)
     out = {}
     for d in degrees:
@@ -206,16 +211,17 @@ def compare_prt_vs_mc(scene, light, points=None, views=None, config=None):
         sh_light = envlight.project_to_sh(light, degree=config.degree)
 
     start = time.perf_counter()
-    entries = [None] * len(points)
 
-    def run(i):
+    def run(i, _end):
         sp = points[i]
         if sp.normal is None:
             raise ValueError(f"point {i} has no surface normal")
-        transfer = transport.bake_transfer(
-            scene, sp.position, sp.normal, degree=config.degree,
+        position = np.asarray(sp.position, dtype=np.float64)
+        vals, _, _ = transport.visibility_map(
+            scene, position[None, :], np.asarray(sp.normal, dtype=np.float64)[None, :],
             resolution=config.resolution, steps=config.secondary_steps)
-        sh_diffuse = sp.albedo / np.pi * (transfer @ sh_light.coeffs)
+        transfer = transport.project_map(vals, degree=config.degree,
+                                         resolution=config.resolution)[0]
         mc, stderr = mc_diffuse_radiance(
             scene, light, sp.position, sp.normal, sp.albedo,
             config.mc_samples, seed=(config.seed, i),
@@ -224,24 +230,15 @@ def compare_prt_vs_mc(scene, light, points=None, views=None, config=None):
         sample = transport.TransferSample(point=sp, transfer=transfer)
         residuals = transport.nrt_residuals(scene, sample, rays,
                                             steps=config.secondary_steps)
-        vis_l2 = visibility_l2(scene, sp.position, sp.normal, transfer,
-                               degrees=config.degrees,
-                               resolution=config.resolution,
-                               steps=config.secondary_steps)
-        entries[i] = PointReport(
-            position=np.asarray(sp.position, dtype=np.float64),
+        return PointReport(
+            position=position,
             nrt_residual_mean=float(np.mean(residuals)),
-            visibility_l2=vis_l2,
-            sh_diffuse=sh_diffuse,
+            visibility_l2=_map_l2(vals[0], transfer, config.degrees, config.resolution),
+            sh_diffuse=shading.diffuse_radiance(sp.albedo, transfer, sh_light),
             mc_diffuse=mc,
             mc_stderr=stderr)
 
-    if config.threads <= 1:
-        for i in range(len(points)):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=int(config.threads)) as pool:
-            list(pool.map(run, range(len(points))))
+    entries = chunks.map_chunks(run, len(points), 1, config.threads)
     runtime = time.perf_counter() - start
     return ValidationReport(entries=tuple(entries), config=config,
                             runtime_seconds=runtime)

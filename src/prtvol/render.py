@@ -18,12 +18,11 @@ alpha, so a decoder can divide the alpha back out.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import field, sh, shading, transport
+from . import chunks, field, sh, shading, transport
 
 MODES = ("lit", "diffuse", "specular", "albedo", "normal", "irradiance", "visibility")
 DEFAULT_RESOLUTION = 64
@@ -128,20 +127,12 @@ def render_image(scene, light, camera, mode="lit", settings=None, threads=1):
     n = flat_o.shape[0]
     rgb = np.zeros((n, 3), dtype=np.float64)
     alpha = np.zeros(n, dtype=np.float64)
-    jobs = [(lo, min(lo + RAY_CHUNK, n)) for lo in range(0, n, RAY_CHUNK)]
 
-    def run(job):
-        lo, hi = job
-        r, a = _trace_batch(scene, light, flat_o[lo:hi], flat_d[lo:hi], mode, settings)
-        rgb[lo:hi] = r
-        alpha[lo:hi] = a
+    def run(lo, hi):
+        rgb[lo:hi], alpha[lo:hi] = _trace_batch(scene, light, flat_o[lo:hi], flat_d[lo:hi],
+                                                mode, settings)
 
-    if threads <= 1 or len(jobs) == 1:
-        for job in jobs:
-            run(job)
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(run, jobs))
+    chunks.map_chunks(run, n, RAY_CHUNK, threads)
     return LinearImage(pixels=rgb.reshape(camera.height, camera.width, 3),
                        alpha=alpha.reshape(camera.height, camera.width))
 
@@ -202,23 +193,16 @@ def _trace_batch(scene, light, origins, dirs, mode, settings):
 
     m = anchors.shape[1]
     apos = np.take_along_axis(pts, anchors[:, :, None], axis=1).reshape(-1, 3)
-    irradiance = (coeffs @ light.coeffs).reshape(-1, 3)  # (R*M, 3)
-
     if mode == "irradiance":
-        value = irradiance
+        value = shading.irradiance(coeffs, light).reshape(-1, 3)
     else:
         albedo, tint = field.material(scene, apos)
-        diffuse = albedo / math.pi * irradiance
+        diffuse = shading.diffuse_radiance(albedo.reshape(n_rays, m, 3), coeffs,
+                                           light).reshape(-1, 3)
         if mode != "diffuse" and np.any(tint > 0.0):
-            nrm, valid = field.normals(scene, apos)
-            view = np.repeat(-dirs, m, axis=0)
-            refl = shading.reflect_direction(view, nrm)
-            safe = np.where(valid[:, None], refl, np.array([0.0, 0.0, 1.0]))
-            basis = sh.eval_basis(safe, light.degree)
-            light_r = basis @ light.coeffs
-            transfer_r = np.einsum("sn,sn->s", basis, coeffs.reshape(-1, basis.shape[1]))
-            specular = tint * light_r * transfer_r[:, None]
-            specular[~valid] = 0.0
+            nrm, _ = field.normals(scene, apos)
+            specular = shading.specular_radiance(
+                tint, nrm, np.repeat(-dirs, m, axis=0), coeffs.reshape(n_rays * m, -1), light)
         else:
             specular = np.zeros_like(diffuse)
         if mode == "diffuse":

@@ -147,6 +147,7 @@ def basis_grid(degree, n_theta, n_phi):
     return dirs, weights, basis
 
 
+# Kept for bench/tracer.py, which wraps this alias by name.
 _cached_grid = basis_grid
 
 
@@ -162,7 +163,7 @@ def project(fn, degree=DEFAULT_DEGREE, n_theta=128, n_phi=256):
     Returns:
         Coefficients, shape ((degree+1)**2,) or ((degree+1)**2, C).
     """
-    dirs, weights, basis = _cached_grid(degree, n_theta, n_phi)
+    dirs, weights, basis = basis_grid(degree, n_theta, n_phi)
     vals = np.asarray(fn(dirs), dtype=np.float64)
     if vals.shape[0] != dirs.shape[0]:
         raise ValueError("sampler returned a value per-direction mismatch")
@@ -198,7 +199,7 @@ def inner_product(u, v):
 
 def gram_matrix(degree=DEFAULT_DEGREE, n_theta=128, n_phi=256):
     """Quadrature Gram matrix of the basis; identity up to grid error."""
-    _, weights, basis = _cached_grid(degree, n_theta, n_phi)
+    _, weights, basis = basis_grid(degree, n_theta, n_phi)
     return basis.T @ (basis * weights[:, None])
 
 

@@ -125,52 +125,42 @@ def bake_transfer(scene, position, normal, degree=4, resolution=BAKE_GRID,
 
 
 def bake_transfer_batch(scene, positions, normals, degree=4, resolution=BAKE_GRID,
-                        steps=None, dtype=np.float64, offset=None):
+                        steps=None, dtype=np.float64):
     """Transfer coefficients for (P, 3) positions with matching normals.
 
     Rows whose normal is a zero vector (invalid gradient) bake to zero.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    normals_arr = np.asarray(normals, dtype=np.float64)
-    dirs, weights, basis = sh._cached_grid(degree, resolution[0], resolution[1])
-    if offset is None:
-        offset = 2.0 * scene.fd_step
-    p = positions.shape[0]
-    ndir = dirs.shape[0]
-    h = np.maximum(0.0, normals_arr @ dirs.T)  # (P, D) clamped cosines
-    out = np.zeros((p, sh.num_coeffs(degree)), dtype=np.float64)
-    front = h > 0.0
-    if not np.any(front):
-        return out
-    pt_idx, dir_idx = np.nonzero(front)
-    origins = positions[pt_idx].astype(dtype)
-    vdirs = dirs[dir_idx].astype(dtype)
-    v = transmittance(scene, origins, vdirs, steps=steps, offset=offset).astype(np.float64)
-    f = np.zeros((p, ndir), dtype=np.float64)
-    f[pt_idx, dir_idx] = v * h[pt_idx, dir_idx]
-    out = (f * weights[None, :]) @ basis
-    return out
+    vals, _, _ = visibility_map(scene, positions, normals, resolution=resolution,
+                                steps=steps, dtype=dtype)
+    return project_map(vals, degree=degree, resolution=resolution)
 
 
-def visibility_map(scene, position, normal, resolution=BAKE_GRID, steps=None,
+def visibility_map(scene, positions, normals, resolution=BAKE_GRID, steps=None,
                    dtype=np.float64):
     """Ray-traced visibility * clamped cosine on the bake direction grid.
 
-    Returns (values (D,), dirs (D, 3), weights (D,)); the reference
-    against which reconstructed transfer is compared.
+    positions and normals are (P, 3). Only directions in front of each
+    normal are marched (in dtype); the rest, and every direction of a
+    zero normal, hold exactly zero. Returns (values (P, D), dirs (D, 3),
+    weights (D,)): what transfer projects, and the reference against
+    which reconstructed transfer is compared.
     """
-    position = np.asarray(position, dtype=np.float64)
-    normal = np.asarray(normal, dtype=np.float64)
-    dirs, weights, _ = sh._cached_grid(0, resolution[0], resolution[1])
-    h = np.maximum(0.0, dirs @ normal)
-    vals = np.zeros(dirs.shape[0], dtype=np.float64)
-    front = h > 0.0
-    if np.any(front):
-        origins = np.broadcast_to(position, (int(front.sum()), 3)).astype(dtype).copy()
-        v = transmittance(scene, origins, dirs[front].astype(dtype), steps=steps,
-                          offset=2.0 * scene.fd_step).astype(np.float64)
-        vals[front] = v * h[front]
+    positions = np.asarray(positions, dtype=np.float64)
+    normals = np.asarray(normals, dtype=np.float64)
+    dirs, weights, _ = sh.basis_grid(0, resolution[0], resolution[1])
+    h = np.maximum(0.0, normals @ dirs.T)  # (P, D) clamped cosines
+    pt_idx, dir_idx = np.nonzero(h > 0.0)
+    v = transmittance(scene, positions[pt_idx].astype(dtype), dirs[dir_idx].astype(dtype),
+                      steps=steps, offset=2.0 * scene.fd_step).astype(np.float64)
+    vals = np.zeros(h.shape, dtype=np.float64)
+    vals[pt_idx, dir_idx] = v * h[pt_idx, dir_idx]
     return vals, dirs, weights
+
+
+def project_map(values, degree=4, resolution=BAKE_GRID):
+    """SH projection of (P, D) visibility maps on the bake grid, (P, n)."""
+    _, weights, basis = sh.basis_grid(degree, resolution[0], resolution[1])
+    return (values * weights) @ basis
 
 
 def nrt_rays(normal, view, seed=0):
@@ -205,27 +195,26 @@ def nrt_rays(normal, view, seed=0):
     return RaySet(directions=directions, tags=tags, seed=seed)
 
 
-def nrt_residual(scene, sample, direction, steps=None):
-    """Squared error between reconstructed transfer and ray-traced V*H."""
-    direction = np.asarray(direction, dtype=np.float64)
-    point = sample.point
-    if point.normal is None:
-        h = 0.0
-    else:
-        h = float(cosine_term(point.normal, direction))
-    if h > 0.0:
-        v = visibility(scene, point.position, direction, steps=steps)
-        ref = v * h
-    else:
-        ref = 0.0
-    rec = float(sh.reconstruct(sample.transfer, direction))
-    return (rec - ref) ** 2
-
-
 def nrt_residuals(scene, sample, rays, steps=None):
-    """Residual per ray of a RaySet, shape (10,)."""
-    return np.array([nrt_residual(scene, sample, d, steps=steps)
-                     for d in rays.directions])
+    """Squared error between reconstructed transfer and ray-traced V*H.
+
+    One entry per direction of the RaySet; the front-facing directions
+    are marched together.
+    """
+    dirs = np.asarray(rays.directions, dtype=np.float64)
+    t = np.asarray(sample.transfer, dtype=np.float64)
+    point = sample.point
+    # Cosines and reconstructions are one dot product per direction, and
+    # squares are Python float powers: a matrix-vector product or a numpy
+    # square can round differently in the last bit.
+    ref = np.zeros(dirs.shape[0], dtype=np.float64)
+    if point.normal is not None:
+        h = np.array([cosine_term(point.normal, d) for d in dirs])
+        front = h > 0.0
+        if np.any(front):
+            ref[front] = visibility(scene, point.position, dirs[front], steps=steps) * h[front]
+    basis = sh.eval_basis(dirs, sh.degree_for(t.shape[0]))
+    return np.array([(float(row @ t) - r) ** 2 for row, r in zip(basis, ref.tolist())])
 
 
 def surface_point_along(scene, origin, direction, steps=None):

@@ -264,3 +264,33 @@ class TestTopLevel:
     def test_subcommand_help_lists_defaults(self, capsys):
         assert cli.main(["render", "--help"]) == 0
         assert "(default: lit)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flags", [
+        ("render", ["--steps", "0"]),
+        ("render", ["--secondary-steps", "-1"]),
+        ("render", ["--width", "0"]),
+        ("render", ["--height", "0"]),
+        ("render", ["--anchors", "0"]),
+        ("render", ["--threads", "0"]),
+        ("render", ["--transfer-grid", "0", "32"]),
+        ("bake", ["--points", "0"]),
+        ("bake", ["--secondary-steps", "0"]),
+        ("bake", ["--resolution", "16", "0"]),
+        ("bake", ["--threads", "-3"]),
+        ("validate", ["--points", "0"]),
+        ("validate", ["--mc-samples", "0"]),
+        ("validate", ["--secondary-steps", "0"]),
+        ("validate", ["--grid", "0", "8"]),
+        ("validate", ["--threads", "0"]),
+        ("project-env", ["--resolution", "-8", "16"]),
+    ])
+    def test_non_positive_count_is_usage_error(self, command, flags, scene_file, light_file,
+                                               envmap_file, workdir, capsys):
+        out = workdir / "never_written"
+        base = {"render": [scene_file, "--env", light_file],
+                "bake": [scene_file],
+                "validate": [scene_file, "--env", light_file],
+                "project-env": [envmap_file]}[command]
+        assert cli.main([command] + base + flags + ["-o", str(out)]) == 1
+        assert "usage error:" in capsys.readouterr().err
+        assert not out.exists()

@@ -18,7 +18,7 @@ class TestAnalyticLights:
     def test_constant_everywhere(self):
         light = envlight.ConstantLight(color=np.array([0.2, 0.5, 1.5]))
         dirs = random_unit_dirs(50, seed=1)
-        vals = envlight.sample_direction(light, dirs)
+        vals = light.radiance(dirs)
         assert vals.shape == (50, 3)
         assert np.allclose(vals, [0.2, 0.5, 1.5], atol=1e-15)
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from prtvol import envlight, field, oracle, transport
+from prtvol import envlight, field, oracle, shading, transport
 from conftest import constant_sh_light, lobe_sh_light
 
 
@@ -99,6 +99,22 @@ class TestCompare:
         for d in (2, 3, 4):
             want_d = np.mean([e.visibility_l2[d] for e in blocker_report.entries])
             assert abs(blocker_report.mean_visibility_l2[d] - want_d) < 1e-15
+
+    def test_entries_match_standalone_bake_and_l2(self, blocker_scene, blocker_report):
+        # compare_prt_vs_mc marches each point's map once and reuses it for
+        # the transfer and the L2 scores; both must equal the standalone
+        # routes bit for bit.
+        config = blocker_report.config
+        light = lobe_sh_light().truncated(config.degree)
+        points, _ = transport.sample_surface_points(blocker_scene, config.count,
+                                                    seed=config.seed)
+        for sp, e in zip(points, blocker_report.entries):
+            t = transport.bake_transfer(blocker_scene, sp.position, sp.normal,
+                                        degree=config.degree, resolution=config.resolution)
+            assert np.array_equal(e.sh_diffuse, shading.diffuse_radiance(sp.albedo, t, light))
+            assert e.visibility_l2 == oracle.visibility_l2(
+                blocker_scene, sp.position, sp.normal, t, degrees=config.degrees,
+                resolution=config.resolution)
 
     def test_full_band_light_relative_rms(self, blocker_scene):
         # The MC side integrates the raw lobe; the SH side sees only its

@@ -19,6 +19,12 @@ def make_surface_point(position, normal, albedo=(0.5, 0.5, 0.5)):
     )
 
 
+def residuals_toward(scene, sample, dirs):
+    """nrt_residuals over an arbitrary list of directions."""
+    rays = transport.RaySet(directions=np.asarray(dirs, dtype=np.float64), tags=(), seed=0)
+    return transport.nrt_residuals(scene, sample, rays)
+
+
 def half_space_scene(gap=0.5, sigma=50.0):
     """Dense slab filling x > gap inside the bounds, a one-sided blocker."""
     return field.scene_from_dict(
@@ -170,8 +176,9 @@ class TestBakeTransfer:
         pts, _ = transport.sample_surface_points(blocker_scene, 6, seed=41)
         for sp in pts:
             t = transport.bake_transfer(blocker_scene, sp.position, sp.normal)
-            vals, dirs, weights = transport.visibility_map(blocker_scene, sp.position,
-                                                           sp.normal)
+            vals, dirs, weights = transport.visibility_map(blocker_scene, [sp.position],
+                                                           [sp.normal])
+            vals = vals[0]
             basis = sh.eval_basis(dirs, 4)
             errs = []
             for degree in (2, 3, 4):
@@ -188,7 +195,7 @@ class TestBakeTransfer:
         # The quadrature grid leaves an O(dtheta^2) leak into the even
         # zonal terms, so the match is to the grid's accuracy, not exact.
         pts, _ = transport.sample_surface_points(blocker_scene, 4, seed=55)
-        dirs, weights, _ = sh._cached_grid(0, 128, 256)
+        dirs, weights, _ = sh.basis_grid(0, 128, 256)
         for sp in pts:
             t = transport.bake_transfer(blocker_scene, sp.position, sp.normal)
             integral = float(np.sum(weights * sh.reconstruct(t, dirs)))
@@ -237,9 +244,9 @@ class TestNrtResidual:
         sample = transport.TransferSample(point=sp, transfer=t)
         back_dir = sh.normalize(np.array([-1.0, 0.1, 0.0]))
         assert float(np.dot(sp.normal, back_dir)) < 0.0
-        r = transport.nrt_residual(sphere_scene, sample, back_dir)
+        r = residuals_toward(sphere_scene, sample, [back_dir])
         rec = float(sh.reconstruct(t, back_dir))
-        assert r == rec ** 2
+        assert r[0] == rec ** 2
 
     def test_band_limited_transfer_zero_residual(self, empty_scene):
         # In empty space V = 1 exactly and the reference on the front
@@ -254,14 +261,13 @@ class TestNrtResidual:
         dirs = random_unit_dirs(50, seed=17)
         dirs[:, 2] = np.abs(dirs[:, 2]) + 0.05
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        for d in dirs:
-            assert transport.nrt_residual(empty_scene, sample, d) < 1e-10
+        assert np.all(residuals_toward(empty_scene, sample, dirs) < 1e-10)
 
     def test_zero_transfer_back_hemisphere_residual_zero(self, empty_scene):
         sp = make_surface_point([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
         sample = transport.TransferSample(point=sp, transfer=np.zeros(25))
         d = sh.normalize(np.array([0.3, 0.3, -0.9]))
-        assert transport.nrt_residual(empty_scene, sample, d) == 0.0
+        assert residuals_toward(empty_scene, sample, [d])[0] == 0.0
 
     def test_residual_matches_direct_formula(self, blocker_scene):
         # Independent recomputation of the same quantity from the public
@@ -270,8 +276,7 @@ class TestNrtResidual:
         t = transport.bake_transfer(blocker_scene, sp.position, sp.normal)
         sample = transport.TransferSample(point=sp, transfer=t)
         dirs = random_unit_dirs(20, seed=23)
-        for d in dirs:
-            got = transport.nrt_residual(blocker_scene, sample, d)
+        for d, got in zip(dirs, residuals_toward(blocker_scene, sample, dirs)):
             h = float(transport.cosine_term(sp.normal, d))
             ref = transport.visibility(blocker_scene, sp.position, d) * h if h > 0 else 0.0
             want = (float(sh.reconstruct(t, d)) - ref) ** 2
@@ -378,8 +383,9 @@ class TestTransferCache:
 class TestVisibilityMap:
     def test_unoccluded_map_is_clamped_cosine(self, empty_scene):
         vals, dirs, weights = transport.visibility_map(
-            empty_scene, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+            empty_scene, [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]
         )
+        vals = vals[0]
         h = np.maximum(0.0, dirs[:, 2])
         assert np.max(np.abs(vals - h)) < 1e-12
         dc = float(np.sum(weights * vals * 0.28209479177387814))
@@ -387,8 +393,23 @@ class TestVisibilityMap:
 
     def test_back_hemisphere_zero(self, sphere_scene):
         vals, dirs, _ = transport.visibility_map(
-            sphere_scene, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]
+            sphere_scene, [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]
         )
+        vals = vals[0]
         back = dirs[:, 0] < 0.0
         assert np.all(vals[back] == 0.0)
         assert np.all(vals >= 0.0)
+
+    def test_batched_rows_match_single_points(self, blocker_scene):
+        # Each row of a batched map is the map of its point alone, and a zero
+        # normal gives a zero row. Only to rounding: BLAS may order the
+        # cosine dot products differently for one row than for several.
+        pts, _ = transport.sample_surface_points(blocker_scene, 3, seed=5)
+        pos = np.array([sp.position for sp in pts] + [[0.0, 0.0, 0.0]])
+        nrm = np.array([sp.normal for sp in pts] + [[0.0, 0.0, 0.0]])
+        vals, _, _ = transport.visibility_map(blocker_scene, pos, nrm, resolution=(16, 32))
+        for i in range(4):
+            one, _, _ = transport.visibility_map(blocker_scene, pos[i:i + 1], nrm[i:i + 1],
+                                                 resolution=(16, 32))
+            assert np.max(np.abs(vals[i] - one[0])) < 1e-15
+        assert np.array_equal(vals[3], np.zeros_like(vals[3]))
