@@ -3,9 +3,13 @@
 Visibility is the transmittance exp(-integral of density) along a
 secondary ray, marched with fixed-step midpoint quadrature from a small
 self-occlusion offset (twice the normal finite-difference step) out to
-the bounding sphere. Transfer coefficients are the SH projection of
-visibility times the clamped cosine about the surface normal, so a
-transfer dotted with light coefficients gives occluded irradiance.
+the bounding sphere. The march evaluates density only at samples inside
+the ray's field.support_interval; every skipped sample would have been
+an exact 0.0, so the optical depth equals the dense march's bit for bit.
+
+Transfer coefficients are the SH projection of visibility times the
+clamped cosine about the surface normal, so a transfer dotted with light
+coefficients gives occluded irradiance.
 """
 
 import json
@@ -18,6 +22,7 @@ import numpy as np
 from . import field, sh
 
 BAKE_GRID = (32, 64)
+MAP_POINTS = 256  # points whose visibility maps are marched together
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ def _exit_distance(scene, origins, dirs):
     return np.maximum(t_enter, 0.0), np.maximum(t_exit, 0.0)
 
 
-def transmittance(scene, origins, dirs, steps=None, offset=0.0, chunk=262144):
+def transmittance(scene, origins, dirs, steps=None, offset=0.0, chunk=65536):
     """exp(-optical depth) from origins along dirs out of the bounds.
 
     Args:
@@ -84,9 +89,18 @@ def transmittance(scene, origins, dirs, steps=None, offset=0.0, chunk=262144):
         span = np.maximum(t_exit - t0, 0.0)
         dt = span / origins.dtype.type(steps)
         tau = np.zeros(hi - lo, dtype=origins.dtype)
+        # Samples outside every primitive's support would add exact zeros,
+        # so only the others are evaluated; positions, dt and the order of
+        # the additions are those of the dense march.
+        s_lo, s_hi = field.support_interval(scene, o, d, t_exit)
         for k in range(steps):
             t = t0 + (origins.dtype.type(k) + origins.dtype.type(0.5)) * dt
-            tau += field.density(scene, o + t[:, None] * d)
+            live = np.flatnonzero((s_lo <= t) & (t <= s_hi))
+            if live.size:
+                pts = np.take(d, live, axis=0)
+                pts *= t[live, None]
+                pts += np.take(o, live, axis=0)
+                tau[live] += field.density(scene, pts)
         out[lo:hi] = np.exp(-tau * dt)
     return out
 
@@ -149,11 +163,16 @@ def visibility_map(scene, positions, normals, resolution=BAKE_GRID, steps=None,
     normals = np.asarray(normals, dtype=np.float64)
     dirs, weights, _ = sh.basis_grid(0, resolution[0], resolution[1])
     h = np.maximum(0.0, normals @ dirs.T)  # (P, D) clamped cosines
-    pt_idx, dir_idx = np.nonzero(h > 0.0)
-    v = transmittance(scene, positions[pt_idx].astype(dtype), dirs[dir_idx].astype(dtype),
-                      steps=steps, offset=2.0 * scene.fd_step).astype(np.float64)
     vals = np.zeros(h.shape, dtype=np.float64)
-    vals[pt_idx, dir_idx] = v * h[pt_idx, dir_idx]
+    # Rays are cast before they are gathered and marched MAP_POINTS points
+    # at a time, which gives the same values with small per-ray arrays.
+    origins, rays = positions.astype(dtype), dirs.astype(dtype)
+    for lo in range(0, h.shape[0], MAP_POINTS):
+        front = h[lo:lo + MAP_POINTS]
+        pt_idx, dir_idx = np.nonzero(front > 0.0)
+        v = transmittance(scene, origins[lo + pt_idx], rays[dir_idx], steps=steps,
+                          offset=2.0 * scene.fd_step)
+        vals[lo + pt_idx, dir_idx] = v.astype(np.float64) * front[pt_idx, dir_idx]
     return vals, dirs, weights
 
 
@@ -279,6 +298,7 @@ def sample_surface_points(scene, count, seed=0, steps=None, max_tries=None):
 
 
 CACHE_RECORD_FLOATS = 6  # position + normal; transfer coeffs follow
+NEAREST_CHUNK_ENTRIES = 1 << 18  # query-point distances held at once by nearest
 
 
 def save_transfer_cache(path, scene, samples, degree=4):
@@ -314,10 +334,27 @@ class TransferCache:
     degree: int
 
     def nearest(self, query):
-        """Indices of the nearest cached point for each query row."""
+        """Indices of the nearest cached point for each query row.
+
+        Ties go to the lowest index. Queries are matched in chunks of
+        NEAREST_CHUNK_ENTRIES query-point distances (one query per chunk
+        once the cache is larger), so the temporaries do not grow with the
+        query count.
+        """
         query = np.asarray(query, dtype=np.float64)
-        d2 = np.sum((query[:, None, :] - self.positions[None, :, :]) ** 2, axis=-1)
-        return np.argmin(d2, axis=1)
+        cols = self.positions.T.copy()
+        rows = max(1, NEAREST_CHUNK_ENTRIES // max(1, cols.shape[1]))
+        out = np.empty(query.shape[0], dtype=np.intp)
+        for lo in range(0, query.shape[0], rows):
+            q = query[lo:lo + rows]
+            d2 = np.subtract.outer(q[:, 0], cols[0])
+            d2 *= d2
+            for axis in (1, 2):
+                e = np.subtract.outer(q[:, axis], cols[axis])
+                e *= e
+                d2 += e
+            out[lo:lo + rows] = np.argmin(d2, axis=1)
+        return out
 
 
 def load_transfer_cache(path, scene=None):

@@ -171,6 +171,28 @@ class TestRender:
             capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("broken", ["no_radius", "nan_softness"])
+    def test_malformed_primitive_is_runtime_error(self, workdir, light_file, capsys, broken):
+        # json.dumps writes the NaN literal that json.load reads back.
+        data = sphere_scene_dict()
+        if broken == "no_radius":
+            del data["primitives"][0]["radius"]
+        else:
+            data["primitives"][0]["softness"] = float("nan")
+        path = workdir / f"{broken}.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["render", str(path), "--mode", "albedo", "--camera-pos", "0", "-3", "0",
+                         "--look-at", "0", "0", "0", "-o", str(workdir / "bad.pfm")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: primitives[0]") and "Traceback" not in err
+        assert not (workdir / "bad.pfm").exists()
+        for command in (["bake", str(path), "-o", str(workdir / "bad.bin")],
+                        ["validate", str(path), "--env", light_file]):
+            assert cli.main(command) == 2
+            assert capsys.readouterr().err.startswith("error: primitives[0]")
+
+
 class TestValidate:
     def test_report_file_and_table(self, workdir, scene_file, light_file, capsys):
         out = workdir / "report.json"

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from prtvol import field
-from conftest import SLAB_SIGMA, random_unit_dirs, sphere_scene_dict
+from conftest import (SLAB_SIGMA, blocker_scene_dict, random_unit_dirs, slab_scene_dict,
+                      sphere_scene_dict)
 
 
 def smoothstep_density(dist, scale, softness):
@@ -276,3 +277,76 @@ class TestSceneJson:
         assert [p.kind for p in scene.primitives] == ["sphere", "box", "slab"]
         assert scene.march.primary_steps == 192
         assert field.density(scene, np.array([0.0, 0.0, 1.0])) > 0.0
+
+
+def one_primitive_scene(kind):
+    """The fixture scene holding a single primitive of the given kind."""
+    d = sphere_scene_dict()
+    d["primitives"] = {"sphere": sphere_scene_dict, "box": blocker_scene_dict,
+                       "slab": slab_scene_dict}[kind]()["primitives"][-1:]
+    return d
+
+
+class TestMalformedPrimitives:
+    @pytest.mark.parametrize("kind, key", [
+        ("sphere", "radius"), ("sphere", "center"), ("box", "extent"), ("box", "center"),
+        ("slab", "axis"), ("slab", "thickness")])
+    def test_missing_geometry_key(self, kind, key):
+        d = one_primitive_scene(kind)
+        del d["primitives"][0][key]
+        with pytest.raises(ValueError, match=rf"primitives\[0\] missing field '{key}'"):
+            field.scene_from_dict(d)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("sphere", "radius", math.nan), ("sphere", "softness", math.nan),
+        ("sphere", "density_scale", math.inf), ("sphere", "radius", math.inf),
+        ("box", "softness", -math.inf), ("slab", "thickness", math.nan),
+        ("slab", "offset", math.nan), ("slab", "density_scale", math.nan)])
+    def test_non_finite_scalar(self, kind, key, value):
+        d = one_primitive_scene(kind)
+        d["primitives"][0][key] = value
+        with pytest.raises(ValueError, match=rf"primitives\[0\].{key} must be finite"):
+            field.scene_from_dict(d)
+
+    @pytest.mark.parametrize("kind, key", [("sphere", "center"), ("box", "extent"),
+                                           ("slab", "axis")])
+    def test_non_finite_vector(self, kind, key):
+        d = one_primitive_scene(kind)
+        d["primitives"][0][key] = [0.0, math.nan, 1.0]
+        with pytest.raises(ValueError, match=rf"primitives\[0\].{key} must be finite"):
+            field.scene_from_dict(d)
+
+    @pytest.mark.parametrize("value", [["a", 1.0, 1.0], {"x": 1.0}])
+    def test_non_number_vector(self, value):
+        d = one_primitive_scene("box")
+        d["primitives"][0]["extent"] = value
+        with pytest.raises(ValueError, match=r"primitives\[0\].extent must be a 3-vector"):
+            field.scene_from_dict(d)
+
+    @pytest.mark.parametrize("value", [None, "wide", [1.0]])
+    def test_non_number_scalar(self, value):
+        d = one_primitive_scene("sphere")
+        d["primitives"][0]["radius"] = value
+        with pytest.raises(ValueError, match=r"primitives\[0\].radius must be a number"):
+            field.scene_from_dict(d)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("bounds", "radius", math.nan), ("bounds", "radius", math.inf),
+        ("march", "t_near", math.nan), ("march", "t_far", math.inf),
+        ("march", "primary_steps", math.inf), ("march", "secondary_steps", math.nan)])
+    def test_non_finite_bounds_and_march(self, section, key, value):
+        d = sphere_scene_dict()
+        d[section][key] = value
+        with pytest.raises(ValueError, match=rf"{section}.{key} must be finite"):
+            field.scene_from_dict(d)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["primitives"].__setitem__(0, "sphere"), r"primitives\[0\] must be a JSON"),
+        (lambda d: d.__setitem__("primitives", 3), "primitives must be a JSON list"),
+        (lambda d: d.__setitem__("march", [64]), "march must be a JSON object"),
+        (lambda d: d.__setitem__("bounds", 6.0), "bounds must be a JSON object")])
+    def test_wrong_json_types(self, mutate, message):
+        d = sphere_scene_dict()
+        mutate(d)
+        with pytest.raises(ValueError, match=message):
+            field.scene_from_dict(d)

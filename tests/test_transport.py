@@ -356,6 +356,24 @@ class TestTransferCache:
         idx = cache.nearest(cache.positions[3][None, :] + 1e-6)
         assert idx[0] == 3
 
+    def test_nearest_matches_brute_force(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        pos = rng.uniform(-1.0, 1.0, size=(300, 3))
+        pos[[7, 150, 299]] = pos[40]  # duplicates: the lowest index wins
+        query = rng.uniform(-1.2, 1.2, size=(1000, 3))
+        query[:100] = pos[rng.integers(0, 300, 100)]  # exact hits
+        query[100] = pos[150]
+        cache = transport.TransferCache(positions=pos, normals=np.zeros_like(pos),
+                                        coeffs=np.zeros((300, 1)), degree=0)
+        brute = np.argmin(np.sum((query[:, None, :] - pos[None, :, :]) ** 2, axis=-1), axis=1)
+        assert brute[100] == 7
+        assert np.array_equal(pos[brute[:100]], query[:100])
+        for entries in (1, 299, 301, 4096, 1 << 20):  # one query per chunk up to one chunk
+            monkeypatch.setattr(transport, "NEAREST_CHUNK_ENTRIES", entries)
+            got = cache.nearest(query)
+            assert got.shape == (1000,) and np.array_equal(got, brute)
+        assert cache.nearest(np.zeros((0, 3))).shape == (0,)
+
     def test_wrong_scene_rejected(self, sphere_scene, blocker_scene, tmp_path):
         samples = self._bake_samples(sphere_scene, 3, seed=2)
         path = str(tmp_path / "cache.bin")
@@ -413,3 +431,16 @@ class TestVisibilityMap:
                                                  resolution=(16, 32))
             assert np.max(np.abs(vals[i] - one[0])) < 1e-15
         assert np.array_equal(vals[3], np.zeros_like(vals[3]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_point_blocks_do_not_change_the_map(self, blocker_scene, monkeypatch, dtype):
+        pts, _ = transport.sample_surface_points(blocker_scene, 7, seed=6)
+        pos = np.array([sp.position for sp in pts])
+        nrm = np.array([sp.normal for sp in pts])
+        whole, _, _ = transport.visibility_map(blocker_scene, pos, nrm, resolution=(8, 16),
+                                               dtype=dtype)
+        for block in (1, 3):
+            monkeypatch.setattr(transport, "MAP_POINTS", block)
+            vals, _, _ = transport.visibility_map(blocker_scene, pos, nrm, resolution=(8, 16),
+                                                  dtype=dtype)
+            assert np.array_equal(vals, whole)
