@@ -44,6 +44,13 @@ def _require_file(path):
     return path
 
 
+def _warn_shortfall(found, requested):
+    """Tell the user when probing found fewer surface points than asked."""
+    if found < requested:
+        print(f"warning: found {found} of {requested} requested surface points",
+              file=sys.stderr)
+
+
 def _load_light(path, degree):
     """ShLight from a coefficient JSON, or project a PFM environment map."""
     _require_file(path)
@@ -66,6 +73,7 @@ def _cmd_project_env(args):
 def _cmd_bake(args):
     scene = field.load_scene(_require_file(args.scene))
     points, _ = transport.sample_surface_points(scene, args.points, seed=args.seed)
+    _warn_shortfall(len(points), args.points)
     positions = np.array([p.position for p in points])
     normals = np.array([p.normal for p in points])
 
@@ -141,6 +149,7 @@ def _cmd_validate(args):
         resolution=tuple(args.grid), secondary_steps=args.secondary_steps,
         seed=args.seed, threads=args.threads)
     report = oracle.compare_prt_vs_mc(scene, light, config=config)
+    _warn_shortfall(len(report.entries), args.points)
     print(oracle.format_table(report))
     payload = json.dumps(report.to_dict(), indent=2)
     if args.output:

@@ -124,16 +124,37 @@ class ShLight:
 
     @classmethod
     def from_dict(cls, d):
+        """ShLight from its JSON form; malformed input raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("ShLight JSON must be an object")
+        for key in ("degree", "channels"):
+            if key not in d:
+                raise ValueError(f"ShLight JSON missing field '{key}'")
+        degree = d["degree"]
+        if type(degree) is not int:
+            raise ValueError(f"ShLight degree must be an integer, got {degree!r}")
         channels = d["channels"]
-        if len(channels) != 3:
+        if not isinstance(channels, list) or len(channels) != 3:
             raise ValueError("ShLight JSON must carry exactly 3 channels")
-        coeffs = np.asarray(channels, dtype=np.float64).T
-        expect = sh.num_coeffs(int(d["degree"]))
-        if coeffs.shape[0] != expect:
-            raise ValueError(
-                f"channel length {coeffs.shape[0]} does not match degree {d['degree']}"
-            )
-        return cls(coeffs=coeffs)
+        for c, channel in enumerate(channels):
+            if not isinstance(channel, list):
+                raise ValueError(f"ShLight channel {c} must be a list of numbers")
+            for v in channel:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ValueError(f"ShLight channel {c} holds a non-numeric value {v!r}")
+                try:
+                    finite = math.isfinite(v)
+                except OverflowError:  # an integer beyond the float range
+                    finite = False
+                if not finite:
+                    raise ValueError(f"ShLight channel {c} holds a non-finite value {v}")
+        lengths = {len(channel) for channel in channels}
+        if len(lengths) != 1:
+            raise ValueError("ShLight channels must have equal lengths")
+        n = lengths.pop()
+        if degree < 0 or n != sh.num_coeffs(degree):
+            raise ValueError(f"channel length {n} does not match degree {degree}")
+        return cls(coeffs=np.asarray(channels, dtype=np.float64).T)
 
 
 def save_sh_light(path, light):

@@ -548,19 +548,3 @@ def normals(scene, pts):
     n[~valid] = 0.0
     return n.reshape(shape + (3,)), valid.reshape(shape)
 
-
-def normal_at(scene, x):
-    """Normal at a single point, or None where the gradient vanishes."""
-    n, valid = normals(scene, np.asarray(x, dtype=np.float64)[None, :])
-    if not valid[0]:
-        return None
-    return n[0]
-
-
-def surface_point_at(scene, x):
-    """Assemble a SurfacePoint by evaluating normal and material at x."""
-    x = np.asarray(x, dtype=np.float64)
-    n = normal_at(scene, x)
-    a, t = material(scene, x)
-    return SurfacePoint(position=x, normal=n, albedo=a, tint=t, valid=n is not None)
-

@@ -3,7 +3,9 @@
 A primary ray marches [t_near, t_far] in fixed steps; the pixel value is
 sum_k T_k * density_k * value_k * dt with T_k the transmittance of all
 strictly earlier samples, accumulated in log space so alpha telescopes to
-1 - exp(-total optical depth) exactly.
+1 - exp(-total optical depth) exactly. The march (transport.primary_march)
+skips the samples outside every primitive's support, which hold the exact
+0.0 a dense march would compute there, so no pixel depends on the skip.
 
 Shaded modes (lit, diffuse, specular, irradiance) are amortized: each
 ray bakes transfer only at its top weighted samples (or looks them up
@@ -105,15 +107,6 @@ def alpha_u8(alpha):
     return np.round(255.0 * np.clip(np.asarray(alpha), 0.0, 1.0)).astype(np.uint8)
 
 
-def trace_radiance(scene, light, origin, direction, mode="lit", settings=None):
-    """Shade a single primary ray; returns (rgb (3,), alpha)."""
-    origin = np.asarray(origin, dtype=np.float64)[None, :]
-    direction = np.asarray(direction, dtype=np.float64)[None, :]
-    rgb, alpha = _trace_batch(scene, light, origin, direction, mode,
-                              settings or RenderSettings())
-    return rgb[0], float(alpha[0])
-
-
 def render_image(scene, light, camera, mode="lit", settings=None, threads=1):
     """Render the camera's view; returns a LinearImage.
 
@@ -144,14 +137,8 @@ def _trace_batch(scene, light, origins, dirs, mode, settings):
     if needs_light and light is None:
         raise ValueError(f"mode {mode!r} requires an SH light")
 
-    steps = settings.steps if settings.steps is not None else scene.march.primary_steps
-    t0, t1 = scene.march.t_near, scene.march.t_far
-    dt = (t1 - t0) / steps
-    t = t0 + (np.arange(steps) + 0.5) * dt
-
     n_rays = origins.shape[0]
-    pts = origins[:, None, :] + t[None, :, None] * dirs[:, None, :]
-    sigma = field.density(scene, pts)  # (R, K)
+    pts, sigma, dt = transport.primary_march(scene, origins, dirs, steps=settings.steps)
     depth = sigma * dt
     tau_before = np.cumsum(depth, axis=1) - depth  # exclusive prefix
     trans = np.exp(-tau_before)

@@ -188,15 +188,6 @@ def reconstruct(coeffs, dirs):
     return basis @ coeffs
 
 
-def inner_product(u, v):
-    """Euclidean dot of two coefficient vectors of equal length."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"coefficient shape mismatch: {u.shape} vs {v.shape}")
-    return float(np.dot(u, v))
-
-
 def gram_matrix(degree=DEFAULT_DEGREE, n_theta=128, n_phi=256):
     """Quadrature Gram matrix of the basis; identity up to grid error."""
     _, weights, basis = basis_grid(degree, n_theta, n_phi)

@@ -7,13 +7,18 @@ the bounding sphere. The march evaluates density only at samples inside
 the ray's field.support_interval; every skipped sample would have been
 an exact 0.0, so the optical depth equals the dense march's bit for bit.
 
+Primary rays, the renderer's and the probes that find surface points,
+are marched by primary_march over [t_near, t_far] with the same skipping.
+Probing is batched: each try draws its ray from the RNG in turn, but the
+probes of up to PROBE_BLOCK tries are marched together, and the hits of a
+block share one field.normals and one field.material call.
+
 Transfer coefficients are the SH projection of visibility times the
 clamped cosine about the surface normal, so a transfer dotted with light
 coefficients gives occluded irradiance.
 """
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -23,6 +28,7 @@ from . import field, sh
 
 BAKE_GRID = (32, 64)
 MAP_POINTS = 256  # points whose visibility maps are marched together
+PROBE_BLOCK = 256  # probe rays of sample_surface_points marched together
 
 
 @dataclass(frozen=True)
@@ -236,37 +242,66 @@ def nrt_residuals(scene, sample, rays, steps=None):
     return np.array([(float(row @ t) - r) ** 2 for row, r in zip(basis, ref.tolist())])
 
 
-def surface_point_along(scene, origin, direction, steps=None):
-    """Extract the dominant surface point along a primary ray.
+def primary_march(scene, origins, dirs, steps=None):
+    """Density at the midpoint samples of primary rays over [t_near, t_far].
 
-    Marches [t_near, t_far] and takes the sample with the largest volume
-    rendering weight T * density * dt. Returns None when the ray only
-    crosses empty space.
+    origins and dirs are (R, 3). Returns (pts (R, K, 3), sigma (R, K),
+    dt) for K = steps, the scene's primary_steps if None. Density is
+    evaluated only at samples inside each ray's field.support_interval
+    (exact because t_near >= 0); the others hold the exact 0.0 that
+    field.density gives there, so sigma equals a dense evaluation bit for
+    bit.
     """
-    origin = np.asarray(origin, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
+    origins = np.asarray(origins, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
     if steps is None:
         steps = scene.march.primary_steps
     t0, t1 = scene.march.t_near, scene.march.t_far
     dt = (t1 - t0) / steps
     t = t0 + (np.arange(steps) + 0.5) * dt
-    pts = origin[None, :] + t[:, None] * direction[None, :]
-    sigma = field.density(scene, pts)
-    if not np.any(sigma > 0.0):
-        return None
-    tau = np.concatenate([[0.0], np.cumsum(sigma * dt)])[:-1]
+    pts = origins[:, None, :] + t[None, :, None] * dirs[:, None, :]
+    sigma = np.zeros(pts.shape[:-1], dtype=pts.dtype)
+    lo, hi = field.support_interval(scene, origins, dirs, t1)
+    live = (lo[:, None] <= t) & (t <= hi[:, None])
+    if np.any(live):
+        sigma[live] = field.density(scene, pts[live])
+    return pts, sigma, dt
+
+
+def _probe(scene, origins, dirs, steps):
+    """Dominant surface point of each probe ray, or None.
+
+    The dominant sample has the largest volume rendering weight
+    T * density * dt; a ray crossing only empty space, or whose dominant
+    sample has no gradient normal, gives None.
+    """
+    pts, sigma, dt = primary_march(scene, origins, dirs, steps)
+    tau = np.zeros_like(sigma)
+    tau[:, 1:] = np.cumsum(sigma * dt, axis=1)[:, :-1]
     weight = np.exp(-tau) * sigma * dt
-    k = int(np.argmax(weight))
-    return field.surface_point_at(scene, pts[k])
+    rows = np.flatnonzero(np.any(sigma > 0.0, axis=1))
+    found = [None] * origins.shape[0]
+    if rows.size == 0:
+        return found
+    x = pts[rows, np.argmax(weight[rows], axis=1)]
+    nrm, valid = field.normals(scene, x)
+    albedo, tint = field.material(scene, x)
+    for j in np.flatnonzero(valid):
+        found[rows[j]] = field.SurfacePoint(position=x[j], normal=nrm[j], albedo=albedo[j],
+                                            tint=tint[j], valid=True)
+    return found
 
 
 def sample_surface_points(scene, count, seed=0, steps=None, max_tries=None):
     """Deterministic surface-point sampling by probing random rays.
 
     Rays start on the bounding sphere and aim at a jittered point near
-    the center. Returns (points, views) with views the unit directions
-    from each point back toward its ray origin. Raises when no probe ray
-    finds a valid surface point.
+    the center. Each try draws its ray from the RNG in turn; the probes
+    of up to PROBE_BLOCK tries are marched together and accepted in try
+    order until count points are found or max_tries tries are spent.
+    Returns (points, views) with views the unit directions from each
+    point back toward its ray origin; there may be fewer than count.
+    Raises when no probe ray finds a valid surface point.
     """
     rng = np.random.default_rng(seed)
     if max_tries is None:
@@ -275,23 +310,30 @@ def sample_surface_points(scene, count, seed=0, steps=None, max_tries=None):
     views = []
     tries = 0
     while len(points) < count and tries < max_tries:
-        tries += 1
-        u = rng.normal(size=3)
-        n = np.linalg.norm(u)
-        if n < 1e-12:
+        # Twice the points still missing: most probes hit, so a block seldom
+        # has to be followed by another, and few probes are marched in vain.
+        block = min(PROBE_BLOCK, max_tries - tries, 2 * (count - len(points)))
+        tries += block
+        origins, dirs = [], []
+        for _ in range(block):
+            u = rng.normal(size=3)
+            n = np.linalg.norm(u)
+            if n < 1e-12:
+                continue
+            origin = scene.bounds.center + scene.bounds.radius * (u / n)
+            target = scene.bounds.center + rng.uniform(-0.3, 0.3, size=3) * scene.bounds.radius
+            d = target - origin
+            dn = np.linalg.norm(d)
+            if dn < 1e-12:
+                continue
+            origins.append(origin)
+            dirs.append(d / dn)
+        if not origins:
             continue
-        origin = scene.bounds.center + scene.bounds.radius * (u / n)
-        target = scene.bounds.center + rng.uniform(-0.3, 0.3, size=3) * scene.bounds.radius
-        d = target - origin
-        dn = np.linalg.norm(d)
-        if dn < 1e-12:
-            continue
-        d = d / dn
-        sp = surface_point_along(scene, origin, d, steps=steps)
-        if sp is None or not sp.valid:
-            continue
-        points.append(sp)
-        views.append(-d)
+        for sp, d in zip(_probe(scene, np.array(origins), np.array(dirs), steps), dirs):
+            if sp is not None and len(points) < count:
+                points.append(sp)
+                views.append(-d)
     if not points:
         raise ValueError("no valid surface points found on any probe ray")
     return points, views
@@ -364,9 +406,20 @@ def load_transfer_cache(path, scene=None):
         raise ValueError(f"transfer cache sidecar missing: {sidecar_path}")
     with open(sidecar_path) as f:
         sidecar = json.load(f)
-    degree = int(sidecar["degree"])
-    count = int(sidecar["count"])
-    if scene is not None and sidecar.get("scene_hash") != field.scene_hash(scene):
+    if not isinstance(sidecar, dict):
+        raise ValueError("transfer cache sidecar must be a JSON object")
+    for key in ("degree", "count", "scene_hash"):
+        if key not in sidecar:
+            raise ValueError(f"transfer cache sidecar missing field '{key}'")
+    degree, count = sidecar["degree"], sidecar["count"]
+    if type(degree) is not int or not 0 <= degree <= sh.MAX_DEGREE:
+        raise ValueError(
+            f"transfer cache degree must be an integer in [0, {sh.MAX_DEGREE}], got {degree!r}")
+    if type(count) is not int or count < 1:
+        raise ValueError(f"transfer cache count must be a positive integer, got {count!r}")
+    if not isinstance(sidecar["scene_hash"], str):
+        raise ValueError("transfer cache sidecar scene_hash must be a string")
+    if scene is not None and sidecar["scene_hash"] != field.scene_hash(scene):
         raise ValueError("transfer cache was baked for a different scene")
     n_coeff = sh.num_coeffs(degree)
     width = CACHE_RECORD_FLOATS + n_coeff

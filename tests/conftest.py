@@ -174,6 +174,15 @@ def sky_light():
     return lobe_sh_light()
 
 
+def field_surface_point(scene, x):
+    """SurfacePoint at x from one field.normals and one field.material call."""
+    x = np.asarray(x, dtype=np.float64)
+    n, valid = field.normals(scene, x[None, :])
+    albedo, tint = field.material(scene, x)
+    return field.SurfacePoint(position=x, normal=n[0] if valid[0] else None,
+                              albedo=albedo, tint=tint, valid=bool(valid[0]))
+
+
 def random_unit_dirs(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 3))

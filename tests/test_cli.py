@@ -193,6 +193,87 @@ class TestRender:
             assert capsys.readouterr().err.startswith("error: primitives[0]")
 
 
+    @pytest.mark.parametrize("broken", ["no_channels", "no_degree", "nan_coefficient",
+                                        "string_degree"])
+    def test_malformed_light_is_runtime_error(self, workdir, scene_file, light_file, capsys,
+                                              broken):
+        data = json.loads(open(light_file).read())
+        if broken == "no_channels":
+            del data["channels"]
+        elif broken == "no_degree":
+            del data["degree"]
+        elif broken == "nan_coefficient":
+            data["channels"][0][3] = float("nan")
+        else:
+            data["degree"] = "4"
+        light = workdir / f"light_{broken}.json"
+        light.write_text(json.dumps(data))
+        out = workdir / f"light_{broken}.pfm"
+        for command in (["render", scene_file, "--env", str(light), "-o", str(out)],
+                        ["validate", scene_file, "--env", str(light), "-o", str(out)]):
+            assert cli.main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ShLight") and "Traceback" not in err
+            assert not out.exists()
+
+    def test_sidecar_without_count_is_runtime_error(self, workdir, scene_file, light_file,
+                                                    capsys):
+        cache = str(workdir / "no_count.bin")
+        assert cli.main(["bake", scene_file, "--points", "3", "--resolution", "16", "32",
+                         "-o", cache]) == 0
+        sidecar = json.loads(open(cache + ".json").read())
+        del sidecar["count"]
+        with open(cache + ".json", "w") as f:
+            json.dump(sidecar, f)
+        capsys.readouterr()
+        out = workdir / "no_count.pfm"
+        assert cli.main(["render", scene_file, "--env", light_file, "--cache", cache,
+                         "-o", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: transfer cache sidecar missing field 'count'\n"
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def sparse_scene_file(workdir):
+    """A small sphere off center that most probe rays miss."""
+    path = workdir / "sparse.json"
+    path.write_text(json.dumps({
+        "bounds": {"center": [0.0, 0.0, 0.0], "radius": 4.0},
+        "march": {"primary_steps": 96},
+        "primitives": [{"type": "sphere", "center": [0.9, 0.0, 0.0], "radius": 0.08,
+                        "softness": 0.06, "density_scale": 30.0}]}))
+    return str(path)
+
+
+class TestShortfall:
+    def test_bake_warns_and_writes_what_it_found(self, workdir, sparse_scene_file, capsys):
+        found = len(transport.sample_surface_points(field.load_scene(sparse_scene_file), 10)[0])
+        assert 0 < found < 10
+        out = str(workdir / "sparse.bin")
+        assert cli.main(["bake", sparse_scene_file, "--points", "10", "--resolution", "16",
+                         "32", "-o", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: found {found} of 10 requested surface points\n"
+        assert f"baked {found} points" in captured.out
+        assert transport.load_transfer_cache(out).positions.shape == (found, 3)
+
+    def test_validate_warns(self, workdir, sparse_scene_file, light_file, capsys):
+        found = len(transport.sample_surface_points(field.load_scene(sparse_scene_file), 10)[0])
+        assert 0 < found < 10
+        out = workdir / "sparse_report.json"
+        assert cli.main(["validate", sparse_scene_file, "--env", light_file, "--points", "10",
+                         "--mc-samples", "100", "--grid", "16", "32", "-o", str(out)]) == 0
+        assert capsys.readouterr().err == \
+            f"warning: found {found} of 10 requested surface points\n"
+        assert json.loads(out.read_text())["aggregate"]["points"] == found
+
+    def test_no_warning_when_every_point_is_found(self, workdir, scene_file, capsys):
+        assert cli.main(["bake", scene_file, "--points", "4", "--resolution", "16", "32",
+                         "-o", str(workdir / "full.bin")]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestValidate:
     def test_report_file_and_table(self, workdir, scene_file, light_file, capsys):
         out = workdir / "report.json"

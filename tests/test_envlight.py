@@ -161,3 +161,41 @@ class TestShLight:
             envlight.ShLight.from_dict(
                 {"degree": 2, "channels": [[1.0] * 4, [1.0] * 4, [1.0] * 4]}
             )
+
+    @pytest.mark.parametrize("change", [
+        {"degree": None},                   # missing key
+        {"channels": None},                 # missing key
+        {"degree": "1"},                    # non-integer degree
+        {"degree": 1.0},
+        {"degree": True},
+        {"degree": -1},
+        {"channels": "abc"},                # wrong JSON type
+        {"channels": {"r": [1.0]}},
+        {"channels": [1.0, 2.0, 3.0]},
+        {"channels": [[1.0] * 4, [1.0] * 4, [1.0] * 3]},
+        {"coeff": "1.0"},                   # non-numeric coefficient
+        {"coeff": None},
+        {"coeff": True},
+        {"coeff": [1.0]},
+        {"coeff": float("nan")},            # non-finite coefficient
+        {"coeff": float("inf")},
+        {"coeff": -float("inf")},
+        {"coeff": 10**400},
+    ], ids=lambda c: "-".join(f"{k}={v!r}"[:24] for k, v in c.items()))
+    def test_from_dict_rejects_malformed(self, change):
+        d = {"degree": 1, "convention": envlight.SH_CONVENTION,
+             "channels": [[0.5, 0.1, 0.2, 0.3] for _ in range(3)]}
+        for key, value in change.items():
+            if key == "coeff":
+                d["channels"][1][2] = value
+            elif value is None:
+                del d[key]
+            else:
+                d[key] = value
+        with pytest.raises(ValueError):
+            envlight.ShLight.from_dict(d)
+
+    @pytest.mark.parametrize("payload", [[], "light", 3.0, None])
+    def test_from_dict_rejects_non_object(self, payload):
+        with pytest.raises(ValueError, match="must be an object"):
+            envlight.ShLight.from_dict(payload)

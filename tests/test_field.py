@@ -98,13 +98,15 @@ class TestDensity:
 
 class TestNormals:
     def test_shell_normal_is_radial(self, sphere_scene):
-        n = field.normal_at(sphere_scene, [1.0, 0.0, 0.0])
-        assert n is not None
+        n, valid = field.normals(sphere_scene, np.array([1.0, 0.0, 0.0]))
+        assert n.shape == (3,) and valid.shape == () and valid
         assert np.allclose(n, [1.0, 0.0, 0.0], atol=1e-3)
         assert abs(np.linalg.norm(n) - 1.0) < 1e-12
 
     def test_deep_interior_has_no_normal(self, sphere_scene):
-        assert field.normal_at(sphere_scene, [0.0, 0.0, 0.0]) is None
+        n, valid = field.normals(sphere_scene, np.array([0.0, 0.0, 0.0]))
+        assert not valid
+        assert np.array_equal(n, np.zeros(3))
 
     def test_fd_matches_analytic_on_shell(self, sphere_scene):
         dirs = random_unit_dirs(200, seed=31)
@@ -153,15 +155,6 @@ class TestMaterial:
         albedo, tint = field.material(blocker_scene, pts)
         assert np.all(albedo >= 0.0) and np.all(albedo <= 1.0)
         assert np.all(tint >= 0.0) and np.all(tint <= 1.0)
-
-    def test_surface_point_at(self, sphere_scene):
-        sp = field.surface_point_at(sphere_scene, [0.0, 1.0, 0.0])
-        assert sp.valid
-        assert np.allclose(sp.normal, [0.0, 1.0, 0.0], atol=1e-3)
-        assert np.allclose(sp.albedo, [0.6, 0.5, 0.4])
-        deep = field.surface_point_at(sphere_scene, [0.0, 0.0, 0.0])
-        assert not deep.valid
-        assert deep.normal is None
 
 
 def albedo_jitter_residual(scene, x, samples=1024, seed=0, scale=0.03):

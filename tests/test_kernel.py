@@ -1,10 +1,13 @@
-"""The packed density kernel and the skipping march against references.
+"""The packed density kernel and the skipping marches against references.
 
 The references are written out here: the per-primitive density formulas
-that evaluated each primitive on (..., 3) points, and the dense
-transmittance march that evaluated every sample. The kernel and the
-skipping march must reproduce them bit for bit.
+that evaluated each primitive on (..., 3) points, the dense transmittance
+and primary marches that evaluated every sample, and the surface-point
+sampler that marched one probe ray per try. The kernel, the skipping
+marches and the batched sampler must reproduce them bit for bit.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -91,10 +94,10 @@ SLAB = {"type": "slab", "axis": [0.0, 0.0, 1.0], "offset": -0.4, "thickness": 0.
 TILTED = dict(SLAB, axis=[0.3, -0.5, 0.8], offset=0.2)
 
 
-def make_scene(*prims, radius=2.5):
+def make_scene(*prims, radius=2.5, march=None):
     return field.scene_from_dict({
         "bounds": {"center": [0.1, 0.0, -0.1], "radius": radius},
-        "march": {"secondary_steps": 24},
+        "march": march or {"secondary_steps": 24},
         "primitives": [dict(p) for p in prims]})
 
 
@@ -348,3 +351,146 @@ def test_support_interval_brackets_every_nonzero_sample():
     assert np.all(sigma[outside] == 0.0)
     assert np.count_nonzero(outside) > 0.5 * outside.size
     assert np.count_nonzero(sigma) > 0
+
+
+# --------------------------------------------------------- primary march
+
+def dense_primary_march(scene, origins, dirs, steps):
+    """Every midpoint sample of [t_near, t_far] through field.density."""
+    t0, t1 = scene.march.t_near, scene.march.t_far
+    dt = (t1 - t0) / steps
+    t = t0 + (np.arange(steps) + 0.5) * dt
+    pts = origins[:, None, :] + t[None, :, None] * dirs[:, None, :]
+    return pts, field.density(scene, pts), dt
+
+
+def assert_primary_matches_dense(scene, origins, dirs, steps=None):
+    o, d = np.asarray(origins, dtype=np.float64), np.asarray(dirs, dtype=np.float64)
+    pts, sigma, dt = transport.primary_march(scene, o, d, steps=steps)
+    want_pts, want_sigma, want_dt = dense_primary_march(
+        scene, o, d, scene.march.primary_steps if steps is None else steps)
+    assert dt == want_dt
+    # Byte comparison: the sign of a zero counts too.
+    assert pts.tobytes() == want_pts.tobytes()
+    assert sigma.shape == want_sigma.shape and sigma.dtype == want_sigma.dtype
+    assert sigma.tobytes() == want_sigma.tobytes(), np.argwhere(sigma != want_sigma)
+    return sigma
+
+
+class TestPrimaryMarchCases:
+    def test_camera_inside_supports(self):
+        rng = np.random.default_rng(12)
+        centers = np.array([SPHERE["center"], BOX["center"], [0.0, 0.0, -0.4]])
+        origins = np.repeat(centers, 10, axis=0) + rng.normal(scale=0.1, size=(30, 3))
+        sigma = assert_primary_matches_dense(MIXED, origins, unit(rng.normal(size=(30, 3))))
+        assert np.all(sigma[:, 0] > 0.0)
+
+    def test_rays_parallel_to_slab(self):
+        scene = make_scene(SLAB, TILTED)
+        rng = np.random.default_rng(13)
+        dirs = []
+        for a in (np.array(SLAB["axis"], float), unit(TILTED["axis"])):
+            v = rng.normal(size=(15, 3))
+            dirs.append(unit(v - np.outer(v @ a, a)))
+        z = np.linspace(-0.9, 0.1, 30)
+        origins = np.stack([np.full(30, -3.0), np.zeros(30), z], axis=1)
+        assert_primary_matches_dense(scene, origins, np.vstack(dirs))
+
+    def test_t_near_and_steps_override(self):
+        scene = dataclasses.replace(MIXED, march=field.MarchParams(
+            primary_steps=50, t_near=1.3, t_far=4.1))
+        rng = np.random.default_rng(14)
+        origins = rng.uniform(-3.0, 3.0, size=(40, 3))
+        dirs = unit(rng.normal(size=(40, 3)))
+        for steps in (None, 1, 7, 333):
+            sigma = assert_primary_matches_dense(scene, origins, dirs, steps=steps)
+            assert sigma.shape == (40, 50 if steps is None else steps)
+
+    def test_empty_scene(self):
+        rng = np.random.default_rng(15)
+        sigma = assert_primary_matches_dense(make_scene(), rng.uniform(-1.0, 1.0, (6, 3)),
+                                             unit(rng.normal(size=(6, 3))), steps=9)
+        assert not np.any(sigma)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=scenes_and_rays(), steps=st.integers(1, 64), t_near=st.floats(0.0, 2.0),
+       length=st.floats(0.05, 6.0))
+def test_primary_march_equals_dense_density(case, steps, t_near, length):
+    scene, origins, dirs = case
+    scene = dataclasses.replace(scene, march=field.MarchParams(
+        primary_steps=steps, t_near=t_near, t_far=t_near + length))
+    assert_primary_matches_dense(scene, origins, dirs)
+
+
+# ------------------------------------------------------ surface sampler
+
+def one_ray_sampler(scene, count, seed=0, steps=None, max_tries=None):
+    """The sampler as a loop of tries: one dense probe march per try, then
+    one normals and one material call on the dominant sample."""
+    rng = np.random.default_rng(seed)
+    if max_tries is None:
+        max_tries = 40 * count
+    if steps is None:
+        steps = scene.march.primary_steps
+    t0, t1 = scene.march.t_near, scene.march.t_far
+    dt = (t1 - t0) / steps
+    t = t0 + (np.arange(steps) + 0.5) * dt
+    found = []
+    tries = 0
+    while len(found) < count and tries < max_tries:
+        tries += 1
+        u = rng.normal(size=3)
+        n = np.linalg.norm(u)
+        if n < 1e-12:
+            continue
+        origin = scene.bounds.center + scene.bounds.radius * (u / n)
+        target = scene.bounds.center + rng.uniform(-0.3, 0.3, size=3) * scene.bounds.radius
+        d = target - origin
+        dn = np.linalg.norm(d)
+        if dn < 1e-12:
+            continue
+        d = d / dn
+        pts = origin[None, :] + t[:, None] * d[None, :]
+        sigma = field.density(scene, pts)
+        if not np.any(sigma > 0.0):
+            continue
+        tau = np.concatenate([[0.0], np.cumsum(sigma * dt)])[:-1]
+        x = pts[int(np.argmax(np.exp(-tau) * sigma * dt))]
+        nrm, valid = field.normals(scene, x[None, :])
+        if not valid[0]:
+            continue
+        albedo, tint = field.material(scene, x)
+        found.append((x, nrm[0], albedo, tint, -d))
+    return found
+
+
+@pytest.mark.parametrize("count, kwargs", [
+    (300, {}),                      # spans two blocks
+    (400, {"max_tries": 300}),      # tries run out inside the second block
+    (9, {"steps": 50, "seed": 3}),  # stops mid-block once count is reached
+    (5, {"max_tries": 1}),
+], ids=["two_blocks", "max_tries_mid_block", "count_mid_block", "one_try"])
+def test_batched_sampler_equals_one_ray_loop(blocker_scene, count, kwargs):
+    want = one_ray_sampler(blocker_scene, count, **kwargs)
+    if not want:
+        with pytest.raises(ValueError, match="no valid surface points"):
+            transport.sample_surface_points(blocker_scene, count, **kwargs)
+        return
+    points, views = transport.sample_surface_points(blocker_scene, count, **kwargs)
+    assert len(points) == len(views) == len(want) <= count
+    for sp, view, (x, nrm, albedo, tint, v) in zip(points, views, want):
+        assert sp.valid
+        for got, ref in ((sp.position, x), (sp.normal, nrm), (sp.albedo, albedo),
+                         (sp.tint, tint), (view, v)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_batched_sampler_on_a_mostly_missed_scene():
+    scene = make_scene(dict(SPHERE, center=[0.9, 0.0, 0.0], radius=0.08, softness=0.06,
+                            density_scale=30.0), radius=4.0, march={"primary_steps": 96})
+    want = one_ray_sampler(scene, 20)
+    points, _ = transport.sample_surface_points(scene, 20)
+    assert 0 < len(want) < 20
+    assert [p.position.tobytes() for p in points] == [w[0].tobytes() for w in want]

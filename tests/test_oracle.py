@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from prtvol import envlight, field, oracle, shading, transport
-from conftest import constant_sh_light, lobe_sh_light
+from prtvol import envlight, oracle, shading, transport
+from conftest import constant_sh_light, field_surface_point, lobe_sh_light
 
 
 class TestMcDiffuse:
@@ -173,7 +173,8 @@ class TestCompare:
                                      views=[np.array([0.0, 0.0, 1.0])])
 
     def test_invalid_normal_rejected(self, sphere_scene, white_light):
-        bad = field.surface_point_at(sphere_scene, [0.0, 0.0, 0.0])
+        bad = field_surface_point(sphere_scene, [0.0, 0.0, 0.0])
+        assert bad.normal is None
         with pytest.raises(ValueError, match="no surface normal"):
             oracle.compare_prt_vs_mc(sphere_scene, white_light, points=[bad],
                                      views=[np.array([0.0, 0.0, 1.0])])

@@ -46,9 +46,17 @@ class TestCamera:
             cam.rays()
 
 
+def trace_one(scene, light, origin, direction, mode="lit", settings=None):
+    """_trace_batch on a one-row batch; returns (rgb (3,), alpha)."""
+    rgb, alpha = render._trace_batch(scene, light, np.asarray(origin, dtype=np.float64)[None, :],
+                                     np.asarray(direction, dtype=np.float64)[None, :], mode,
+                                     settings or render.RenderSettings())
+    return rgb[0], float(alpha[0])
+
+
 class TestTrace:
     def test_empty_scene_black_and_transparent(self, empty_scene, white_light):
-        rgb, alpha = render.trace_radiance(
+        rgb, alpha = trace_one(
             empty_scene, white_light, np.array([0.0, 0.0, 3.0]),
             np.array([0.0, 0.0, -1.0]))
         assert np.array_equal(rgb, np.zeros(3))
@@ -56,7 +64,7 @@ class TestTrace:
 
     def test_slab_alpha_matches_analytic(self, slab_scene):
         settings = render.RenderSettings(steps=256)
-        rgb, alpha = render.trace_radiance(
+        rgb, alpha = trace_one(
             slab_scene, None, np.array([0.0, 0.0, 2.0]),
             np.array([0.0, 0.0, -1.0]), mode="visibility", settings=settings)
         want = 1.0 - math.exp(-SLAB_SIGMA * SLAB_THICKNESS)
@@ -68,8 +76,8 @@ class TestTrace:
         direction = np.array([0.0, 1.0, 0.0])
         steps = 128
         settings = render.RenderSettings(steps=steps)
-        _, alpha = render.trace_radiance(blocker_scene, None, origin, direction,
-                                         mode="albedo", settings=settings)
+        _, alpha = trace_one(blocker_scene, None, origin, direction, mode="albedo",
+                             settings=settings)
         t0, t1 = blocker_scene.march.t_near, blocker_scene.march.t_far
         dt = (t1 - t0) / steps
         t = t0 + (np.arange(steps) + 0.5) * dt
@@ -78,13 +86,12 @@ class TestTrace:
 
     def test_unknown_mode(self, empty_scene):
         with pytest.raises(ValueError, match="unknown render mode"):
-            render.trace_radiance(empty_scene, None, np.zeros(3),
-                                  np.array([0.0, 0.0, 1.0]), mode="depth")
+            trace_one(empty_scene, None, np.zeros(3), np.array([0.0, 0.0, 1.0]), mode="depth")
 
     def test_lit_requires_light(self, sphere_scene):
         with pytest.raises(ValueError, match="requires an SH light"):
-            render.trace_radiance(sphere_scene, None, np.array([0.0, -3.0, 0.0]),
-                                  np.array([0.0, 1.0, 0.0]), mode="lit")
+            trace_one(sphere_scene, None, np.array([0.0, -3.0, 0.0]),
+                      np.array([0.0, 1.0, 0.0]), mode="lit")
 
 
 class TestImages:

@@ -1,11 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from prtvol import field, sh, transport
-from conftest import (SLAB_SIGMA, SLAB_THICKNESS, random_unit_dirs,
-                      sphere_scene_dict)
+from conftest import field_surface_point, random_unit_dirs
 
 
 def make_surface_point(position, normal, albedo=(0.5, 0.5, 0.5)):
@@ -239,7 +239,7 @@ class TestNrtResidual:
     def test_negative_hemisphere_reference_is_zero(self, sphere_scene):
         # Reference V*H vanishes behind the surface, so the residual is
         # exactly the squared reconstruction there.
-        sp = field.surface_point_at(sphere_scene, [1.0, 0.0, 0.0])
+        sp = field_surface_point(sphere_scene, [1.0, 0.0, 0.0])
         t = transport.bake_transfer(sphere_scene, sp.position, sp.normal)
         sample = transport.TransferSample(point=sp, transfer=t)
         back_dir = sh.normalize(np.array([-1.0, 0.1, 0.0]))
@@ -272,7 +272,7 @@ class TestNrtResidual:
     def test_residual_matches_direct_formula(self, blocker_scene):
         # Independent recomputation of the same quantity from the public
         # pieces: reconstruction, visibility, clamped cosine.
-        sp = field.surface_point_at(blocker_scene, [0.0, 1.0, 0.0])
+        sp = field_surface_point(blocker_scene, [0.0, 1.0, 0.0])
         t = transport.bake_transfer(blocker_scene, sp.position, sp.normal)
         sample = transport.TransferSample(point=sp, transfer=t)
         dirs = random_unit_dirs(20, seed=23)
@@ -295,20 +295,20 @@ class TestNrtResidual:
 
 
 class TestSurfacePoints:
-    def test_empty_ray_returns_none(self, sphere_scene):
-        sp = transport.surface_point_along(
-            sphere_scene, np.array([0.0, -3.0, 2.5]), np.array([0.0, 1.0, 0.0])
-        )
-        assert sp is None
+    def test_empty_ray_has_zero_density(self, sphere_scene):
+        pts, sigma, dt = transport.primary_march(
+            sphere_scene, np.array([[0.0, -3.0, 2.5]]), np.array([[0.0, 1.0, 0.0]]))
+        assert pts.shape == (1, 192, 3) and sigma.shape == (1, 192)
+        assert dt == (8.0 - 0.2) / 192
+        assert np.array_equal(sigma, np.zeros((1, 192)))
 
     def test_hit_lands_on_shell(self, sphere_scene):
-        sp = transport.surface_point_along(
-            sphere_scene, np.array([0.0, -3.0, 0.0]), np.array([0.0, 1.0, 0.0])
-        )
-        assert sp is not None and sp.valid
-        r = np.linalg.norm(sp.position)
-        assert 0.9 < r < 1.06
-        assert float(np.dot(sp.normal, [0.0, -1.0, 0.0])) > 0.9
+        pts, _ = transport.sample_surface_points(sphere_scene, 40, seed=3)
+        for sp in pts:
+            assert sp.valid
+            r = np.linalg.norm(sp.position)
+            assert 0.9 < r < 1.06
+            assert float(np.dot(sp.normal, sp.position / r)) > 0.8
 
     def test_sample_surface_points_contract(self, blocker_scene):
         pts, views = transport.sample_surface_points(blocker_scene, 25, seed=11)
@@ -396,6 +396,47 @@ class TestTransferCache:
             f.write(data[:-8])
         with pytest.raises(ValueError, match="expected"):
             transport.load_transfer_cache(path)
+
+
+    @pytest.mark.parametrize("change", [
+        {"degree": None},                   # missing key
+        {"count": None},
+        {"scene_hash": None},
+        {"degree": "4"},                    # non-integer or out of range
+        {"degree": 4.0},
+        {"degree": True},
+        {"degree": -1},
+        {"degree": 9},
+        {"count": "3"},
+        {"count": 3.5},
+        {"count": 0},
+        {"count": -3},
+        {"scene_hash": 7},                  # wrong JSON type
+    ], ids=lambda c: "-".join(f"{k}={v!r}" for k, v in c.items()))
+    def test_malformed_sidecar_rejected(self, sphere_scene, tmp_path, change):
+        path = str(tmp_path / "cache.bin")
+        transport.save_transfer_cache(path, sphere_scene,
+                                      self._bake_samples(sphere_scene, 3, seed=2))
+        with open(path + ".json") as f:
+            sidecar = json.load(f)
+        for key, value in change.items():
+            if value is None:
+                del sidecar[key]
+            else:
+                sidecar[key] = value
+        with open(path + ".json", "w") as f:
+            json.dump(sidecar, f)
+        for scene in (None, sphere_scene):
+            with pytest.raises(ValueError, match="sidecar|transfer cache"):
+                transport.load_transfer_cache(path, scene=scene)
+
+    @pytest.mark.parametrize("text", ["[4, 3]", "\"cache\"", "{not json"])
+    def test_sidecar_must_be_a_json_object(self, tmp_path, text):
+        path = tmp_path / "cache.bin"
+        path.write_bytes(b"\x00" * 8)
+        (tmp_path / "cache.bin.json").write_text(text)
+        with pytest.raises(ValueError):
+            transport.load_transfer_cache(str(path))
 
 
 class TestVisibilityMap:
