@@ -34,7 +34,7 @@ def _finite(v, name):
     """float(v), rejecting values that are not numbers or not finite."""
     try:
         x = float(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a number, got {v!r}") from None
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x}")
@@ -50,7 +50,7 @@ def _object(v, name):
 def _as_vec3(v, name):
     try:
         a = np.asarray(v, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a 3-vector of numbers") from None
     if a.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")

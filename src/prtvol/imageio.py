@@ -6,7 +6,8 @@ top. A negative scale in the header means little-endian floats. Files are
 written little-endian with scale -1.0.
 """
 
-import struct
+import math
+import os
 
 import numpy as np
 
@@ -20,12 +21,34 @@ def _read_token(f):
     while True:
         c = f.read(1)
         if not c:
-            raise PfmError("unexpected end of file in PFM header")
+            raise PfmError("unexpected end of file in image header")
         if c in b" \t\n\r":
             if tok:
                 return tok
             continue
         tok += c
+
+
+def _header_field(f, path, kind, name, parse):
+    """The next header token parsed by parse, or a PfmError naming the field."""
+    tok = _read_token(f)
+    try:
+        return parse(tok)
+    except ValueError:
+        raise PfmError(f"{path}: malformed {kind} {name} {tok[:32]!r}") from None
+
+
+def _read_raster(f, path, kind, width, height, channels, itemsize):
+    """Check the header's size against the file, then read the raster bytes."""
+    for name, value in (("width", width), ("height", height)):
+        if value <= 0:
+            raise PfmError(f"{path}: {kind} {name} must be positive, got {value}")
+    need = width * height * channels * itemsize
+    have = os.fstat(f.fileno()).st_size - f.tell()
+    if have < need:
+        raise PfmError(f"{path}: truncated {kind} raster: header declares {width}x{height} "
+                       f"({need} bytes), file holds {have}")
+    return f.read(need)
 
 
 def read_pfm(path, require_finite=True):
@@ -41,20 +64,12 @@ def read_pfm(path, require_finite=True):
         if magic not in (b"PF", b"Pf"):
             raise PfmError(f"{path}: bad PFM magic {magic!r}, expected 'PF' or 'Pf'")
         channels = 3 if magic == b"PF" else 1
-        try:
-            width = int(_read_token(f))
-            height = int(_read_token(f))
-            scale = float(_read_token(f))
-        except ValueError as e:
-            raise PfmError(f"{path}: malformed PFM dimensions or scale header") from e
-        if width <= 0 or height <= 0:
-            raise PfmError(f"{path}: invalid PFM size {width}x{height}")
-        if scale == 0.0:
-            raise PfmError(f"{path}: PFM scale must be non-zero")
-        count = width * height * channels
-        raw = f.read(count * 4)
-        if len(raw) != count * 4:
-            raise PfmError(f"{path}: truncated PFM raster")
+        width = _header_field(f, path, "PFM", "width", int)
+        height = _header_field(f, path, "PFM", "height", int)
+        scale = _header_field(f, path, "PFM", "scale", float)
+        if not math.isfinite(scale) or scale == 0.0:
+            raise PfmError(f"{path}: PFM scale must be finite and non-zero, got {scale}")
+        raw = _read_raster(f, path, "PFM", width, height, channels, 4)
     dtype = "<f4" if scale < 0.0 else ">f4"
     data = np.frombuffer(raw, dtype=dtype).astype(np.float64)
     if abs(scale) != 1.0:
@@ -111,13 +126,13 @@ def read_ppm(path):
         magic = _read_token(f)
         if magic not in (b"P6", b"P5"):
             raise PfmError(f"{path}: bad PPM magic {magic!r}")
-        width = int(_read_token(f))
-        height = int(_read_token(f))
-        maxval = int(_read_token(f))
+        width = _header_field(f, path, "PPM", "width", int)
+        height = _header_field(f, path, "PPM", "height", int)
+        maxval = _header_field(f, path, "PPM", "maxval", int)
         if maxval != 255:
             raise PfmError(f"{path}: only maxval 255 supported")
         channels = 3 if magic == b"P6" else 1
-        raw = f.read(width * height * channels)
+        raw = _read_raster(f, path, "PPM", width, height, channels, 1)
     arr = np.frombuffer(raw, dtype=np.uint8)
     if channels == 3:
         return arr.reshape(height, width, 3).copy()

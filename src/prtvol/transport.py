@@ -3,9 +3,17 @@
 Visibility is the transmittance exp(-integral of density) along a
 secondary ray, marched with fixed-step midpoint quadrature from a small
 self-occlusion offset (twice the normal finite-difference step) out to
-the bounding sphere. The march evaluates density only at samples inside
-the ray's field.support_interval; every skipped sample would have been
-an exact 0.0, so the optical depth equals the dense march's bit for bit.
+the bounding sphere. All secondary rays (bakes, visibility maps, the
+oracle's Monte Carlo rays and the residual rays) go through transmittance.
+Its sample positions grow with the step index, so the samples inside a
+ray's field.support_interval form one run of steps; transmittance finds
+each run by counting, bit by bit, the steps before and inside the support
+against the sample positions themselves, evaluates density only on the
+run, in fixed-size blocks of samples taken ray after ray, and adds each
+ray's samples in step order. Every skipped sample would
+have been an exact 0.0, so the optical depth equals the dense march's
+bit for bit. Its chunk argument bounds the per-ray arrays; MARCH_BLOCK
+bounds the per-sample ones.
 
 Primary rays, the renderer's and the probes that find surface points,
 are marched by primary_march over [t_near, t_far] with the same skipping.
@@ -29,6 +37,7 @@ from . import field, sh
 BAKE_GRID = (32, 64)
 MAP_POINTS = 256  # points whose visibility maps are marched together
 PROBE_BLOCK = 256  # probe rays of sample_surface_points marched together
+MARCH_BLOCK = 1 << 13  # samples per field.density call in transmittance
 
 
 @dataclass(frozen=True)
@@ -67,21 +76,48 @@ def _exit_distance(scene, origins, dirs):
     return np.maximum(t_enter, 0.0), np.maximum(t_exit, 0.0)
 
 
+def _steps_before(t0, dt, steps, before):
+    """Per ray, how many leading samples k < steps satisfy before(t_k).
+
+    t_k = t0 + (k + 0.5) * dt is computed in the march dtype exactly as the
+    march computes it. It never decreases with k (dt >= 0 and rounding is
+    monotone) and before is true then false along t, so the count is
+    built bit by bit from the highest power of two down: bit_length(steps)
+    rounds. NaN t counts as not before.
+    """
+    half = t0.dtype.type(0.5)
+    n = np.zeros(t0.shape, dtype=np.intp)
+    for p in reversed(range(int(steps).bit_length())):
+        k = n + (1 << p)
+        # The sample at k - 1 may lie past the last step; t keeps growing
+        # there, so the count is only clipped at the end.
+        n = np.where(before(t0 + ((k - 1).astype(t0.dtype) + half) * dt), k, n)
+    return np.minimum(n, steps)
+
+
 def transmittance(scene, origins, dirs, steps=None, offset=0.0, chunk=65536):
     """exp(-optical depth) from origins along dirs out of the bounds.
+
+    Each ray's samples t inside its field.support_interval form one run of
+    steps, found against t itself; density is evaluated only there, in
+    blocks of MARCH_BLOCK samples, and each ray's samples are added in step
+    order. Every skipped sample would have added an exact 0.0, so the
+    result equals the dense march's bit for bit.
 
     Args:
         scene: volume scene.
         origins, dirs: (N, 3) arrays of matching dtype; dirs unit length.
         steps: midpoint samples per ray; scene secondary_steps if None.
         offset: march start distance (self-occlusion offset).
-        chunk: rays per internal batch, bounds peak memory.
+        chunk: rays per internal batch; bounds the per-ray arrays, while
+            MARCH_BLOCK bounds the per-sample ones.
 
     Returns:
         (N,) transmittance in the dtype of the inputs.
     """
     origins = np.asarray(origins)
     dirs = np.asarray(dirs, dtype=origins.dtype)
+    dtype = origins.dtype.type
     if steps is None:
         steps = scene.march.secondary_steps
     n = origins.shape[0]
@@ -91,22 +127,33 @@ def transmittance(scene, origins, dirs, steps=None, offset=0.0, chunk=65536):
         o = origins[lo:hi]
         d = dirs[lo:hi]
         t_enter, t_exit = _exit_distance(scene, o, d)
-        t0 = np.maximum(t_enter, origins.dtype.type(offset))
+        t0 = np.maximum(t_enter, dtype(offset))
         span = np.maximum(t_exit - t0, 0.0)
-        dt = span / origins.dtype.type(steps)
-        tau = np.zeros(hi - lo, dtype=origins.dtype)
-        # Samples outside every primitive's support would add exact zeros,
-        # so only the others are evaluated; positions, dt and the order of
-        # the additions are those of the dense march.
+        dt = span / dtype(steps)
+        # Ray r's live steps are first[r] <= k < first[r] + count[r]. They
+        # are laid out ray after ray; flat position i of ray r is step i - shift[r].
         s_lo, s_hi = field.support_interval(scene, o, d, t_exit)
-        for k in range(steps):
-            t = t0 + (origins.dtype.type(k) + origins.dtype.type(0.5)) * dt
-            live = np.flatnonzero((s_lo <= t) & (t <= s_hi))
-            if live.size:
-                pts = np.take(d, live, axis=0)
-                pts *= t[live, None]
-                pts += np.take(o, live, axis=0)
-                tau[live] += field.density(scene, pts)
+        first = _steps_before(t0, dt, steps, lambda t: t < s_lo)
+        count = np.maximum(_steps_before(t0, dt, steps, lambda t: t <= s_hi) - first, 0)
+        end = np.cumsum(count)
+        shift = end - count - first
+        total = int(end[-1])
+        # One row per quantity (origin, direction, t0, dt), so a block's
+        # samples copy them with one repeat into contiguous rows.
+        rows = np.vstack([o.T, d.T, t0, dt])
+        tau = np.zeros(hi - lo, dtype=origins.dtype)
+        for b in range(0, total, MARCH_BLOCK):
+            e = min(b + MARCH_BLOCK, total)
+            r0, r1 = np.searchsorted(end, (b, e - 1), side="right")
+            rays = slice(r0, r1 + 1)
+            per = np.minimum(end[rays], e) - np.maximum(end[rays] - count[rays], b)
+            ray = np.repeat(rows[:, rays], per, axis=1)
+            k = np.arange(b, e) - np.repeat(shift[rays], per)
+            t = ray[6] + (k.astype(origins.dtype) + dtype(0.5)) * ray[7]
+            pts = ray[3:6] * t
+            pts += ray[0:3]
+            # add.at applies the additions in index order: step order per ray.
+            np.add.at(tau, np.repeat(np.arange(r0, r1 + 1), per), field.density(scene, pts.T))
         out[lo:hi] = np.exp(-tau * dt)
     return out
 
@@ -273,7 +320,8 @@ def _probe(scene, origins, dirs, steps):
 
     The dominant sample has the largest volume rendering weight
     T * density * dt; a ray crossing only empty space, or whose dominant
-    sample has no gradient normal, gives None.
+    sample has no gradient normal or one facing away from the probe's
+    origin (a grazing probe past a soft shell's tangent point), gives None.
     """
     pts, sigma, dt = primary_march(scene, origins, dirs, steps)
     tau = np.zeros_like(sigma)
@@ -285,8 +333,10 @@ def _probe(scene, origins, dirs, steps):
         return found
     x = pts[rows, np.argmax(weight[rows], axis=1)]
     nrm, valid = field.normals(scene, x)
+    d = dirs[rows]
+    facing = nrm[:, 0] * d[:, 0] + nrm[:, 1] * d[:, 1] + nrm[:, 2] * d[:, 2] < 0.0
     albedo, tint = field.material(scene, x)
-    for j in np.flatnonzero(valid):
+    for j in np.flatnonzero(valid & facing):
         found[rows[j]] = field.SurfacePoint(position=x[j], normal=nrm[j], albedo=albedo[j],
                                             tint=tint[j], valid=True)
     return found

@@ -3,6 +3,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prtvol import field
 from conftest import (SLAB_SIGMA, blocker_scene_dict, random_unit_dirs, slab_scene_dict,
@@ -309,14 +311,14 @@ class TestMalformedPrimitives:
         with pytest.raises(ValueError, match=rf"primitives\[0\].{key} must be finite"):
             field.scene_from_dict(d)
 
-    @pytest.mark.parametrize("value", [["a", 1.0, 1.0], {"x": 1.0}])
+    @pytest.mark.parametrize("value", [["a", 1.0, 1.0], {"x": 1.0}, [10**400, 1.0, 1.0]])
     def test_non_number_vector(self, value):
         d = one_primitive_scene("box")
         d["primitives"][0]["extent"] = value
         with pytest.raises(ValueError, match=r"primitives\[0\].extent must be a 3-vector"):
             field.scene_from_dict(d)
 
-    @pytest.mark.parametrize("value", [None, "wide", [1.0]])
+    @pytest.mark.parametrize("value", [None, "wide", [1.0], 10**400])
     def test_non_number_scalar(self, value):
         d = one_primitive_scene("sphere")
         d["primitives"][0]["radius"] = value
@@ -343,3 +345,55 @@ class TestMalformedPrimitives:
         mutate(d)
         with pytest.raises(ValueError, match=message):
             field.scene_from_dict(d)
+
+
+# Fuzzed scene dicts: a valid scene with one field replaced by an
+# arbitrary JSON value or removed, or an arbitrary JSON value altogether.
+# scene_from_dict must return a scene or raise ValueError.
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.integers(-3, 3) | st.integers(min_value=10**300).map(lambda v: v * v)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_PRIMITIVE_KEYS = ("type", "center", "radius", "extent", "axis", "offset", "thickness",
+                   "density_scale", "softness", "albedo", "tint")
+
+
+@st.composite
+def fuzzed_scene_dicts(draw):
+    d = blocker_scene_dict()
+    d["primitives"].append({"type": "slab", "axis": [0.0, 0.0, 1.0], "offset": -0.5,
+                            "thickness": 1.0, "density_scale": 4.0, "softness": 0.05})
+    if draw(st.booleans()):
+        return draw(_json)
+    section = draw(st.sampled_from(["scene", "bounds", "march", "default_material",
+                                    "primitive"]))
+    if section == "scene":
+        target, keys = d, ["bounds", "march", "default_material", "primitives", "camera"]
+    elif section == "primitive":
+        target, keys = draw(st.sampled_from(d["primitives"])), list(_PRIMITIVE_KEYS)
+    else:
+        target = d.setdefault(section, {})
+        keys = {"bounds": ["center", "radius"],
+                "march": ["primary_steps", "secondary_steps", "t_near", "t_far"],
+                "default_material": ["albedo", "tint"]}[section]
+    key = draw(st.sampled_from(keys))
+    if draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = draw(_json)
+    return d
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(d=fuzzed_scene_dicts())
+def test_fuzzed_scene_dicts_give_a_scene_or_value_error(d):
+    try:
+        scene = field.scene_from_dict(d)
+    except ValueError:
+        return
+    assert isinstance(scene, field.VolumeScene)
+    assert len(field.scene_hash(scene)) == 64

@@ -1,7 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prtvol import imageio
 
@@ -113,3 +116,94 @@ def test_ppm_gray_roundtrip(tmp_path):
 def test_ppm_rejects_float_input(tmp_path):
     with pytest.raises(ValueError, match="uint8"):
         imageio.write_ppm(tmp_path / "f.ppm", np.zeros((2, 2, 3)))
+
+
+@pytest.mark.parametrize("scale", [b"-inf", b"inf", b"nan", b"-nan"])
+@pytest.mark.parametrize("require_finite", [True, False])
+def test_non_finite_scale_names_the_header(tmp_path, scale, require_finite):
+    path = tmp_path / "s.pfm"
+    path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + b"\x00\x00\x80\x3f")
+    with pytest.raises(imageio.PfmError, match="scale"):
+        imageio.read_pfm(path, require_finite=require_finite)
+
+
+def test_declared_size_is_checked_before_reading(tmp_path):
+    # 40000 x 40000 x 3 floats would be 19 GB; the file's size rules it out.
+    path = tmp_path / "huge.pfm"
+    path.write_bytes(b"PF\n40000 40000\n-1.0\n" + b"\x00" * 12)
+    with pytest.raises(imageio.PfmError, match="truncated PFM raster.*40000x40000"):
+        imageio.read_pfm(path)
+
+
+@pytest.mark.parametrize("header, field", [
+    (b"P5\n-2 2\n255\n", "width"),
+    (b"P6\n0 0\n255\n", "width"),
+    (b"P5\n2 0\n255\n", "height"),
+    (b"P5\n2 x\n255\n", "height"),
+    (b"P6\n2 2\n2.5e2\n", "maxval"),
+    (b"Pf\n1.5 2\n-1.0\n", "width"),
+], ids=["negative_width", "zero_size", "zero_height", "text_height", "float_maxval",
+        "pfm_float_width"])
+def test_bad_header_field_is_named(tmp_path, header, field):
+    path = tmp_path / "h.img"
+    path.write_bytes(header + b"\x00" * 64)
+    read = imageio.read_pfm if header.startswith(b"Pf") else imageio.read_ppm
+    with pytest.raises(imageio.PfmError, match=field):
+        read(path)
+
+
+def test_truncated_ppm_raster(tmp_path):
+    path = tmp_path / "short.ppm"
+    path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 11)
+    with pytest.raises(imageio.PfmError, match="truncated PPM raster"):
+        imageio.read_ppm(path)
+
+
+# Fuzzed headers: each field is a valid value, an edge value or junk, and
+# the raster is cut short or padded. A reader may return an image of the
+# declared shape or raise ValueError (PfmError is one); nothing else.
+
+def _token(valid):
+    junk = st.sampled_from([b"", b"-1", b"0", b"1e3", b"0x10", b"abc", b"nan", b"inf",
+                            b"-inf", b"9" * 30, b"\xff", b"2.5"])
+    return st.one_of(valid, junk)
+
+
+_dims = st.integers(-3, 6).map(lambda v: str(v).encode())
+_scales = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(lambda v: repr(v).encode()),
+                    st.sampled_from([b"-1.0", b"1.0", b"0.5"]))
+
+
+@st.composite
+def image_files(draw):
+    pfm = draw(st.booleans())
+    magic = draw(st.sampled_from([b"PF", b"Pf"] if pfm else [b"P6", b"P5"])
+                 | st.sampled_from([b"P7", b"", b"pf"]))
+    last = _scales if pfm else st.sampled_from([b"255", b"256", b"0"])
+    fields = [magic, draw(_token(_dims)), draw(_token(_dims)), draw(_token(last))]
+    seps = [draw(st.sampled_from([b"\n", b" ", b"\t", b"\r\n"])) for _ in fields]
+    header = b"".join(f + s for f, s in zip(fields, seps))
+    raster = draw(st.binary(max_size=6 * 6 * 3 * 4 + 8))
+    return pfm, fields, header + raster
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=image_files(), require_finite=st.booleans())
+def test_fuzzed_headers_give_an_image_or_value_error(tmp_path_factory, case, require_finite):
+    pfm, (magic, width, height, last), data = case
+    path = tmp_path_factory.mktemp("fuzz") / "f.img"
+    path.write_bytes(data)
+    try:
+        img = imageio.read_pfm(path, require_finite) if pfm else imageio.read_ppm(path)
+    except ValueError:
+        return
+    # A result means every header field was valid and the raster complete.
+    channels = 3 if magic in (b"PF", b"P6") else 1
+    assert img.shape[:2] == (int(height), int(width)) and int(width) >= 1
+    assert img.shape[2:] == ((3,) if channels == 3 else ())
+    assert img.dtype == (np.float64 if pfm else np.uint8)
+    if pfm:
+        assert math.isfinite(float(last)) and float(last) != 0.0
+        assert not require_finite or np.all(np.isfinite(img))
+    else:
+        assert last == b"255"

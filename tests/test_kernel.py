@@ -70,8 +70,12 @@ def per_axis(pts, a):
     return pts[..., 0] * a[0] + pts[..., 1] * a[1] + pts[..., 2] * a[2]
 
 
-def dense_transmittance(scene, origins, dirs, steps, offset):
-    """Every midpoint sample through field.density, summed step by step."""
+def dense_transmittance(scene, origins, dirs, steps, offset, window=None):
+    """Every midpoint sample through field.density, summed step by step.
+
+    With window = (lo, hi), per-ray float64 bounds, a sample counts only
+    when lo <= t <= hi; the others add an exact 0.0.
+    """
     dtype = origins.dtype.type
     t_enter, t_exit = transport._exit_distance(scene, origins, dirs)
     t0 = np.maximum(t_enter, dtype(offset))
@@ -79,7 +83,10 @@ def dense_transmittance(scene, origins, dirs, steps, offset):
     tau = np.zeros(origins.shape[0], dtype=origins.dtype)
     for k in range(steps):
         t = t0 + (dtype(k) + dtype(0.5)) * dt
-        tau += field.density(scene, origins + t[:, None] * dirs)
+        sigma = field.density(scene, origins + t[:, None] * dirs)
+        if window is not None:
+            sigma = sigma * ((window[0] <= t) & (t <= window[1]))
+        tau += sigma
     return np.exp(-tau * dt)
 
 
@@ -243,6 +250,92 @@ class TestSkippingMarchCases:
                                       unit(rng.normal(size=(12, 3))).astype(dtype), steps=8)
         assert np.all(got == 1.0)
         assert_march_matches_dense(make_scene(), origins, unit(rng.normal(size=(12, 3))), dtype)
+
+
+# A sphere wider than the bounds: every sample inside the bounds has
+# density 6, so one sample more or less in a ray's live steps shows.
+FILLED = make_scene(dict(SPHERE, center=[0.1, 0.0, -0.1], radius=3.0, softness=0.5))
+
+
+def sample_t(scene, origins, dirs, steps, offset, k):
+    """Float64 copy of each ray's sample t at step k, as the march computes it."""
+    dtype = origins.dtype.type
+    t_enter, t_exit = transport._exit_distance(scene, origins, dirs)
+    t0 = np.maximum(t_enter, dtype(offset))
+    dt = np.maximum(t_exit - t0, 0.0) / dtype(steps)
+    return (t0 + (k.astype(origins.dtype) + dtype(0.5)) * dt).astype(np.float64)
+
+
+def mixed_rays(n, seed):
+    """n random rays, then NaN, zero-length and dt == 0 rays."""
+    rng = np.random.default_rng(seed)
+    origins = rng.uniform(-1.5, 1.5, size=(n, 3))
+    dirs = unit(rng.normal(size=(n, 3)))
+    odd_o = [[np.nan, 0.0, 0.0], [0.2, 0.1, 0.0], [0.2, 0.1, 0.0], [2.8, 0.0, 0.0],
+             [2.8, 0.0, 0.0], [0.0, 0.5, 0.0]]
+    odd_d = [[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+             [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    return np.vstack([origins, odd_o]), np.vstack([dirs, odd_d])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+class TestLiveSpanMarch:
+    """The live step range of each ray, and the blocks its samples go in."""
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1], ids=["below", "on", "above"])
+    def test_support_edge_on_a_sample(self, dtype, nudge, monkeypatch):
+        # The support test is replaced by bounds that sit exactly on a
+        # sample's t (or one float64 ulp off it), so a sample on the edge
+        # must be counted and one just outside must not.
+        rng = np.random.default_rng(20)
+        steps, offset = 16, 0.05
+        o = rng.uniform(-1.0, 1.0, size=(60, 3)).astype(dtype)
+        d = unit(rng.normal(size=(60, 3))).astype(dtype)
+        a = rng.integers(0, steps, size=60)
+        b = np.minimum(a + rng.integers(0, 4, size=60), steps - 1)
+        lo = sample_t(FILLED, o, d, steps, offset, a)
+        hi = sample_t(FILLED, o, d, steps, offset, b)
+        if nudge:
+            lo, hi = np.nextafter(lo, nudge * np.inf), np.nextafter(hi, nudge * np.inf)
+        monkeypatch.setattr(field, "support_interval", lambda *args: (lo, hi))
+        got = transport.transmittance(FILLED, o, d, steps=steps, offset=offset)
+        want = dense_transmittance(FILLED, o, d, steps, offset, window=(lo, hi))
+        assert got.tobytes() == want.tobytes()
+        assert np.all(want < 1.0) if nudge == 0 else np.any(want < 1.0)
+
+    def test_zero_dt(self, dtype):
+        # Origins outside the bounds (a miss, and the bounds behind the
+        # ray) and an offset past the exit put every sample at t0, which
+        # lies inside FILLED's support but outside the bounds.
+        o = np.array([[2.8, 0.0, 0.0], [2.8, 0.0, 0.0], [0.1, 0.5, 0.0]], dtype=dtype)
+        d = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], dtype=dtype)
+        for offset in (0.0, 0.3, 9.0):
+            got = transport.transmittance(FILLED, o, d, steps=5, offset=offset)
+            want = dense_transmittance(FILLED, o, d, 5, offset)
+            assert got.tobytes() == want.tobytes()
+        assert np.all(got == 1.0)
+
+    @pytest.mark.parametrize("steps", [1, 1000])
+    def test_step_counts(self, dtype, steps):
+        rng = np.random.default_rng(21)
+        o, d = rng.uniform(-1.5, 1.5, size=(40, 3)), unit(rng.normal(size=(40, 3)))
+        for scene in (MIXED, FILLED):
+            assert_march_matches_dense(scene, o, d, dtype, steps=steps, chunk=65536)
+
+    def test_chunks_and_blocks_give_the_same_bits(self, dtype, monkeypatch):
+        o, d = mixed_rays(50, 22)
+        o, d = o.astype(dtype), d.astype(dtype)
+        with np.errstate(invalid="ignore"):
+            want = dense_transmittance(MIXED, o, d, 24, 0.05)
+            runs = []
+            for block in (1, 5, transport.MARCH_BLOCK):
+                monkeypatch.setattr(transport, "MARCH_BLOCK", block)
+                for chunk in (1, 3, 65536):
+                    runs.append(transport.transmittance(MIXED, o, d, steps=24, offset=0.05,
+                                                        chunk=chunk))
+        assert np.isnan(want[50]) and np.isnan(want[51])
+        for got in runs:
+            assert got.tobytes() == want.tobytes()
 
 
 # Generated scenes: centers and rays in a 3-unit cube, sizes from thin
@@ -428,7 +521,8 @@ def test_primary_march_equals_dense_density(case, steps, t_near, length):
 
 def one_ray_sampler(scene, count, seed=0, steps=None, max_tries=None):
     """The sampler as a loop of tries: one dense probe march per try, then
-    one normals and one material call on the dominant sample."""
+    one normals and one material call on the dominant sample, kept when
+    its normal faces the probe's origin."""
     rng = np.random.default_rng(seed)
     if max_tries is None:
         max_tries = 40 * count
@@ -459,7 +553,8 @@ def one_ray_sampler(scene, count, seed=0, steps=None, max_tries=None):
         tau = np.concatenate([[0.0], np.cumsum(sigma * dt)])[:-1]
         x = pts[int(np.argmax(np.exp(-tau) * sigma * dt))]
         nrm, valid = field.normals(scene, x[None, :])
-        if not valid[0]:
+        facing = nrm[0, 0] * d[0] + nrm[0, 1] * d[1] + nrm[0, 2] * d[2] < 0.0
+        if not (valid[0] and facing):
             continue
         albedo, tint = field.material(scene, x)
         found.append((x, nrm[0], albedo, tint, -d))

@@ -1,11 +1,14 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from prtvol import field, sh, transport
 from conftest import field_surface_point, random_unit_dirs
+
+EXAMPLE_SCENE = pathlib.Path(__file__).resolve().parents[1] / "docs" / "example_scene.json"
 
 
 def make_surface_point(position, normal, albedo=(0.5, 0.5, 0.5)):
@@ -309,6 +312,18 @@ class TestSurfacePoints:
             r = np.linalg.norm(sp.position)
             assert 0.9 < r < 1.06
             assert float(np.dot(sp.normal, sp.position / r)) > 0.8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_points_face_their_view(self, sphere_scene, seed):
+        # A grazing probe can pass a soft shell's tangent point; its
+        # dominant sample then has a normal facing away from the probe.
+        # On the example scene this happened for 2, 6 and 6 of 500 points.
+        example = field.load_scene(str(EXAMPLE_SCENE))
+        for scene, count in ((example, 500), (sphere_scene, 40)):
+            pts, views = transport.sample_surface_points(scene, count, seed=seed)
+            assert len(pts) == count
+            cos = np.array([float(sp.normal @ v) for sp, v in zip(pts, views)])
+            assert np.all(cos > 0.0), cos.min()
 
     def test_sample_surface_points_contract(self, blocker_scene):
         pts, views = transport.sample_surface_points(blocker_scene, 25, seed=11)
