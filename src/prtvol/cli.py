@@ -8,6 +8,7 @@ byte-identical outputs regardless of thread count.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -35,6 +36,17 @@ def _positive_int(text):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _finite_float(text):
+    """argparse type for multipliers: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
 
 
@@ -91,6 +103,8 @@ def _cmd_bake(args):
 
 
 def _camera_from(args, embedded):
+    field._object(embedded, "camera")
+
     def pick(flag, key, fallback=None):
         if flag is not None:
             return flag
@@ -102,12 +116,10 @@ def _camera_from(args, embedded):
         raise _UsageError(
             "no camera: scene embeds none, so --camera-pos and --look-at are required")
     return render.Camera(
-        position=np.asarray(position, dtype=np.float64),
-        look_at=np.asarray(look_at, dtype=np.float64),
-        up=tuple(pick(args.up, "up", (0.0, 0.0, 1.0))),
-        fov_y_deg=float(pick(args.fov, "fov_y_deg", 45.0)),
-        width=int(pick(args.width, "width", render.DEFAULT_RESOLUTION)),
-        height=int(pick(args.height, "height", render.DEFAULT_RESOLUTION)))
+        position=position, look_at=look_at, up=pick(args.up, "up", (0.0, 0.0, 1.0)),
+        fov_y_deg=pick(args.fov, "fov_y_deg", 45.0),
+        width=pick(args.width, "width", render.DEFAULT_RESOLUTION),
+        height=pick(args.height, "height", render.DEFAULT_RESOLUTION))
 
 
 def _cmd_render(args):
@@ -190,7 +202,7 @@ def build_parser():
                        help="project an environment map onto SH coefficients")
     p.add_argument("envmap", help="equirectangular PFM environment map")
     p.add_argument("--degree", type=int, default=4, help="SH truncation degree")
-    p.add_argument("--exposure", type=float, default=1.0,
+    p.add_argument("--exposure", type=_finite_float, default=1.0,
                    help="linear multiplier applied on load")
     p.add_argument("--resolution", type=_positive_int, nargs=2, metavar=("H", "W"), default=None,
                    help="projection grid; defaults to the map's own texel grid")
@@ -230,7 +242,7 @@ def build_parser():
                    help="transfer anchors per primary ray")
     p.add_argument("--cache", default=None,
                    help="transfer cache file; anchors look up instead of baking")
-    p.add_argument("--exposure", type=float, default=1.0,
+    p.add_argument("--exposure", type=_finite_float, default=1.0,
                    help="linear multiplier before sRGB")
     p.add_argument("--camera-pos", type=float, nargs=3, metavar=("X", "Y", "Z"),
                    default=None, help="camera position override")
@@ -280,7 +292,7 @@ def build_parser():
                    help="divide by mask mass instead of pixel count")
     p.add_argument("--crop", type=int, nargs=4, metavar=("X0", "Y0", "X1", "Y1"),
                    default=None, help="crop box applied to both maps")
-    p.add_argument("--resize", type=int, default=256,
+    p.add_argument("--resize", type=_positive_int, default=256,
                    help="square output size after --crop")
     p.set_defaults(func=_cmd_metrics)
     return parser

@@ -98,7 +98,6 @@ class SurfacePoint:
     normal: np.ndarray | None
     albedo: np.ndarray
     tint: np.ndarray
-    valid: bool
 
 
 @dataclass(frozen=True)

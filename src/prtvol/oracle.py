@@ -9,6 +9,9 @@ coefficient dot product against the MC estimate, the mean squared
 10-ray reconstruction residual, and the L2 gap between reconstructed
 and ray-traced visibility maps at several truncation degrees.
 
+All three take V * max(0, n . d) from transport.visibility_map, and a
+point's transfer is the same bits as its row of a bake on the same grid.
+
 Per-point randomness derives from (seed, point index), so serial and
 parallel runs produce identical reports.
 """
@@ -36,9 +39,9 @@ def mc_diffuse_radiance(scene, light, x, n, albedo, samples, seed=0, steps=None)
     """Monte Carlo diffuse radiance at a surface point.
 
     Estimates (albedo / pi) * integral of L(w) * V(x, w) * max(0, n.w)
-    with uniform sphere sampling; only front-hemisphere rays are
-    marched. Returns (rgb (3,), stderr (3,)); stderr is the empirical
-    standard error of the estimator per channel.
+    with uniform sphere sampling, V * max(0, n.w) from visibility_map.
+    Returns (rgb (3,), stderr (3,)); stderr is the empirical standard
+    error of the estimator per channel.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -47,15 +50,11 @@ def mc_diffuse_radiance(scene, light, x, n, albedo, samples, seed=0, steps=None)
     albedo = np.asarray(albedo, dtype=np.float64)
     rng = np.random.default_rng(seed)
     dirs = _uniform_sphere(rng, samples)
-    h = np.maximum(0.0, dirs @ n)
     radiance = np.asarray(light.radiance(dirs), dtype=np.float64)
     if radiance.ndim == 1:
         radiance = radiance[:, None]
-    vis = np.ones(samples, dtype=np.float64)
-    front = h > 0.0
-    if np.any(front):
-        vis[front] = transport.visibility(scene, x, dirs[front], steps=steps)
-    g = radiance * (vis * h)[:, None]  # (S, C) integrand per direction
+    vh = transport.visibility_map(scene, x[None, :], n[None, :], dirs, steps=steps)[0]
+    g = radiance * vh[:, None]  # (S, C) integrand per direction
     scale = albedo / np.pi * 4.0 * np.pi
     value = scale * np.mean(g, axis=0)
     if samples > 1:
@@ -75,9 +74,9 @@ def visibility_l2(scene, position, normal, transfer, degrees=(2, 3, 4),
     error)}; with an all-zero transfer this is the RMS of the
     reference itself.
     """
-    vals, _, _ = transport.visibility_map(
-        scene, np.asarray(position, dtype=np.float64)[None, :],
-        np.asarray(normal, dtype=np.float64)[None, :], resolution=resolution, steps=steps)
+    dirs, _, _ = sh.basis_grid(0, resolution[0], resolution[1])
+    vals = transport.visibility_map(scene, np.asarray(position)[None, :],
+                                    np.asarray(normal)[None, :], dirs, steps=steps)
     return _map_l2(vals[0], transfer, degrees, resolution)
 
 
@@ -211,15 +210,16 @@ def compare_prt_vs_mc(scene, light, points=None, views=None, config=None):
         sh_light = envlight.project_to_sh(light, degree=config.degree)
 
     start = time.perf_counter()
+    dirs, _, _ = sh.basis_grid(config.degree, config.resolution[0], config.resolution[1])
 
     def run(i, _end):
         sp = points[i]
         if sp.normal is None:
             raise ValueError(f"point {i} has no surface normal")
         position = np.asarray(sp.position, dtype=np.float64)
-        vals, _, _ = transport.visibility_map(
+        vals = transport.visibility_map(
             scene, position[None, :], np.asarray(sp.normal, dtype=np.float64)[None, :],
-            resolution=config.resolution, steps=config.secondary_steps)
+            dirs, steps=config.secondary_steps)
         transfer = transport.project_map(vals, degree=config.degree,
                                          resolution=config.resolution)[0]
         mc, stderr = mc_diffuse_radiance(

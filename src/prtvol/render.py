@@ -40,6 +40,18 @@ class Camera:
     width: int = DEFAULT_RESOLUTION
     height: int = DEFAULT_RESOLUTION
 
+    def __post_init__(self):
+        """Reject what would render an empty, blank or mirrored image."""
+        for name in ("width", "height"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"camera {name} must be a positive integer, got {v!r}")
+        fov = field._finite(self.fov_y_deg, "camera fov_y_deg")
+        if not 0.0 < fov < 180.0:
+            raise ValueError(f"camera fov_y_deg must lie in (0, 180), got {fov}")
+        for name in ("position", "look_at", "up"):
+            field._as_vec3(getattr(self, name), f"camera {name}")
+
     def rays(self):
         """Pixel-center primary rays, origins and unit directions (H, W, 3)."""
         pos = np.asarray(self.position, dtype=np.float64)
@@ -83,7 +95,6 @@ class RenderSettings:
     transfer_grid: tuple = (16, 32)   # on-the-fly bake grid per anchor
     anchors_per_ray: int = 4
     transfer_cache: object = None     # TransferCache for lookup shading
-    transfer_dtype: type = np.float32  # marching dtype for anchor bakes
 
 
 def linear_to_srgb(values):
@@ -245,6 +256,6 @@ def _anchor_transfers(scene, light, pts, weight, settings):
                else scene.march.secondary_steps)
         baked = transport.bake_transfer_batch(
             scene, apos, anrm, degree=degree, resolution=settings.transfer_grid,
-            steps=sec, dtype=settings.transfer_dtype)
+            steps=sec, dtype=np.float32)
     coeffs[rsel, msel] = baked
     return anchors, avalid, coeffs

@@ -12,8 +12,8 @@ against the sample positions themselves, evaluates density only on the
 run, in fixed-size blocks of samples taken ray after ray, and adds each
 ray's samples in step order. Every skipped sample would
 have been an exact 0.0, so the optical depth equals the dense march's
-bit for bit. Its chunk argument bounds the per-ray arrays; MARCH_BLOCK
-bounds the per-sample ones.
+bit for bit. MARCH_CHUNK bounds the per-ray arrays and MARCH_BLOCK the
+per-sample ones.
 
 Primary rays, the renderer's and the probes that find surface points,
 are marched by primary_march over [t_near, t_far] with the same skipping.
@@ -21,9 +21,10 @@ Probing is batched: each try draws its ray from the RNG in turn, but the
 probes of up to PROBE_BLOCK tries are marched together, and the hits of a
 block share one field.normals and one field.material call.
 
-Transfer coefficients are the SH projection of visibility times the
-clamped cosine about the surface normal, so a transfer dotted with light
-coefficients gives occluded irradiance.
+visibility_map is the one implementation of V * max(0, n . d), and
+transfer is its SH projection, so a transfer dotted with light
+coefficients gives occluded irradiance. Every step works per point, so a
+point's transfer is the same bits whatever batch it is baked in.
 """
 
 import json
@@ -37,6 +38,7 @@ from . import field, sh
 BAKE_GRID = (32, 64)
 MAP_POINTS = 256  # points whose visibility maps are marched together
 PROBE_BLOCK = 256  # probe rays of sample_surface_points marched together
+MARCH_CHUNK = 65536  # rays per internal batch of transmittance
 MARCH_BLOCK = 1 << 13  # samples per field.density call in transmittance
 
 
@@ -55,11 +57,9 @@ class RaySet:
     seed: int
 
 
-def cosine_term(normal, dirs):
-    """max(0, dot(normal, d)) for one normal against many directions."""
-    normal = np.asarray(normal, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64)
-    return np.maximum(0.0, dirs @ normal)
+def _cosine(n, d):
+    """n0*d0 + n1*d1 + n2*d2 of broadcast (..., 3) arrays, batch-independent."""
+    return n[..., 0] * d[..., 0] + n[..., 1] * d[..., 1] + n[..., 2] * d[..., 2]
 
 
 def _exit_distance(scene, origins, dirs):
@@ -95,7 +95,7 @@ def _steps_before(t0, dt, steps, before):
     return np.minimum(n, steps)
 
 
-def transmittance(scene, origins, dirs, steps=None, offset=0.0, chunk=65536):
+def transmittance(scene, origins, dirs, steps=None, offset=0.0):
     """exp(-optical depth) from origins along dirs out of the bounds.
 
     Each ray's samples t inside its field.support_interval form one run of
@@ -109,8 +109,6 @@ def transmittance(scene, origins, dirs, steps=None, offset=0.0, chunk=65536):
         origins, dirs: (N, 3) arrays of matching dtype; dirs unit length.
         steps: midpoint samples per ray; scene secondary_steps if None.
         offset: march start distance (self-occlusion offset).
-        chunk: rays per internal batch; bounds the per-ray arrays, while
-            MARCH_BLOCK bounds the per-sample ones.
 
     Returns:
         (N,) transmittance in the dtype of the inputs.
@@ -122,8 +120,8 @@ def transmittance(scene, origins, dirs, steps=None, offset=0.0, chunk=65536):
         steps = scene.march.secondary_steps
     n = origins.shape[0]
     out = np.empty(n, dtype=origins.dtype)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, MARCH_CHUNK):
+        hi = min(lo + MARCH_CHUNK, n)
         o = origins[lo:hi]
         d = dirs[lo:hi]
         t_enter, t_exit = _exit_distance(scene, o, d)
@@ -197,42 +195,45 @@ def bake_transfer_batch(scene, positions, normals, degree=4, resolution=BAKE_GRI
 
     Rows whose normal is a zero vector (invalid gradient) bake to zero.
     """
-    vals, _, _ = visibility_map(scene, positions, normals, resolution=resolution,
-                                steps=steps, dtype=dtype)
+    dirs, _, _ = sh.basis_grid(degree, resolution[0], resolution[1])
+    vals = visibility_map(scene, positions, normals, dirs, steps=steps, dtype=dtype)
     return project_map(vals, degree=degree, resolution=resolution)
 
 
-def visibility_map(scene, positions, normals, resolution=BAKE_GRID, steps=None,
-                   dtype=np.float64):
-    """Ray-traced visibility * clamped cosine on the bake direction grid.
+def visibility_map(scene, positions, normals, dirs, steps=None, dtype=np.float64):
+    """Ray-traced visibility * clamped cosine, V(x, d) * max(0, n . d).
 
-    positions and normals are (P, 3). Only directions in front of each
-    normal are marched (in dtype); the rest, and every direction of a
-    zero normal, hold exactly zero. Returns (values (P, D), dirs (D, 3),
-    weights (D,)): what transfer projects, and the reference against
-    which reconstructed transfer is compared.
+    positions and normals are (P, 3), dirs (D, 3) unit directions. Only
+    directions in front of each normal are marched (in dtype), from twice
+    the finite-difference step; the rest, and every direction of a zero
+    normal, hold exactly zero. Returns (P, D) float64, one row per point
+    that does not depend on the other points.
     """
     positions = np.asarray(positions, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
-    dirs, weights, _ = sh.basis_grid(0, resolution[0], resolution[1])
-    h = np.maximum(0.0, normals @ dirs.T)  # (P, D) clamped cosines
-    vals = np.zeros(h.shape, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    vals = np.zeros((positions.shape[0], dirs.shape[0]), dtype=np.float64)
     # Rays are cast before they are gathered and marched MAP_POINTS points
     # at a time, which gives the same values with small per-ray arrays.
     origins, rays = positions.astype(dtype), dirs.astype(dtype)
-    for lo in range(0, h.shape[0], MAP_POINTS):
-        front = h[lo:lo + MAP_POINTS]
+    for lo in range(0, positions.shape[0], MAP_POINTS):
+        front = np.maximum(0.0, _cosine(normals[lo:lo + MAP_POINTS, None, :], dirs))
         pt_idx, dir_idx = np.nonzero(front > 0.0)
         v = transmittance(scene, origins[lo + pt_idx], rays[dir_idx], steps=steps,
                           offset=2.0 * scene.fd_step)
         vals[lo + pt_idx, dir_idx] = v.astype(np.float64) * front[pt_idx, dir_idx]
-    return vals, dirs, weights
+    return vals
 
 
 def project_map(values, degree=4, resolution=BAKE_GRID):
-    """SH projection of (P, D) visibility maps on the bake grid, (P, n)."""
+    """SH projection of (P, D) maps on the bake grid, (P, n).
+
+    Unlike a BLAS product, einsum sums each row in one order whatever the
+    other rows are.
+    """
     _, weights, basis = sh.basis_grid(degree, resolution[0], resolution[1])
-    return (values * weights) @ basis
+    return np.einsum("pd,nd->pn", values * weights, np.ascontiguousarray(basis.T),
+                     optimize=False)
 
 
 def nrt_rays(normal, view, seed=0):
@@ -270,21 +271,18 @@ def nrt_rays(normal, view, seed=0):
 def nrt_residuals(scene, sample, rays, steps=None):
     """Squared error between reconstructed transfer and ray-traced V*H.
 
-    One entry per direction of the RaySet; the front-facing directions
-    are marched together.
+    One entry per direction of the RaySet; V*H comes from visibility_map,
+    with a zero normal standing for a point without one.
     """
     dirs = np.asarray(rays.directions, dtype=np.float64)
     t = np.asarray(sample.transfer, dtype=np.float64)
     point = sample.point
-    # Cosines and reconstructions are one dot product per direction, and
-    # squares are Python float powers: a matrix-vector product or a numpy
-    # square can round differently in the last bit.
-    ref = np.zeros(dirs.shape[0], dtype=np.float64)
-    if point.normal is not None:
-        h = np.array([cosine_term(point.normal, d) for d in dirs])
-        front = h > 0.0
-        if np.any(front):
-            ref[front] = visibility(scene, point.position, dirs[front], steps=steps) * h[front]
+    normal = np.zeros(3) if point.normal is None else point.normal
+    ref = visibility_map(scene, np.asarray(point.position)[None, :],
+                         np.asarray(normal)[None, :], dirs, steps=steps)[0]
+    # Reconstructions are one dot product per direction, and squares are
+    # Python float powers: a matrix-vector product or a numpy square can
+    # round differently in the last bit.
     basis = sh.eval_basis(dirs, sh.degree_for(t.shape[0]))
     return np.array([(float(row @ t) - r) ** 2 for row, r in zip(basis, ref.tolist())])
 
@@ -333,12 +331,11 @@ def _probe(scene, origins, dirs, steps):
         return found
     x = pts[rows, np.argmax(weight[rows], axis=1)]
     nrm, valid = field.normals(scene, x)
-    d = dirs[rows]
-    facing = nrm[:, 0] * d[:, 0] + nrm[:, 1] * d[:, 1] + nrm[:, 2] * d[:, 2] < 0.0
+    facing = _cosine(nrm, dirs[rows]) < 0.0
     albedo, tint = field.material(scene, x)
     for j in np.flatnonzero(valid & facing):
         found[rows[j]] = field.SurfacePoint(position=x[j], normal=nrm[j], albedo=albedo[j],
-                                            tint=tint[j], valid=True)
+                                            tint=tint[j])
     return found
 
 

@@ -180,7 +180,7 @@ def field_surface_point(scene, x):
     n, valid = field.normals(scene, x[None, :])
     albedo, tint = field.material(scene, x)
     return field.SurfacePoint(position=x, normal=n[0] if valid[0] else None,
-                              albedo=albedo, tint=tint, valid=bool(valid[0]))
+                              albedo=albedo, tint=tint)
 
 
 def random_unit_dirs(n, seed):

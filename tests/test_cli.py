@@ -1,10 +1,13 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from prtvol import cli, envlight, field, imageio, transport
 from conftest import lobe_sh_light, sphere_scene_dict
+
+EXAMPLE_SCENE = pathlib.Path(__file__).resolve().parents[1] / "docs" / "example_scene.json"
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,20 @@ class TestBake:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_chunk_size_does_not_change_bytes(self, workdir, monkeypatch):
+        # Every point's transfer is independent of its batch, so neither
+        # the chunk size nor the thread count moves a byte of the cache.
+        base = ["bake", str(EXAMPLE_SCENE), "--points", "40", "--resolution", "8", "16"]
+        outs = []
+        for chunk in (1, 7, 32, 500):
+            monkeypatch.setattr(cli, "BAKE_CHUNK", chunk)
+            for threads in ("1", "2"):
+                out = workdir / f"cache_chunk{chunk}_t{threads}.bin"
+                assert cli.main(base + ["--threads", threads, "-o", str(out)]) == 0
+                outs.append(out.read_bytes())
+        assert all(b == outs[0] for b in outs)
+
+
 class TestRender:
     def test_albedo_pfm_output(self, workdir, scene_file):
         out = workdir / "albedo.pfm"
@@ -137,6 +154,43 @@ class TestRender:
                          "--width", "6", "--height", "6", "-o", str(out)])
         assert code == 0
         assert imageio.read_pfm(str(out)).shape == (6, 6, 3)
+
+    @pytest.mark.parametrize("key, value, flags, flag_code", [
+        ("width", 0, ["--width", "0"], 1),
+        ("height", -3, ["--height", "-3"], 1),
+        ("width", 2.7, ["--width", "2.7"], 1),
+        ("fov_y_deg", float("nan"), ["--fov", "nan"], 2),
+        ("fov_y_deg", 0.0, ["--fov", "0"], 2),
+        ("fov_y_deg", -10.0, ["--fov", "-10"], 2),
+        ("fov_y_deg", 180.0, ["--fov", "180"], 2),
+        ("position", [float("nan"), -2.8, 0.9], ["--camera-pos", "nan", "-2.8", "0.9"], 2),
+        ("look_at", [0.0, float("inf"), 0.0], ["--look-at", "0", "inf", "0"], 2),
+    ], ids=["width_0", "height_-3", "width_2.7", "fov_nan", "fov_0", "fov_-10", "fov_180",
+            "position_nan", "look_at_inf"])
+    def test_bad_camera_is_rejected(self, workdir, scene_file, capsys, key, value, flags,
+                                    flag_code):
+        # Each once in the scene's camera block and once as a flag; a count
+        # flag that is not a positive integer is a usage error.
+        data = json.loads(pathlib.Path(scene_file).read_text())
+        data["camera"][key] = value
+        path = workdir / f"bad_camera_{key}.json"
+        path.write_text(json.dumps(data))
+        out = workdir / "never_written.pfm"
+        for argv, code, prefix in (([str(path)], 2, "error: camera"),
+                                   ([scene_file] + flags, flag_code,
+                                    "usage error:" if flag_code == 1 else "error: camera")):
+            assert cli.main(["render"] + argv + ["--mode", "albedo", "-o", str(out)]) == code
+            assert capsys.readouterr().err.startswith(prefix)
+            assert not out.exists()
+
+    def test_camera_block_must_be_an_object(self, workdir, capsys):
+        data = sphere_scene_dict()
+        data["camera"] = [0.0, -2.8, 0.9]
+        path = workdir / "list_camera.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["render", str(path), "--mode", "albedo",
+                         "-o", str(workdir / "never_written.pfm")]) == 2
+        assert capsys.readouterr().err == "error: camera must be a JSON object\n"
 
     def test_reruns_and_threads_byte_identical(self, workdir, scene_file, light_file):
         paths = [workdir / f"lit_{tag}.pfm" for tag in ("a", "b", "t4")]
@@ -367,6 +421,24 @@ class TestTopLevel:
     def test_subcommand_help_lists_defaults(self, capsys):
         assert cli.main(["render", "--help"]) == 0
         assert "(default: lit)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "SCENE", "--mode", "albedo", "--exposure", "nan", "--srgb", "OUT"],
+        ["render", "SCENE", "--mode", "albedo", "--exposure", "inf", "--srgb", "OUT"],
+        ["render", "SCENE", "--mode", "albedo", "--exposure", "-inf", "--srgb", "OUT"],
+        ["project-env", "ENV", "--exposure", "nan", "-o", "OUT"],
+        ["metrics", "MAP", "MAP", "--crop", "0", "0", "4", "4", "--resize", "0"],
+        ["metrics", "MAP", "MAP", "--crop", "0", "0", "4", "4", "--resize", "-5"],
+    ], ids=["render_exposure_nan", "render_exposure_inf", "render_exposure_-inf",
+            "project_env_exposure_nan", "metrics_resize_0", "metrics_resize_-5"])
+    def test_bad_flag_value_is_usage_error(self, argv, scene_file, envmap_file, map_files,
+                                           workdir, capsys):
+        out = workdir / "never_written"
+        files = {"SCENE": scene_file, "ENV": envmap_file, "MAP": map_files[0], "OUT": str(out)}
+        assert cli.main([files.get(a, a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", [
         ("render", ["--steps", "0"]),

@@ -173,7 +173,9 @@ class TestKernelMatchesReference:
 def assert_march_matches_dense(scene, origins, dirs, dtype, steps=24, offset=0.05, chunk=7):
     o = np.asarray(origins, dtype=dtype)
     d = np.asarray(dirs, dtype=dtype)
-    got = transport.transmittance(scene, o, d, steps=steps, offset=offset, chunk=chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "MARCH_CHUNK", chunk)
+        got = transport.transmittance(scene, o, d, steps=steps, offset=offset)
     want = dense_transmittance(scene, o, d, steps, offset)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want), np.flatnonzero(got != want)
@@ -328,11 +330,12 @@ class TestLiveSpanMarch:
         with np.errstate(invalid="ignore"):
             want = dense_transmittance(MIXED, o, d, 24, 0.05)
             runs = []
+            chunks = (1, 3, transport.MARCH_CHUNK)
             for block in (1, 5, transport.MARCH_BLOCK):
                 monkeypatch.setattr(transport, "MARCH_BLOCK", block)
-                for chunk in (1, 3, 65536):
-                    runs.append(transport.transmittance(MIXED, o, d, steps=24, offset=0.05,
-                                                        chunk=chunk))
+                for chunk in chunks:
+                    monkeypatch.setattr(transport, "MARCH_CHUNK", chunk)
+                    runs.append(transport.transmittance(MIXED, o, d, steps=24, offset=0.05))
         assert np.isnan(want[50]) and np.isnan(want[51])
         for got in runs:
             assert got.tobytes() == want.tobytes()
@@ -576,7 +579,7 @@ def test_batched_sampler_equals_one_ray_loop(blocker_scene, count, kwargs):
     points, views = transport.sample_surface_points(blocker_scene, count, **kwargs)
     assert len(points) == len(views) == len(want) <= count
     for sp, view, (x, nrm, albedo, tint, v) in zip(points, views, want):
-        assert sp.valid
+        assert sp.normal is not None
         for got, ref in ((sp.position, x), (sp.normal, nrm), (sp.albedo, albedo),
                          (sp.tint, tint), (view, v)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

@@ -83,6 +83,26 @@ def blocker_report(blocker_scene):
 
 
 class TestCompare:
+    def test_entry_transfer_equals_bake_row(self, blocker_scene, sky_light, monkeypatch):
+        # validate projects each point's map alone; bake projects the
+        # points together. Both give the point the same transfer bits.
+        config = oracle.ValidationConfig(count=6, mc_samples=200, resolution=(16, 32), seed=3)
+        project = transport.project_map
+        used = []
+        monkeypatch.setattr(transport, "project_map",
+                            lambda *a, **k: used.append(project(*a, **k)) or used[-1])
+        report = oracle.compare_prt_vs_mc(blocker_scene, sky_light, config=config)
+        monkeypatch.undo()
+        pts, _ = transport.sample_surface_points(blocker_scene, config.count, seed=config.seed)
+        baked = transport.bake_transfer_batch(
+            blocker_scene, np.array([sp.position for sp in pts]),
+            np.array([sp.normal for sp in pts]), resolution=config.resolution)
+        assert len(used) == len(report.entries) == baked.shape[0]
+        for got, row, sp, e in zip(used, baked, pts, report.entries):
+            assert got[0].tobytes() == row.tobytes()
+            want = shading.diffuse_radiance(sp.albedo, row, sky_light)
+            assert e.sh_diffuse.tobytes() == want.tobytes()
+
     def test_band_limited_light_within_3_sigma(self, blocker_report):
         for e in blocker_report.entries:
             z = np.abs(e.sh_diffuse - e.mc_diffuse) / e.mc_stderr

@@ -1,12 +1,15 @@
+import functools
 import json
 import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prtvol import field, sh, transport
-from conftest import field_surface_point, random_unit_dirs
+from conftest import blocker_scene_dict, field_surface_point, random_unit_dirs
 
 EXAMPLE_SCENE = pathlib.Path(__file__).resolve().parents[1] / "docs" / "example_scene.json"
 
@@ -18,7 +21,6 @@ def make_surface_point(position, normal, albedo=(0.5, 0.5, 0.5)):
         normal=n,
         albedo=np.asarray(albedo, dtype=np.float64),
         tint=np.zeros(3),
-        valid=n is not None,
     )
 
 
@@ -47,19 +49,24 @@ def half_space_scene(gap=0.5, sigma=50.0):
 
 
 class TestCosineTerm:
-    def test_aligned(self):
-        assert transport.cosine_term([0.0, 0.0, 1.0], np.array([0.0, 0.0, 1.0])) == 1.0
+    """The clamped cosine inside visibility_map, in the empty scene where V = 1."""
 
-    def test_back_hemisphere_clamps(self):
+    def cosine(self, scene, dirs):
+        return transport.visibility_map(scene, [[0.3, -0.2, 0.1]], [[0.0, 0.0, 1.0]],
+                                        np.atleast_2d(dirs))[0]
+
+    def test_aligned(self, empty_scene):
+        assert self.cosine(empty_scene, [0.0, 0.0, 1.0])[0] == 1.0
+
+    def test_back_hemisphere_clamps(self, empty_scene):
         dirs = random_unit_dirs(100, seed=2)
         dirs[:, 2] = -np.abs(dirs[:, 2]) - 0.01
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        h = transport.cosine_term([0.0, 0.0, 1.0], dirs)
-        assert np.all(h == 0.0)
+        assert np.all(self.cosine(empty_scene, dirs) == 0.0)
 
-    def test_sixty_degrees(self):
+    def test_sixty_degrees(self, empty_scene):
         d = np.array([math.sin(math.radians(60.0)), 0.0, math.cos(math.radians(60.0))])
-        assert abs(transport.cosine_term([0.0, 0.0, 1.0], d) - 0.5) < 1e-12
+        assert abs(self.cosine(empty_scene, d)[0] - 0.5) < 1e-12
 
 
 class TestVisibility:
@@ -161,7 +168,7 @@ class TestBakeTransfer:
         n_mc = 1_000_000
         dirs = rng.normal(size=(n_mc, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        h = transport.cosine_term(nrm, dirs)
+        h = np.maximum(0.0, dirs @ nrm)
         vals = np.zeros(n_mc)
         front = h > 0.0
         vals[front] = transport.visibility(scene, pos, dirs[front], steps=steps) * h[front]
@@ -179,10 +186,8 @@ class TestBakeTransfer:
         pts, _ = transport.sample_surface_points(blocker_scene, 6, seed=41)
         for sp in pts:
             t = transport.bake_transfer(blocker_scene, sp.position, sp.normal)
-            vals, dirs, weights = transport.visibility_map(blocker_scene, [sp.position],
-                                                           [sp.normal])
-            vals = vals[0]
-            basis = sh.eval_basis(dirs, 4)
+            dirs, weights, basis = sh.basis_grid(4, *transport.BAKE_GRID)
+            vals = transport.visibility_map(blocker_scene, [sp.position], [sp.normal], dirs)[0]
             errs = []
             for degree in (2, 3, 4):
                 n = sh.num_coeffs(degree)
@@ -280,7 +285,7 @@ class TestNrtResidual:
         sample = transport.TransferSample(point=sp, transfer=t)
         dirs = random_unit_dirs(20, seed=23)
         for d, got in zip(dirs, residuals_toward(blocker_scene, sample, dirs)):
-            h = float(transport.cosine_term(sp.normal, d))
+            h = max(0.0, float(sp.normal @ d))
             ref = transport.visibility(blocker_scene, sp.position, d) * h if h > 0 else 0.0
             want = (float(sh.reconstruct(t, d)) - ref) ** 2
             assert abs(got - want) < 1e-15
@@ -308,7 +313,7 @@ class TestSurfacePoints:
     def test_hit_lands_on_shell(self, sphere_scene):
         pts, _ = transport.sample_surface_points(sphere_scene, 40, seed=3)
         for sp in pts:
-            assert sp.valid
+            assert sp.normal is not None
             r = np.linalg.norm(sp.position)
             assert 0.9 < r < 1.06
             assert float(np.dot(sp.normal, sp.position / r)) > 0.8
@@ -329,7 +334,7 @@ class TestSurfacePoints:
         pts, views = transport.sample_surface_points(blocker_scene, 25, seed=11)
         assert len(pts) == 25 and len(views) == 25
         for sp, view in zip(pts, views):
-            assert sp.valid
+            assert sp.normal is not None
             assert abs(np.linalg.norm(view) - 1.0) < 1e-12
 
     def test_sample_deterministic(self, sphere_scene):
@@ -456,36 +461,33 @@ class TestTransferCache:
 
 class TestVisibilityMap:
     def test_unoccluded_map_is_clamped_cosine(self, empty_scene):
-        vals, dirs, weights = transport.visibility_map(
-            empty_scene, [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]]
-        )
-        vals = vals[0]
+        dirs, weights, _ = sh.basis_grid(0, *transport.BAKE_GRID)
+        vals = transport.visibility_map(empty_scene, [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]],
+                                        dirs)[0]
         h = np.maximum(0.0, dirs[:, 2])
         assert np.max(np.abs(vals - h)) < 1e-12
         dc = float(np.sum(weights * vals * 0.28209479177387814))
         assert abs(dc - 0.8862269254527580) < 2e-3
 
     def test_back_hemisphere_zero(self, sphere_scene):
-        vals, dirs, _ = transport.visibility_map(
-            sphere_scene, [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]
-        )
-        vals = vals[0]
+        dirs, _, _ = sh.basis_grid(0, *transport.BAKE_GRID)
+        vals = transport.visibility_map(sphere_scene, [[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]],
+                                        dirs)[0]
         back = dirs[:, 0] < 0.0
         assert np.all(vals[back] == 0.0)
         assert np.all(vals >= 0.0)
 
     def test_batched_rows_match_single_points(self, blocker_scene):
-        # Each row of a batched map is the map of its point alone, and a zero
-        # normal gives a zero row. Only to rounding: BLAS may order the
-        # cosine dot products differently for one row than for several.
+        # Each row of a batched map is the map of its point alone, bit for
+        # bit, and a zero normal gives a zero row.
         pts, _ = transport.sample_surface_points(blocker_scene, 3, seed=5)
         pos = np.array([sp.position for sp in pts] + [[0.0, 0.0, 0.0]])
         nrm = np.array([sp.normal for sp in pts] + [[0.0, 0.0, 0.0]])
-        vals, _, _ = transport.visibility_map(blocker_scene, pos, nrm, resolution=(16, 32))
+        dirs, _, _ = sh.basis_grid(0, 16, 32)
+        vals = transport.visibility_map(blocker_scene, pos, nrm, dirs)
         for i in range(4):
-            one, _, _ = transport.visibility_map(blocker_scene, pos[i:i + 1], nrm[i:i + 1],
-                                                 resolution=(16, 32))
-            assert np.max(np.abs(vals[i] - one[0])) < 1e-15
+            one = transport.visibility_map(blocker_scene, pos[i:i + 1], nrm[i:i + 1], dirs)
+            assert np.array_equal(vals[i], one[0])
         assert np.array_equal(vals[3], np.zeros_like(vals[3]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -493,10 +495,85 @@ class TestVisibilityMap:
         pts, _ = transport.sample_surface_points(blocker_scene, 7, seed=6)
         pos = np.array([sp.position for sp in pts])
         nrm = np.array([sp.normal for sp in pts])
-        whole, _, _ = transport.visibility_map(blocker_scene, pos, nrm, resolution=(8, 16),
-                                               dtype=dtype)
+        dirs, _, _ = sh.basis_grid(0, 8, 16)
+        whole = transport.visibility_map(blocker_scene, pos, nrm, dirs, dtype=dtype)
         for block in (1, 3):
             monkeypatch.setattr(transport, "MAP_POINTS", block)
-            vals, _, _ = transport.visibility_map(blocker_scene, pos, nrm, resolution=(8, 16),
-                                                  dtype=dtype)
+            vals = transport.visibility_map(blocker_scene, pos, nrm, dirs, dtype=dtype)
             assert np.array_equal(vals, whole)
+
+
+# ------------------------------------------- batch-independent transfer
+
+BATCH_SCENES = {"example": field.load_scene(str(EXAMPLE_SCENE)),
+                "blocker": field.scene_from_dict(blocker_scene_dict())}
+BATCH_GRID = (16, 32)
+BATCH_POINTS = 9  # eight sampled points and one with a zero normal
+
+
+@functools.lru_cache(maxsize=None)
+def batch_points(name):
+    pts, _ = transport.sample_surface_points(BATCH_SCENES[name], BATCH_POINTS - 1, seed=0)
+    pos = np.array([sp.position for sp in pts] + [[0.1, 0.2, 0.3]])
+    nrm = np.array([sp.normal for sp in pts] + [[0.0, 0.0, 0.0]])
+    return pos, nrm
+
+
+@functools.lru_cache(maxsize=None)
+def rows_alone(name, dtype):
+    """Each point's visibility-map row and transfer row, baked on its own."""
+    scene = BATCH_SCENES[name]
+    pos, nrm = batch_points(name)
+    dirs, _, _ = sh.basis_grid(4, *BATCH_GRID)
+    maps = [transport.visibility_map(scene, p[None, :], n[None, :], dirs, dtype=dtype)[0]
+            for p, n in zip(pos, nrm)]
+    transfers = [transport.bake_transfer(scene, p, n, resolution=BATCH_GRID, dtype=dtype)
+                 for p, n in zip(pos, nrm)]
+    return np.array(maps), np.array(transfers)
+
+
+def at_offset(a, offset):
+    """a copied into a buffer and viewed from element offset on."""
+    buf = np.zeros(a.size + offset, dtype=a.dtype)
+    buf[offset:] = a.ravel()
+    return buf[offset:].reshape(a.shape)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(BATCH_SCENES)),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       order=st.permutations(range(BATCH_POINTS)).flatmap(
+           lambda p: st.integers(1, BATCH_POINTS).map(lambda k: p[:k])),
+       map_points=st.sampled_from([1, 3, transport.MAP_POINTS]),
+       offset=st.integers(0, 3))
+def test_point_rows_do_not_depend_on_the_batch(name, dtype, order, map_points, offset):
+    # Any subset of the points, in any order, marched in any point block
+    # and read from a buffer at any element offset, gives each point the
+    # map row and transfer row it has alone, bit for bit.
+    scene = BATCH_SCENES[name]
+    pos, nrm = batch_points(name)
+    maps, transfers = rows_alone(name, dtype)
+    idx = list(order)
+    p, n = at_offset(pos[idx], offset), at_offset(nrm[idx], offset)
+    dirs, _, _ = sh.basis_grid(4, *BATCH_GRID)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "MAP_POINTS", map_points)
+        vals = transport.visibility_map(scene, p, n, dirs, dtype=dtype)
+        t = transport.bake_transfer_batch(scene, p, n, resolution=BATCH_GRID, dtype=dtype)
+    assert vals.tobytes() == maps[idx].tobytes()
+    assert t.tobytes() == transfers[idx].tobytes()
+
+
+def test_projection_reduces_each_row_on_its_own():
+    # Pins the projection's reduction order: values over twelve decades
+    # make any regrouping of a row's sum show, and a matrix product
+    # regroups rows by batch size, offset and order.
+    rng = np.random.default_rng(8)
+    res = (32, 64)
+    values = rng.standard_normal((40, res[0] * res[1])) * 10.0 ** rng.uniform(-6, 6, (40, 1))
+    whole = transport.project_map(values, degree=4, resolution=res)
+    for idx in ([0], [39], [5, 2, 31], list(range(39, -1, -1)), list(range(1, 40, 3))):
+        for offset in (0, 1, 3):
+            got = transport.project_map(at_offset(values[idx], offset), degree=4,
+                                        resolution=res)
+            assert got.tobytes() == whole[idx].tobytes()
