@@ -50,6 +50,14 @@ def _finite_float(text):
     return value
 
 
+def _positive_float(text):
+    """argparse type for scales: a finite float above 0."""
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _require_file(path):
     if not os.path.isfile(path):
         raise _UsageError(f"file not found: {path}")
@@ -286,7 +294,7 @@ def build_parser():
     p.add_argument("map_b", help="second normal map PFM")
     p.add_argument("--mask-a", default=None, help="grayscale mask for map_a")
     p.add_argument("--mask-b", default=None, help="grayscale mask for map_b")
-    p.add_argument("--sigma", type=float, default=metrics.DEFAULT_BLUR_SIGMA,
+    p.add_argument("--sigma", type=_positive_float, default=metrics.DEFAULT_BLUR_SIGMA,
                    help="Gaussian blur sigma for the Laplacian")
     p.add_argument("--mask-normalized", action="store_true",
                    help="divide by mask mass instead of pixel count")

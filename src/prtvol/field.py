@@ -41,6 +41,14 @@ def _finite(v, name):
     return x
 
 
+def _count(v, name):
+    """v itself if it is an integer of at least 1 (bools and floats are not)."""
+    _finite(v, name)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    return v
+
+
 def _object(v, name):
     if not isinstance(v, dict):
         raise ValueError(f"{name} must be a JSON object")
@@ -257,13 +265,11 @@ def scene_from_dict(d):
 
     m = _object(d.get("march", {}), "march")
     march = MarchParams(
-        primary_steps=int(_finite(m.get("primary_steps", 256), "march.primary_steps")),
-        secondary_steps=int(_finite(m.get("secondary_steps", 64), "march.secondary_steps")),
+        primary_steps=_count(m.get("primary_steps", 256), "march.primary_steps"),
+        secondary_steps=_count(m.get("secondary_steps", 64), "march.secondary_steps"),
         t_near=_finite(m.get("t_near", 0.0), "march.t_near"),
         t_far=_finite(m.get("t_far", 10.0), "march.t_far"),
     )
-    if march.primary_steps < 1 or march.secondary_steps < 1:
-        raise ValueError("march step counts must be at least 1")
     if not 0.0 <= march.t_near < march.t_far:
         raise ValueError("march range requires 0 <= t_near < t_far")
 

@@ -112,8 +112,8 @@ def normal_cosine_similarity(a, b, mask_normalized=False):
 
 def gaussian_blur(img, sigma=DEFAULT_BLUR_SIGMA):
     """Separable Gaussian blur with reflect padding, radius ceil(3 sigma)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     img = np.asarray(img, dtype=np.float64)
     radius = int(math.ceil(3.0 * sigma))
     k = np.arange(-radius, radius + 1, dtype=np.float64)

@@ -3,9 +3,9 @@
 A primary ray marches [t_near, t_far] in fixed steps; the pixel value is
 sum_k T_k * density_k * value_k * dt with T_k the transmittance of all
 strictly earlier samples, accumulated in log space so alpha telescopes to
-1 - exp(-total optical depth) exactly. The march (transport.primary_march)
-skips the samples outside every primitive's support, which hold the exact
-0.0 a dense march would compute there, so no pixel depends on the skip.
+1 - exp(-total optical depth) exactly. transport.primary_march evaluates
+density only where a dense march could find any, and sample positions are
+formed (transport.primary_points) only where a channel shades them.
 
 Shaded modes (lit, diffuse, specular, irradiance) are amortized: each
 ray bakes transfer only at its top weighted samples (or looks them up
@@ -43,9 +43,7 @@ class Camera:
     def __post_init__(self):
         """Reject what would render an empty, blank or mirrored image."""
         for name in ("width", "height"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"camera {name} must be a positive integer, got {v!r}")
+            field._count(getattr(self, name), f"camera {name}")
         fov = field._finite(self.fov_y_deg, "camera fov_y_deg")
         if not 0.0 < fov < 180.0:
             raise ValueError(f"camera fov_y_deg must lie in (0, 180), got {fov}")
@@ -149,7 +147,7 @@ def _trace_batch(scene, light, origins, dirs, mode, settings):
         raise ValueError(f"mode {mode!r} requires an SH light")
 
     n_rays = origins.shape[0]
-    pts, sigma, dt = transport.primary_march(scene, origins, dirs, steps=settings.steps)
+    sigma, t, dt = transport.primary_march(scene, origins, dirs, steps=settings.steps)
     depth = sigma * dt
     tau_before = np.cumsum(depth, axis=1) - depth  # exclusive prefix
     trans = np.exp(-tau_before)
@@ -165,32 +163,34 @@ def _trace_batch(scene, light, origins, dirs, mode, settings):
         rgb = np.sum((weight * trans)[:, :, None], axis=1) * np.ones((1, 3))
         return rgb, alpha
 
-    if mode == "albedo":
+    if mode in ("albedo", "normal"):
         ray_idx, k_idx = np.nonzero(active)
-        value, _ = field.material(scene, pts[ray_idx, k_idx])
-        return _composite(rgb, weight, ray_idx, k_idx, value), alpha
-
-    if mode == "normal":
+        pts = transport.primary_points(origins, dirs, t, ray_idx, k_idx)
+        w = weight[ray_idx, k_idx]
+        if mode == "albedo":
+            value, _ = field.material(scene, pts)
+            return _splat(ray_idx, w[:, None] * value, n_rays), alpha
         # Encoded normals exist only where the gradient does, so the pixel
         # is their weight-normalized average scaled by alpha; dividing by
         # alpha on decode then recovers 0.5 * (n + 1) directly.
-        ray_idx, k_idx = np.nonzero(active)
-        nrm, valid = field.normals(scene, pts[ray_idx, k_idx])
-        w = weight[ray_idx, k_idx] * valid
+        nrm, valid = field.normals(scene, pts)
+        w = w * valid
         den = np.bincount(ray_idx, weights=w, minlength=n_rays)
         scale = np.divide(alpha, den, out=np.zeros_like(den), where=den > 0.0)
-        enc = w[:, None] * 0.5 * (nrm + 1.0)
-        for c in range(3):
-            rgb[:, c] = np.bincount(ray_idx, weights=enc[:, c], minlength=n_rays)
-        return rgb * scale[:, None], alpha
+        return _splat(ray_idx, w[:, None] * 0.5 * (nrm + 1.0), n_rays) * scale[:, None], alpha
 
-    anchors, avalid, coeffs = _anchor_transfers(scene, light, pts, weight, settings)
-    aw = np.take_along_axis(weight, anchors, axis=1) * avalid  # (R, M)
+    k = weight.shape[1] - min(settings.anchors_per_ray, weight.shape[1])
+    anchors = np.sort(np.argpartition(weight, k, axis=1)[:, k:], axis=1)  # (R, M) steps
+    m = anchors.shape[1]
+    aw = np.take_along_axis(weight, anchors, axis=1).ravel()
+    apos = transport.primary_points(origins, dirs, t, np.repeat(np.arange(n_rays), m),
+                                    anchors.ravel())
+    avalid, anrm, coeffs = _anchor_transfers(scene, light, apos, aw, settings)
+    aw = (aw * avalid).reshape(n_rays, m)
+    coeffs = coeffs.reshape(n_rays, m, -1)
     wsum = np.sum(aw, axis=1)
     scale = np.divide(alpha, wsum, out=np.zeros_like(wsum), where=wsum > 0.0)
 
-    m = anchors.shape[1]
-    apos = np.take_along_axis(pts, anchors[:, :, None], axis=1).reshape(-1, 3)
     if mode == "irradiance":
         value = shading.irradiance(coeffs, light).reshape(-1, 3)
     else:
@@ -198,9 +198,8 @@ def _trace_batch(scene, light, origins, dirs, mode, settings):
         diffuse = shading.diffuse_radiance(albedo.reshape(n_rays, m, 3), coeffs,
                                            light).reshape(-1, 3)
         if mode != "diffuse" and np.any(tint > 0.0):
-            nrm, _ = field.normals(scene, apos)
             specular = shading.specular_radiance(
-                tint, nrm, np.repeat(-dirs, m, axis=0), coeffs.reshape(n_rays * m, -1), light)
+                tint, anrm, np.repeat(-dirs, m, axis=0), coeffs.reshape(n_rays * m, -1), light)
         else:
             specular = np.zeros_like(diffuse)
         if mode == "diffuse":
@@ -214,48 +213,36 @@ def _trace_batch(scene, light, origins, dirs, mode, settings):
     return rgb, alpha
 
 
-def _composite(rgb, weight, ray_idx, k_idx, values):
-    w = weight[ray_idx, k_idx][:, None] * values
-    for c in range(3):
-        rgb[:, c] += np.bincount(ray_idx, weights=w[:, c], minlength=rgb.shape[0])
-    return rgb
+def _splat(ray_idx, values, n_rays):
+    """Per-ray sums of (N, 3) sample values, (n_rays, 3)."""
+    return np.stack([np.bincount(ray_idx, weights=values[:, c], minlength=n_rays)
+                     for c in range(3)], axis=1)
 
 
-def _anchor_transfers(scene, light, pts, weight, settings):
-    """Bake or look up transfer at the top weighted samples per ray.
+def _anchor_transfers(scene, light, apos, aw, settings):
+    """Bake or look up transfer at anchor positions apos (N, 3) of weights aw.
 
-    Returns (anchors (R, M) sample indices, avalid (R, M), coeffs
-    (R, M, n)); slots with zero sample weight or no recoverable
-    surface normal (flat interior of the medium) are invalid.
+    Returns (valid (N,), normals (N, 3), coeffs (N, n)); anchors without
+    weight or without a recoverable surface normal (flat interior of the
+    medium) are invalid and hold zero normals and coefficients.
     """
-    n_rays, steps = weight.shape
-    m = min(settings.anchors_per_ray, steps)
     degree = light.degree
-    part = np.argpartition(weight, steps - m, axis=1)[:, steps - m:]
-    anchors = np.sort(part, axis=1)  # (R, M) sample indices
-    avalid = np.take_along_axis(weight, anchors, axis=1) > 0.0
-
-    coeffs = np.zeros((n_rays, m, sh.num_coeffs(degree)), dtype=np.float64)
-    rsel, msel = np.nonzero(avalid)
-    if rsel.size == 0:
-        return anchors, avalid, coeffs
-    apos = pts[rsel, anchors[rsel, msel]]
-    anrm, nvalid = field.normals(scene, apos)
-    avalid = avalid.copy()
-    avalid[rsel, msel] = nvalid
-
+    avalid = aw > 0.0
+    anrm = np.zeros_like(apos)
+    coeffs = np.zeros((apos.shape[0], sh.num_coeffs(degree)))
+    sel = np.flatnonzero(avalid)
+    if sel.size == 0:
+        return avalid, anrm, coeffs
+    pos = apos[sel]
+    anrm[sel], avalid[sel] = field.normals(scene, pos)
     cache = settings.transfer_cache
     if cache is not None:
         if cache.degree != degree:
             raise ValueError(
                 f"transfer cache degree {cache.degree} does not match light degree {degree}")
-        baked = cache.coeffs[cache.nearest(apos)]
-        baked = np.where(nvalid[:, None], baked, 0.0)
+        coeffs[sel] = np.where(avalid[sel, None], cache.coeffs[cache.nearest(pos)], 0.0)
     else:
-        sec = (settings.secondary_steps if settings.secondary_steps is not None
-               else scene.march.secondary_steps)
-        baked = transport.bake_transfer_batch(
-            scene, apos, anrm, degree=degree, resolution=settings.transfer_grid,
-            steps=sec, dtype=np.float32)
-    coeffs[rsel, msel] = baked
-    return anchors, avalid, coeffs
+        coeffs[sel] = transport.bake_transfer_batch(
+            scene, pos, anrm[sel], degree=degree, resolution=settings.transfer_grid,
+            steps=settings.secondary_steps, dtype=np.float32)
+    return avalid, anrm, coeffs

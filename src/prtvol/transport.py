@@ -1,25 +1,18 @@
 """Radiance transfer: visibility marching, transfer baking, residuals.
 
 Visibility is the transmittance exp(-integral of density) along a
-secondary ray, marched with fixed-step midpoint quadrature from a small
-self-occlusion offset (twice the normal finite-difference step) out to
-the bounding sphere. All secondary rays (bakes, visibility maps, the
-oracle's Monte Carlo rays and the residual rays) go through transmittance.
-Its sample positions grow with the step index, so the samples inside a
-ray's field.support_interval form one run of steps; transmittance finds
-each run by counting, bit by bit, the steps before and inside the support
-against the sample positions themselves, evaluates density only on the
-run, in fixed-size blocks of samples taken ray after ray, and adds each
-ray's samples in step order. Every skipped sample would
-have been an exact 0.0, so the optical depth equals the dense march's
-bit for bit. MARCH_CHUNK bounds the per-ray arrays and MARCH_BLOCK the
-per-sample ones.
-
-Primary rays, the renderer's and the probes that find surface points,
-are marched by primary_march over [t_near, t_far] with the same skipping.
-Probing is batched: each try draws its ray from the RNG in turn, but the
-probes of up to PROBE_BLOCK tries are marched together, and the hits of a
-block share one field.normals and one field.material call.
+secondary ray, marched with fixed-step midpoint quadrature by
+transmittance from a small self-occlusion offset (twice the normal
+finite-difference step) out to the bounding sphere. Primary rays, the
+renderer's and the surface probes', are marched by primary_march over
+[t_near, t_far]. Both marches evaluate density only on the samples
+_live_samples gives, the run of steps inside each ray's
+field.support_interval; every skipped sample would be an exact 0.0, so
+both equal a dense march bit for bit. Primary samples are returned as
+distances, and primary_points forms a position only where one is needed,
+in the bits the march evaluated. The probes of up to PROBE_BLOCK tries
+are marched together, and their hits share one field.normals and one
+field.material call.
 
 visibility_map is the one implementation of V * max(0, n . d), and
 transfer is its SH projection, so a transfer dotted with light
@@ -39,7 +32,7 @@ BAKE_GRID = (32, 64)
 MAP_POINTS = 256  # points whose visibility maps are marched together
 PROBE_BLOCK = 256  # probe rays of sample_surface_points marched together
 MARCH_CHUNK = 65536  # rays per internal batch of transmittance
-MARCH_BLOCK = 1 << 13  # samples per field.density call in transmittance
+MARCH_BLOCK = 1 << 13  # samples per field.density call of either march
 
 
 @dataclass(frozen=True)
@@ -76,33 +69,60 @@ def _exit_distance(scene, origins, dirs):
     return np.maximum(t_enter, 0.0), np.maximum(t_exit, 0.0)
 
 
-def _steps_before(t0, dt, steps, before):
-    """Per ray, how many leading samples k < steps satisfy before(t_k).
+def _live_samples(scene, origins, dirs, t0, dt, steps, t_max):
+    """Blocks (ray, step, pts) of the march samples that may hold density.
 
-    t_k = t0 + (k + 0.5) * dt is computed in the march dtype exactly as the
-    march computes it. It never decreases with k (dt >= 0 and rounding is
-    monotone) and before is true then false along t, so the count is
-    built bit by bit from the highest power of two down: bit_length(steps)
-    rounds. NaN t counts as not before.
+    Sample k < steps of ray r lies at t = t0 + (k + 0.5) * dt (scalars or
+    per-ray arrays), computed in the dtype of origins, so at the (B, 3)
+    positions dirs[r] * t + origins[r]. t never decreases with k (dt >= 0
+    and rounding is monotone), so the samples inside the ray's
+    field.support_interval for t <= t_max form one run of steps, whose ends
+    are counted bit by bit against t itself (NaN t counts as outside). The
+    runs are laid out ray after ray and cut into blocks of MARCH_BLOCK.
     """
-    half = t0.dtype.type(0.5)
-    n = np.zeros(t0.shape, dtype=np.intp)
-    for p in reversed(range(int(steps).bit_length())):
-        k = n + (1 << p)
-        # The sample at k - 1 may lie past the last step; t keeps growing
-        # there, so the count is only clipped at the end.
-        n = np.where(before(t0 + ((k - 1).astype(t0.dtype) + half) * dt), k, n)
-    return np.minimum(n, steps)
+    n = origins.shape[0]
+    half = origins.dtype.type(0.5)
+    t0 = np.broadcast_to(np.asarray(t0, dtype=origins.dtype), (n,))
+    dt = np.broadcast_to(np.asarray(dt, dtype=origins.dtype), (n,))
+    s_lo, s_hi = field.support_interval(scene, origins, dirs, t_max)
+
+    def steps_before(before):
+        # Leading samples with before(t), from the highest power of two
+        # down. The sample at k - 1 may lie past the last step; t keeps
+        # growing there, so the count is only clipped at the end.
+        c = np.zeros(n, dtype=np.intp)
+        for p in reversed(range(int(steps).bit_length())):
+            k = c + (1 << p)
+            c = np.where(before(t0 + ((k - 1).astype(t0.dtype) + half) * dt), k, c)
+        return np.minimum(c, steps)
+
+    # Ray r's live steps are first[r] <= k < first[r] + count[r]; flat
+    # position i of ray r is step i - shift[r].
+    first = steps_before(lambda t: t < s_lo)
+    count = np.maximum(steps_before(lambda t: t <= s_hi) - first, 0)
+    end = np.cumsum(count)
+    shift = end - count - first
+    total = int(count.sum())
+    # One row per quantity (origin, direction, t0, dt), so a block's
+    # samples copy them with one repeat into contiguous rows.
+    rows = np.vstack([origins.T, dirs.T, t0, dt])
+    for b in range(0, total, MARCH_BLOCK):
+        e = min(b + MARCH_BLOCK, total)
+        r0, r1 = np.searchsorted(end, (b, e - 1), side="right")
+        rays = slice(r0, r1 + 1)
+        per = np.minimum(end[rays], e) - np.maximum(end[rays] - count[rays], b)
+        ray = np.repeat(rows[:, rays], per, axis=1)
+        k = np.arange(b, e) - np.repeat(shift[rays], per)
+        t = ray[6] + (k.astype(origins.dtype) + half) * ray[7]
+        pts = ray[3:6] * t
+        pts += ray[0:3]
+        yield np.repeat(np.arange(r0, r1 + 1), per), k, pts.T
 
 
 def transmittance(scene, origins, dirs, steps=None, offset=0.0):
     """exp(-optical depth) from origins along dirs out of the bounds.
 
-    Each ray's samples t inside its field.support_interval form one run of
-    steps, found against t itself; density is evaluated only there, in
-    blocks of MARCH_BLOCK samples, and each ray's samples are added in step
-    order. Every skipped sample would have added an exact 0.0, so the
-    result equals the dense march's bit for bit.
+    Each ray's live samples are added in step order, as a dense march would.
 
     Args:
         scene: volume scene.
@@ -128,30 +148,10 @@ def transmittance(scene, origins, dirs, steps=None, offset=0.0):
         t0 = np.maximum(t_enter, dtype(offset))
         span = np.maximum(t_exit - t0, 0.0)
         dt = span / dtype(steps)
-        # Ray r's live steps are first[r] <= k < first[r] + count[r]. They
-        # are laid out ray after ray; flat position i of ray r is step i - shift[r].
-        s_lo, s_hi = field.support_interval(scene, o, d, t_exit)
-        first = _steps_before(t0, dt, steps, lambda t: t < s_lo)
-        count = np.maximum(_steps_before(t0, dt, steps, lambda t: t <= s_hi) - first, 0)
-        end = np.cumsum(count)
-        shift = end - count - first
-        total = int(end[-1])
-        # One row per quantity (origin, direction, t0, dt), so a block's
-        # samples copy them with one repeat into contiguous rows.
-        rows = np.vstack([o.T, d.T, t0, dt])
         tau = np.zeros(hi - lo, dtype=origins.dtype)
-        for b in range(0, total, MARCH_BLOCK):
-            e = min(b + MARCH_BLOCK, total)
-            r0, r1 = np.searchsorted(end, (b, e - 1), side="right")
-            rays = slice(r0, r1 + 1)
-            per = np.minimum(end[rays], e) - np.maximum(end[rays] - count[rays], b)
-            ray = np.repeat(rows[:, rays], per, axis=1)
-            k = np.arange(b, e) - np.repeat(shift[rays], per)
-            t = ray[6] + (k.astype(origins.dtype) + dtype(0.5)) * ray[7]
-            pts = ray[3:6] * t
-            pts += ray[0:3]
+        for ray, _, pts in _live_samples(scene, o, d, t0, dt, steps, t_exit):
             # add.at applies the additions in index order: step order per ray.
-            np.add.at(tau, np.repeat(np.arange(r0, r1 + 1), per), field.density(scene, pts.T))
+            np.add.at(tau, ray, field.density(scene, pts))
         out[lo:hi] = np.exp(-tau * dt)
     return out
 
@@ -290,12 +290,10 @@ def nrt_residuals(scene, sample, rays, steps=None):
 def primary_march(scene, origins, dirs, steps=None):
     """Density at the midpoint samples of primary rays over [t_near, t_far].
 
-    origins and dirs are (R, 3). Returns (pts (R, K, 3), sigma (R, K),
-    dt) for K = steps, the scene's primary_steps if None. Density is
-    evaluated only at samples inside each ray's field.support_interval
-    (exact because t_near >= 0); the others hold the exact 0.0 that
-    field.density gives there, so sigma equals a dense evaluation bit for
-    bit.
+    origins and dirs are (R, 3). Returns (sigma (R, K), t (K,), dt) for
+    K = steps, the scene's primary_steps if None; sample k of ray r lies at
+    primary_points(origins, dirs, t, r, k). Samples outside the live runs
+    (exact since t_near >= 0) hold the 0.0 field.density gives there.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -303,14 +301,15 @@ def primary_march(scene, origins, dirs, steps=None):
         steps = scene.march.primary_steps
     t0, t1 = scene.march.t_near, scene.march.t_far
     dt = (t1 - t0) / steps
-    t = t0 + (np.arange(steps) + 0.5) * dt
-    pts = origins[:, None, :] + t[None, :, None] * dirs[:, None, :]
-    sigma = np.zeros(pts.shape[:-1], dtype=pts.dtype)
-    lo, hi = field.support_interval(scene, origins, dirs, t1)
-    live = (lo[:, None] <= t) & (t <= hi[:, None])
-    if np.any(live):
-        sigma[live] = field.density(scene, pts[live])
-    return pts, sigma, dt
+    sigma = np.zeros((origins.shape[0], steps))
+    for ray, step, pts in _live_samples(scene, origins, dirs, t0, dt, steps, t1):
+        sigma[ray, step] = field.density(scene, pts)
+    return sigma, t0 + (np.arange(steps) + 0.5) * dt, dt
+
+
+def primary_points(origins, dirs, t, ray, step):
+    """(N, 3) positions of primary_march samples (ray[i], step[i]), as evaluated."""
+    return origins[ray] + t[step, None] * dirs[ray]
 
 
 def _probe(scene, origins, dirs, steps):
@@ -321,7 +320,7 @@ def _probe(scene, origins, dirs, steps):
     sample has no gradient normal or one facing away from the probe's
     origin (a grazing probe past a soft shell's tangent point), gives None.
     """
-    pts, sigma, dt = primary_march(scene, origins, dirs, steps)
+    sigma, t, dt = primary_march(scene, origins, dirs, steps)
     tau = np.zeros_like(sigma)
     tau[:, 1:] = np.cumsum(sigma * dt, axis=1)[:, :-1]
     weight = np.exp(-tau) * sigma * dt
@@ -329,7 +328,7 @@ def _probe(scene, origins, dirs, steps):
     found = [None] * origins.shape[0]
     if rows.size == 0:
         return found
-    x = pts[rows, np.argmax(weight[rows], axis=1)]
+    x = primary_points(origins, dirs, t, rows, np.argmax(weight[rows], axis=1))
     nrm, valid = field.normals(scene, x)
     facing = _cosine(nrm, dirs[rows]) < 0.0
     albedo, tint = field.material(scene, x)
@@ -470,10 +469,9 @@ def load_transfer_cache(path, scene=None):
         raise ValueError("transfer cache was baked for a different scene")
     n_coeff = sh.num_coeffs(degree)
     width = CACHE_RECORD_FLOATS + n_coeff
-    raw = np.fromfile(path, dtype="<f8")
-    if raw.size != count * width:
-        raise ValueError(
-            f"transfer cache holds {raw.size} floats, expected {count * width}")
-    rows = raw.reshape(count, width)
+    size = os.path.getsize(path)
+    if size != count * width * 8:
+        raise ValueError(f"transfer cache holds {size} bytes, expected {count * width * 8}")
+    rows = np.fromfile(path, dtype="<f8").reshape(count, width)
     return TransferCache(positions=rows[:, 0:3].copy(), normals=rows[:, 3:6].copy(),
                          coeffs=rows[:, 6:].copy(), degree=degree)

@@ -183,6 +183,18 @@ class TestRender:
             assert capsys.readouterr().err.startswith(prefix)
             assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["primary_steps", "secondary_steps"])
+    @pytest.mark.parametrize("value", [2.7, True])
+    def test_march_steps_must_be_integers(self, workdir, scene_file, capsys, key, value):
+        data = json.loads(pathlib.Path(scene_file).read_text())
+        data["march"][key] = value
+        path = workdir / f"bad_march_{key}.json"
+        path.write_text(json.dumps(data))
+        out = workdir / "never_written.pfm"
+        assert cli.main(["render", str(path), "--mode", "albedo", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: march.{key} must be a positive integer")
+        assert not out.exists()
+
     def test_camera_block_must_be_an_object(self, workdir, capsys):
         data = sphere_scene_dict()
         data["camera"] = [0.0, -2.8, 0.9]
@@ -397,6 +409,13 @@ class TestMetrics:
         assert abs(result["cosine_similarity"] - 1.0) < 1e-5
         assert result["mask_normalized"] is True
         assert result["blur_sigma"] == 0.8
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "wide"])
+    def test_bad_sigma_is_usage_error(self, map_files, value, capsys):
+        a, b, _ = map_files
+        assert cli.main(["metrics", a, b, "--sigma", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --sigma:") and "Traceback" not in err
 
     def test_grayscale_map_is_runtime_error(self, workdir, map_files, capsys):
         _, b, mask = map_files

@@ -335,6 +335,14 @@ class TestMalformedPrimitives:
         with pytest.raises(ValueError, match=rf"{section}.{key} must be finite"):
             field.scene_from_dict(d)
 
+    @pytest.mark.parametrize("key", ["primary_steps", "secondary_steps"])
+    @pytest.mark.parametrize("value", [2.7, 3.0, True, 0, -4])
+    def test_march_steps_must_be_positive_integers(self, key, value):
+        d = sphere_scene_dict()
+        d["march"][key] = value
+        with pytest.raises(ValueError, match=rf"march.{key} must be a positive integer"):
+            field.scene_from_dict(d)
+
     @pytest.mark.parametrize("mutate, message", [
         (lambda d: d["primitives"].__setitem__(0, "sphere"), r"primitives\[0\] must be a JSON"),
         (lambda d: d.__setitem__("primitives", 3), "primitives must be a JSON list"),

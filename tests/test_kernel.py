@@ -462,11 +462,14 @@ def dense_primary_march(scene, origins, dirs, steps):
 
 def assert_primary_matches_dense(scene, origins, dirs, steps=None):
     o, d = np.asarray(origins, dtype=np.float64), np.asarray(dirs, dtype=np.float64)
-    pts, sigma, dt = transport.primary_march(scene, o, d, steps=steps)
+    sigma, t, dt = transport.primary_march(scene, o, d, steps=steps)
     want_pts, want_sigma, want_dt = dense_primary_march(
         scene, o, d, scene.march.primary_steps if steps is None else steps)
     assert dt == want_dt
+    # The positions consumers form are the ones the dense march evaluated.
     # Byte comparison: the sign of a zero counts too.
+    ray, step = np.indices(sigma.shape).reshape(2, -1)
+    pts = transport.primary_points(o, d, t, ray, step).reshape(want_pts.shape)
     assert pts.tobytes() == want_pts.tobytes()
     assert sigma.shape == want_sigma.shape and sigma.dtype == want_sigma.dtype
     assert sigma.tobytes() == want_sigma.tobytes(), np.argwhere(sigma != want_sigma)
@@ -501,6 +504,14 @@ class TestPrimaryMarchCases:
         for steps in (None, 1, 7, 333):
             sigma = assert_primary_matches_dense(scene, origins, dirs, steps=steps)
             assert sigma.shape == (40, 50 if steps is None else steps)
+
+    def test_block_size_does_not_change_bits(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        origins = rng.uniform(-3.0, 3.0, size=(20, 3))
+        dirs = unit(rng.normal(size=(20, 3)))
+        for block in (1, 5, 333):
+            monkeypatch.setattr(transport, "MARCH_BLOCK", block)
+            assert np.count_nonzero(assert_primary_matches_dense(MIXED, origins, dirs)) > 5
 
     def test_empty_scene(self):
         rng = np.random.default_rng(15)

@@ -94,6 +94,11 @@ class TestBlurAndLaplacian:
         with pytest.raises(ValueError, match="sigma"):
             metrics.gaussian_blur(np.ones((4, 4)), sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            metrics.gaussian_blur(np.ones((4, 4)), sigma=sigma)
+
     def test_blur_preserves_constant(self):
         img = np.full((7, 9), 0.37)
         out = metrics.gaussian_blur(img)

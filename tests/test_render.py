@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prtvol import field, render, transport
+from prtvol import field, render, shading, transport
 from conftest import SLAB_SIGMA, SLAB_THICKNESS, WALL_ALBEDO, constant_sh_light
 
 
@@ -103,6 +103,40 @@ class TestImages:
         spc = render.render_image(shiny_sphere_scene, sky_light, cam, "specular", settings)
         assert np.max(np.abs(dif.pixels + spc.pixels - lit.pixels)) < 1e-9
         assert np.max(np.abs(dif.alpha - lit.alpha)) == 0.0
+
+    def test_specular_anchor_normals_are_field_normals(self, shiny_sphere_scene, sky_light,
+                                                       monkeypatch):
+        # The specular term shades each anchor with the normal its transfer
+        # was baked with: field.normals at the anchor position, bit for bit.
+        calls = {}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls.setdefault(name, []).append(args)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+            return real
+
+        normals = spy(field, "normals")
+        spy(field, "material")
+        spy(shading, "specular_radiance")
+        settings = render.RenderSettings(steps=96, secondary_steps=24)
+        render.render_image(shiny_sphere_scene, sky_light, sphere_camera(6, 6), "specular",
+                            settings)
+        # One ray chunk: one material call, at every anchor slot, and one
+        # normals call, at the anchors with weight.
+        assert len(calls["material"]) == len(calls["normals"]) == 1
+        apos = calls["material"][0][1]
+        got = calls["specular_radiance"][0][1]
+        want, valid = normals(shiny_sphere_scene, apos)
+        shaded = np.any(got != 0.0, axis=1)
+        assert got.shape == apos.shape and np.count_nonzero(shaded) > 10
+        assert got[shaded].tobytes() == want[shaded].tobytes()
+        # A slot with a valid normal but none passed on had no weight.
+        weighted = {p.tobytes() for p in calls["normals"][0][1]}
+        assert not any(apos[i].tobytes() in weighted for i in np.flatnonzero(valid & ~shaded))
 
     def test_irradiance_times_albedo_over_pi_is_diffuse(self, sphere_scene, sky_light):
         # One material everywhere, so the relation holds per pixel.

@@ -304,9 +304,11 @@ class TestNrtResidual:
 
 class TestSurfacePoints:
     def test_empty_ray_has_zero_density(self, sphere_scene):
-        pts, sigma, dt = transport.primary_march(
-            sphere_scene, np.array([[0.0, -3.0, 2.5]]), np.array([[0.0, 1.0, 0.0]]))
-        assert pts.shape == (1, 192, 3) and sigma.shape == (1, 192)
+        o, d = np.array([[0.0, -3.0, 2.5]]), np.array([[0.0, 1.0, 0.0]])
+        sigma, t, dt = transport.primary_march(sphere_scene, o, d)
+        assert t.shape == (192,) and sigma.shape == (1, 192)
+        pts = transport.primary_points(o, d, t, np.zeros(192, dtype=int), np.arange(192))
+        assert pts.tobytes() == (o + t[:, None] * d).tobytes()
         assert dt == (8.0 - 0.2) / 192
         assert np.array_equal(sigma, np.zeros((1, 192)))
 
@@ -417,6 +419,20 @@ class TestTransferCache:
         with pytest.raises(ValueError, match="expected"):
             transport.load_transfer_cache(path)
 
+    @pytest.mark.parametrize("cut, extra", [(0, 3), (0, 8), (3, 0)],
+                             ids=["trailing_3", "trailing_8", "missing_3"])
+    def test_payload_size_must_match_sidecar(self, sphere_scene, tmp_path, cut, extra):
+        # The file size is checked before any read, so bytes that do not
+        # make up a whole float are not silently dropped.
+        samples = self._bake_samples(sphere_scene, 3, seed=2)
+        path = str(tmp_path / "cache.bin")
+        transport.save_transfer_cache(path, sphere_scene, samples)
+        data = open(path, "rb").read()
+        with open(path, "wb") as f:
+            f.write(data[:len(data) - cut] + b"\x00" * extra)
+        with pytest.raises(ValueError, match=f"holds {len(data) - cut + extra} bytes, "
+                                             f"expected {len(data)}"):
+            transport.load_transfer_cache(path)
 
     @pytest.mark.parametrize("change", [
         {"degree": None},                   # missing key
