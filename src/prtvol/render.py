@@ -194,7 +194,10 @@ def _trace_batch(scene, light, origins, dirs, mode, settings):
     if mode == "irradiance":
         value = shading.irradiance(coeffs, light).reshape(-1, 3)
     else:
-        albedo, tint = field.material(scene, apos)
+        # Only valid anchors carry weight; the rest keep a zero material.
+        ok = np.flatnonzero(avalid)
+        albedo, tint = np.zeros_like(apos), np.zeros_like(apos)
+        albedo[ok], tint[ok] = field.material(scene, apos[ok])
         diffuse = shading.diffuse_radiance(albedo.reshape(n_rays, m, 3), coeffs,
                                            light).reshape(-1, 3)
         if mode != "diffuse" and np.any(tint > 0.0):

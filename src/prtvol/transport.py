@@ -18,6 +18,12 @@ visibility_map is the one implementation of V * max(0, n . d), and
 transfer is its SH projection, so a transfer dotted with light
 coefficients gives occluded irradiance. Every step works per point, so a
 point's transfer is the same bits whatever batch it is baked in.
+
+A TransferCache rejects non-finite records and sizes a grid over its
+points once. TransferCache.nearest returns exactly the indices a
+brute-force nearest scan would, ties to the lowest index, but scans each
+grid cell of queries only against the points that can be nearest to it,
+with temporaries bounded whatever the cache size.
 """
 
 import json
@@ -386,7 +392,7 @@ def sample_surface_points(scene, count, seed=0, steps=None, max_tries=None):
 
 
 CACHE_RECORD_FLOATS = 6  # position + normal; transfer coeffs follow
-NEAREST_CHUNK_ENTRIES = 1 << 18  # query-point distances held at once by nearest
+NEAREST_CHUNK_ENTRIES = 1 << 16  # distance pairs held at once by nearest
 
 
 def save_transfer_cache(path, scene, samples, degree=4):
@@ -414,6 +420,76 @@ def save_transfer_cache(path, scene, samples, degree=4):
         f.write("\n")
 
 
+def _query_grid(positions):
+    """Origin, cell edge and per-axis cell counts of nearest's query cells.
+
+    The edge is half the spacing the points would have spread evenly over
+    the bounding box of their non-flat axes, and no axis holds more cells
+    than points (nor more than 2**20). A cache without extent, or whose
+    extent overflows, gets one cell.
+    """
+    lo = positions.min(axis=0)
+    with np.errstate(over="ignore"):
+        extent = positions.max(axis=0) - lo
+        wide = extent > 0.0
+        if wide.any():
+            edge = 0.5 * (np.prod(extent[wide]) / positions.shape[0]) ** (1.0 / wide.sum())
+            edge = max(edge, extent.max() / min(positions.shape[0], 1 << 20))
+        else:
+            edge = 0.0
+    if not 0.0 < edge < np.inf:
+        return lo, 1.0, np.ones(3, dtype=np.intp)
+    return lo, edge, (extent // edge).astype(np.intp) + 1
+
+
+def _candidates(cols, lo, hi):
+    """(cell, point) pairs that can hold a query's nearest point, cell by cell.
+
+    lo and hi are (3, C) query boxes, cols the (3, P) cached points. A
+    point is kept when its squared distance to the box is at most the
+    least, over all points, squared distance to the box's farthest corner.
+    Both are summed as (x0 + x1) + x2 from per-axis distances to the box's
+    faces. Rounding is monotone, so for every query in the box a point's
+    distance to the box never exceeds its computed squared distance to the
+    query, and a point's farthest-corner distance never falls below it:
+    every point at the least computed distance is kept.
+    """
+    for axis in range(3):
+        below = np.subtract.outer(lo[axis], cols[axis])  # lo - p
+        above = np.subtract.outer(hi[axis], cols[axis])  # hi - p
+        span = np.negative(below)
+        np.maximum(span, above, out=span)
+        np.negative(above, out=above)
+        np.maximum(below, above, out=below)
+        np.maximum(below, 0.0, out=below)
+        below *= below
+        span *= span
+        if axis == 0:
+            near, far = below, span
+        else:
+            near += below
+            far += span
+    return np.nonzero(near <= np.min(far, axis=1)[:, None])
+
+
+def _match(q, cols, cand, first, count):
+    """Nearest of each query's candidates cand[first:first + count], lowest index on ties.
+
+    q is (3, N); squared distances are (q0-p0)^2 + (q1-p1)^2 + (q2-p2)^2,
+    as a brute-force scan computes them.
+    """
+    seg = np.cumsum(count) - count
+    idx = cand[np.arange(seg[-1] + count[-1]) - np.repeat(seg - first, count)]
+    d2 = np.repeat(q[0], count) - cols[0, idx]
+    d2 *= d2
+    for axis in (1, 2):
+        e = np.repeat(q[axis], count) - cols[axis, idx]
+        e *= e
+        d2 += e
+    best = np.repeat(np.minimum.reduceat(d2, seg), count)
+    return np.minimum.reduceat(np.where(d2 == best, idx, cols.shape[1]), seg)
+
+
 @dataclass(frozen=True)
 class TransferCache:
     positions: np.ndarray
@@ -421,27 +497,78 @@ class TransferCache:
     coeffs: np.ndarray
     degree: int
 
-    def nearest(self, query):
-        """Indices of the nearest cached point for each query row.
+    def __post_init__(self):
+        """Reject non-finite records; size the lookup grid once, for all threads."""
+        finite = np.isfinite(self.positions).all(axis=1)
+        for part in (self.normals, self.coeffs):
+            finite &= np.isfinite(part).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"transfer cache record {np.argmin(finite)} is not finite")
+        cols = np.asarray(self.positions, dtype=np.float64).T.copy()
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_grid", _query_grid(cols.T))
 
-        Ties go to the lowest index. Queries are matched in chunks of
-        NEAREST_CHUNK_ENTRIES query-point distances (one query per chunk
-        once the cache is larger), so the temporaries do not grow with the
+    def nearest(self, query):
+        """Indices of the nearest cached point for each query row, exactly.
+
+        Returns what a brute-force scan of the squared distances
+        (q0-p0)^2 + (q1-p1)^2 + (q2-p2)^2 returns: ties go to the lowest
+        index, and a row with a non-finite coordinate gets 0. Queries are
+        grouped by the cubic cells of _query_grid (queries outside the
+        cache's bounds share a shell of cells), and each group is scanned
+        only against the points _candidates keeps for the bounding box of
+        its queries. Box bounds are taken for NEAREST_CHUNK_ENTRIES (cell,
+        point) pairs at a time and query distances for as many (query,
+        candidate) pairs, or for one cell or one query once the cache is
+        larger, so the temporaries grow with neither the cache size nor the
         query count.
         """
         query = np.asarray(query, dtype=np.float64)
-        cols = self.positions.T.copy()
-        rows = max(1, NEAREST_CHUNK_ENTRIES // max(1, cols.shape[1]))
-        out = np.empty(query.shape[0], dtype=np.intp)
-        for lo in range(0, query.shape[0], rows):
-            q = query[lo:lo + rows]
-            d2 = np.subtract.outer(q[:, 0], cols[0])
-            d2 *= d2
-            for axis in (1, 2):
-                e = np.subtract.outer(q[:, axis], cols[axis])
-                e *= e
-                d2 += e
-            out[lo:lo + rows] = np.argmin(d2, axis=1)
+        cols = self._cols
+        out = np.zeros(query.shape[0], dtype=np.intp)
+        rows = np.flatnonzero(np.isfinite(query).all(axis=1))
+        if rows.size == 0:
+            return out
+        lo, edge, cells = self._grid
+        with np.errstate(over="ignore"):
+            k = (query[rows] - lo) / edge
+        np.clip(k, -1, cells, out=k)
+        k = k.astype(np.intp) + 1
+        # A cell costs one pass over the cache and a query one over its
+        # cell's candidates, which grow with the cell: cells are merged
+        # 2x2x2 until they number at most four times the square root of
+        # the query count, so the first cost cannot swamp the second when
+        # the cells of a large cache are small.
+        while True:
+            key = (k[:, 0] * (cells[1] + 2) + k[:, 1]) * (cells[2] + 2) + k[:, 2]
+            order = np.argsort(key)
+            key = key[order]
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            if starts.size ** 2 <= 16 * rows.size:
+                break
+            k >>= 1
+        rows = rows[order]
+        q = query[rows].T.copy()
+        ends = np.r_[starts[1:], rows.size]
+        box_lo = np.minimum.reduceat(q, starts, axis=1)
+        box_hi = np.maximum.reduceat(q, starts, axis=1)
+        step = max(1, NEAREST_CHUNK_ENTRIES // cols.shape[1])
+        for c0 in range(0, starts.size, step):
+            c1 = min(c0 + step, starts.size)
+            cell, cand = _candidates(cols, box_lo[:, c0:c1], box_hi[:, c0:c1])
+            per_cell = np.bincount(cell, minlength=c1 - c0)
+            members = ends[c0:c1] - starts[c0:c1]
+            count = np.repeat(per_cell, members)
+            first = np.repeat(np.cumsum(per_cell) - per_cell, members)
+            # Runs of queries with at most NEAREST_CHUNK_ENTRIES candidates.
+            total = np.cumsum(count)
+            i, base = 0, starts[c0]
+            while i < count.size:
+                j = max(i + 1, int(np.searchsorted(
+                    total, total[i] - count[i] + NEAREST_CHUNK_ENTRIES, side="right")))
+                sl = slice(base + i, base + j)
+                out[rows[sl]] = _match(q[:, sl], cols, cand, first[i:j], count[i:j])
+                i = j
         return out
 
 

@@ -214,6 +214,12 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     run(rnd + ["--threads", "4", "-o", img_b])
     ok = ok and open(img_a, "rb").read() == open(img_b, "rb").read()
 
+    cached_a, cached_b = (str(tmp_path / f"cached_{k}.pfm") for k in "ab")
+    cached = rnd + ["--cache", cache_a, "--width", "48", "--height", "48"]  # three ray chunks
+    run(cached + ["--threads", "1", "-o", cached_a])
+    run(cached + ["--threads", "4", "-o", cached_b])
+    ok = ok and open(cached_a, "rb").read() == open(cached_b, "rb").read()
+
     rep_a, rep_b = (str(tmp_path / f"rep_{k}.json") for k in "ab")
     val = ["validate", str(scene_path), "--env", sh_a, "--points", "2",
            "--mc-samples", "300", "--grid", "16", "32"]
@@ -233,5 +239,5 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
 
     with capsys.disabled():
         _report(9, ok,
-                f"project-env, bake, render, validate, metrics byte-stable "
+                f"project-env, bake, render (uncached and cached), validate, metrics byte-stable "
                 f"across reruns and thread counts, {elapsed:.1f} s")

@@ -300,6 +300,24 @@ class TestRender:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("column", [0, 4, 10], ids=["position", "normal", "coeff"])
+    def test_non_finite_cache_record_is_runtime_error(self, workdir, scene_file, light_file,
+                                                       capsys, column):
+        # A NaN coefficient used to render a NaN image with exit 0, and a NaN
+        # position sent every anchor to record 0.
+        cache = str(workdir / f"nan_{column}.bin")
+        assert cli.main(["bake", scene_file, "--points", "3", "--resolution", "16", "32",
+                         "-o", cache]) == 0
+        rows = np.fromfile(cache, dtype="<f8").reshape(3, -1)
+        rows[2, column] = np.nan
+        rows.tofile(cache)
+        capsys.readouterr()
+        out = workdir / f"nan_{column}.pfm"
+        assert cli.main(["render", scene_file, "--env", light_file, "--cache", cache,
+                         "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: transfer cache record 2 is not finite\n"
+        assert not out.exists()
+
 @pytest.fixture(scope="module")
 def sparse_scene_file(workdir):
     """A small sphere off center that most probe rays miss."""

@@ -2,6 +2,8 @@ import functools
 import json
 import math
 import pathlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -350,6 +352,22 @@ class TestSurfacePoints:
             transport.sample_surface_points(empty_scene, 5, seed=0, max_tries=50)
 
 
+def brute_nearest(pos, query):
+    """Lowest index of the least (q0-p0)^2 + (q1-p1)^2 + (q2-p2)^2 per query row."""
+    return np.argmin(np.sum((query[:, None, :] - pos[None, :, :]) ** 2, axis=-1), axis=1)
+
+
+def cache_of(pos):
+    return transport.TransferCache(positions=pos, normals=np.zeros_like(pos),
+                                   coeffs=np.zeros((pos.shape[0], 1)), degree=0)
+
+
+def surface_cloud(rng, n):
+    """n points on a unit sphere, roughly like a surface cache."""
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 class TestTransferCache:
     def _bake_samples(self, scene, count, seed):
         pts, _ = transport.sample_surface_points(scene, count, seed=seed)
@@ -378,23 +396,53 @@ class TestTransferCache:
         idx = cache.nearest(cache.positions[3][None, :] + 1e-6)
         assert idx[0] == 3
 
-    def test_nearest_matches_brute_force(self, monkeypatch):
+    def test_nearest_matches_brute_force(self):
+        # A fixed-seed volume of points with duplicates and exact hits, at
+        # the default cell edge and chunk size; the property test below
+        # sweeps both.
         rng = np.random.default_rng(12)
         pos = rng.uniform(-1.0, 1.0, size=(300, 3))
         pos[[7, 150, 299]] = pos[40]  # duplicates: the lowest index wins
         query = rng.uniform(-1.2, 1.2, size=(1000, 3))
         query[:100] = pos[rng.integers(0, 300, 100)]  # exact hits
         query[100] = pos[150]
-        cache = transport.TransferCache(positions=pos, normals=np.zeros_like(pos),
-                                        coeffs=np.zeros((300, 1)), degree=0)
-        brute = np.argmin(np.sum((query[:, None, :] - pos[None, :, :]) ** 2, axis=-1), axis=1)
+        brute = brute_nearest(pos, query)
         assert brute[100] == 7
         assert np.array_equal(pos[brute[:100]], query[:100])
-        for entries in (1, 299, 301, 4096, 1 << 20):  # one query per chunk up to one chunk
-            monkeypatch.setattr(transport, "NEAREST_CHUNK_ENTRIES", entries)
+        got = cache_of(pos).nearest(query)
+        assert got.shape == (1000,) and np.array_equal(got, brute)
+
+    @pytest.mark.parametrize("points", [500, 100_000])
+    def test_nearest_peak_memory_is_bounded(self, points):
+        # The largest temporaries hold NEAREST_CHUNK_ENTRIES (cell, point) or
+        # (query, candidate) pairs, or one cell's pass over the cache once it
+        # is larger, so the peak (2.8 MiB and 4.9 MiB here) stays far below
+        # the 1.6 GB of all 2,000 x 100,000 distances.
+        rng = np.random.default_rng(3)
+        pos = surface_cloud(rng, points)
+        query = surface_cloud(rng, 2000) * 1.01
+        cache = cache_of(pos)
+        tracemalloc.start()
+        try:
             got = cache.nearest(query)
-            assert got.shape == (1000,) and np.array_equal(got, brute)
-        assert cache.nearest(np.zeros((0, 3))).shape == (0,)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        some = rng.choice(query.shape[0], 20, replace=False)
+        assert np.array_equal(got[some], brute_nearest(pos, query[some]))
+
+    @pytest.mark.parametrize("column", [1, 3, 9], ids=["position", "normal", "coeff"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_record_rejected(self, sphere_scene, tmp_path, column, bad):
+        path = str(tmp_path / "cache.bin")
+        transport.save_transfer_cache(path, sphere_scene,
+                                      self._bake_samples(sphere_scene, 3, seed=2))
+        rows = np.fromfile(path, dtype="<f8").reshape(3, -1)
+        rows[1, column] = bad
+        rows.tofile(path)
+        with pytest.raises(ValueError, match="transfer cache record 1 is not finite"):
+            transport.load_transfer_cache(path)
 
     def test_wrong_scene_rejected(self, sphere_scene, blocker_scene, tmp_path):
         samples = self._bake_samples(sphere_scene, 3, seed=2)
@@ -473,6 +521,87 @@ class TestTransferCache:
         (tmp_path / "cache.bin.json").write_text(text)
         with pytest.raises(ValueError):
             transport.load_transfer_cache(str(path))
+
+
+@st.composite
+def lookup_cases(draw):
+    """Cache positions and queries for the exact nearest lookup.
+
+    Clouds fill a volume, lie on a sphere or a plane, sit on an integer
+    lattice (so half-integer queries are equidistant from several points,
+    and cells of edge 0.5 or 1 put them on cell faces), are coplanar,
+    all identical or a single point. Duplicates are copied to later
+    indices. Queries mix near misses, exact hits, lattice half-points,
+    points far outside the bounds and rows with a non-finite coordinate.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["volume", "sphere", "plane", "lattice", "coplanar",
+                                 "identical", "one"]))
+    n = 1 if kind == "one" else draw(st.integers(1, 120))
+    if kind == "volume":
+        pos = rng.uniform(-1.0, 1.0, (n, 3))
+    elif kind == "sphere":
+        pos = surface_cloud(rng, n) * rng.uniform(0.1, 3.0) + rng.uniform(-1.0, 1.0, 3)
+    elif kind == "plane":
+        u, v = rng.uniform(-1.0, 1.0, (2, n, 1))
+        pos = u * rng.normal(size=3) + v * rng.normal(size=3) + rng.normal(scale=1e-3,
+                                                                            size=(n, 3))
+    elif kind == "lattice":
+        pos = rng.integers(-3, 4, (n, 3)).astype(np.float64)
+    elif kind == "coplanar":
+        pos = rng.uniform(-1.0, 1.0, (n, 3))
+        pos[:, draw(st.integers(0, 2))] = rng.uniform(-1.0, 1.0)
+    else:
+        pos = np.tile(rng.uniform(-1.0, 1.0, 3), (n, 1))
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = np.sort(rng.choice(n, 2, replace=False))
+        pos[j] = pos[i]
+    parts = [np.zeros((0, 3))]
+    for part in draw(st.lists(st.sampled_from(["near", "hit", "half", "far", "non-finite"]),
+                              max_size=5)):
+        m = draw(st.integers(1, 40))
+        if part == "near":
+            q = pos[rng.integers(0, n, m)] + rng.normal(scale=10.0 ** rng.uniform(-6, 0),
+                                                        size=(m, 3))
+        elif part == "hit":
+            q = pos[rng.integers(0, n, m)]
+        elif part == "half":
+            q = rng.integers(-8, 9, (m, 3)) / 2.0
+        elif part == "far":
+            q = rng.uniform(-1.0, 1.0, (m, 3)) * 10.0 ** rng.integers(1, 7, (m, 1))
+        else:
+            q = rng.uniform(-1.0, 1.0, (m, 3))
+            q[rng.integers(0, m), rng.integers(0, 3)] = rng.choice([np.nan, np.inf, -np.inf])
+        parts.append(q)
+    query = np.vstack(parts)
+    return pos, query[rng.permutation(query.shape[0])]
+
+
+def grid_with_edge(edge):
+    """A _query_grid stand-in with a fixed cell edge over the cache bounds."""
+    def grid(positions):
+        lo = positions.min(axis=0)
+        return lo, edge, ((positions.max(axis=0) - lo) // edge).astype(np.intp) + 1
+    return grid
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=lookup_cases(), edge=st.sampled_from([None, 0.125, 0.5, 1.0, 3.0]),
+       entries=st.sampled_from([1, 2, 7, 64, 1 << 16]))
+def test_nearest_equals_brute_force(case, edge, entries):
+    # Any cell edge and any chunk size give the brute-force indices: the
+    # lowest index among the points at the least computed squared distance,
+    # and 0 for a row with a non-finite coordinate.
+    pos, query = case
+    with mock.patch.object(transport, "NEAREST_CHUNK_ENTRIES", entries):
+        if edge is None:
+            cache = cache_of(pos)
+        else:
+            with mock.patch.object(transport, "_query_grid", grid_with_edge(edge)):
+                cache = cache_of(pos)
+        got = cache.nearest(query)
+    assert got.shape == (query.shape[0],) and got.dtype == np.intp
+    assert np.array_equal(got, brute_nearest(pos, query))
 
 
 class TestVisibilityMap:
