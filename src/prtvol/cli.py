@@ -320,6 +320,10 @@ def main(argv=None):
     except (ValueError, OSError, imageio.PfmError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: out of memory ({e or 'allocation failed'}); "
+              "try a smaller resolution or image size", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

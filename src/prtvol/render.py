@@ -243,7 +243,8 @@ def _anchor_transfers(scene, light, apos, aw, settings):
         if cache.degree != degree:
             raise ValueError(
                 f"transfer cache degree {cache.degree} does not match light degree {degree}")
-        coeffs[sel] = np.where(avalid[sel, None], cache.coeffs[cache.nearest(pos)], 0.0)
+        sel = sel[avalid[sel]]
+        coeffs[sel] = cache.coeffs[cache.nearest(apos[sel])]
     else:
         coeffs[sel] = transport.bake_transfer_batch(
             scene, pos, anrm[sel], degree=degree, resolution=settings.transfer_grid,

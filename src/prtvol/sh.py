@@ -12,15 +12,27 @@ phase Y_{1,1}(d) = sqrt(3/(4 pi)) * x. Directions are cartesian with +z up.
 
 Projection uses midpoint latitude-longitude quadrature: nodes at cell
 centers of an n_theta x n_phi grid, weight sin(theta) dtheta dphi.
+
+eval_basis returns the basis direction-major, (..., n) and C-contiguous.
+Projections multiply that layout with BLAS, and a coefficient-major
+(n, N) basis would change their bits. basis_grid caches recently used
+quadrature grids up to a byte bound.
 """
 
 import math
-from functools import lru_cache
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
 DEFAULT_DEGREE = 4
 MAX_DEGREE = 8
+# Directions per block of eval_basis; a degree-8 block's rows take 3.9 MB.
+# Larger blocks ran no faster and left more heap resident after threaded
+# calls. A power of two would make the transposed copy out of a block
+# thrash the cache through its row stride.
+_BASIS_BLOCK = 6_000
+_GRID_CACHE_BYTES = 128 << 20  # most bytes of grids that basis_grid keeps alive
 
 
 def num_coeffs(degree):
@@ -61,12 +73,18 @@ def normalize(v):
 def eval_basis(dirs, degree=DEFAULT_DEGREE):
     """Evaluate all basis functions for bands 0..degree.
 
+    The recurrence runs over blocks of _BASIS_BLOCK directions, one
+    contiguous row per coefficient, and each block is copied into its
+    rows of the result. Every value is the same elementwise expression
+    of its own direction, so a direction gets the same bits alone as in
+    any batch.
+
     Args:
         dirs: array (..., 3) of unit directions.
         degree: highest band, 0 <= degree <= 8.
 
     Returns:
-        Array (..., (degree+1)**2) of basis values, float64.
+        C-contiguous float64 array (..., (degree+1)**2) of basis values.
     """
     if not 0 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree {degree} outside supported range [0, {MAX_DEGREE}]")
@@ -76,11 +94,22 @@ def eval_basis(dirs, degree=DEFAULT_DEGREE):
     if not np.all(np.isfinite(dirs)):
         raise ValueError("non-finite direction components")
 
-    x = dirs[..., 0]
-    y = dirs[..., 1]
-    z = dirs[..., 2]
-    out = np.empty(dirs.shape[:-1] + (num_coeffs(degree),), dtype=np.float64)
+    n = num_coeffs(degree)
+    flat = dirs.reshape(-1, 3)
+    total = flat.shape[0]
+    out = np.empty((total, n), dtype=np.float64)
+    rows = np.empty((n, min(total, _BASIS_BLOCK)), dtype=np.float64)
+    for b in range(0, total, _BASIS_BLOCK):
+        e = min(b + _BASIS_BLOCK, total)
+        block = rows[:, : e - b]
+        _eval_block(flat[b:e].T.copy(), degree, block)
+        out[b:e] = block.T
+    return out.reshape(dirs.shape[:-1] + (n,))
 
+
+def _eval_block(xyz, degree, rows):
+    """Basis values of the directions xyz (3, B) into rows (n, B)."""
+    x, y, z = xyz
     # cos(m phi) and sin(m phi) scaled by sin(theta)^m, built from x and y;
     # the matching sin^m factor is divided out of the Legendre term below.
     cos_m = np.ones_like(x)
@@ -91,20 +120,21 @@ def eval_basis(dirs, degree=DEFAULT_DEGREE):
         # q holds P_l^m(z) / sin(theta)^m, which satisfies the same
         # three-term recurrence in l for fixed m.
         q_prev = None
-        q = np.full_like(x, float(_double_factorial(2 * m - 1)))
+        q = np.full_like(x, _START[m])
         for l in range(m, degree + 1):
             if l == m + 1:
                 q_prev, q = q, (2 * m + 1) * z * q
             elif l > m + 1:
                 q_prev, q = q, ((2 * l - 1) * z * q - (l + m - 1) * q_prev) / (l - m)
-            k = _norm_constant(l, m)
+            k = _SCALE[l][m]
             if m == 0:
-                out[..., sh_index(l, 0)] = k * q
+                np.multiply(k, q, out=rows[sh_index(l, 0)])
             else:
-                c = math.sqrt(2.0) * k
-                out[..., sh_index(l, m)] = c * cos_m * q
-                out[..., sh_index(l, -m)] = c * sin_m * q
-    return out
+                c_row, s_row = rows[sh_index(l, m)], rows[sh_index(l, -m)]
+                np.multiply(k, cos_m, out=c_row)
+                c_row *= q
+                np.multiply(k, sin_m, out=s_row)
+                s_row *= q
 
 
 def quadrature_nodes(n_theta=128, n_phi=256):
@@ -136,16 +166,34 @@ def quadrature_nodes(n_theta=128, n_phi=256):
     return dirs.reshape(-1, 3), weights.reshape(-1).copy()
 
 
-@lru_cache(maxsize=32)
+_grids = OrderedDict()  # (degree, n_theta, n_phi) -> grid, least recently used first
+_grid_lock = threading.Lock()
+
+
 def basis_grid(degree, n_theta, n_phi):
     """Cached (dirs, weights, basis) for a quadrature grid.
 
-    Returned arrays are shared across callers; treat them as read-only.
+    The most recently used grids stay cached while their arrays total at
+    most _GRID_CACHE_BYTES; a grid larger than that is rebuilt on every
+    call. basis_grid.cache_clear() empties the cache. Returned arrays are
+    shared across callers; treat them as read-only.
     """
+    key = (degree, n_theta, n_phi)
+    with _grid_lock:
+        if key in _grids:
+            _grids.move_to_end(key)
+            return _grids[key]
     dirs, weights = quadrature_nodes(n_theta, n_phi)
-    basis = eval_basis(dirs, degree)
-    return dirs, weights, basis
+    grid = dirs, weights, eval_basis(dirs, degree)
+    with _grid_lock:
+        _grids[key] = grid
+        _grids.move_to_end(key)
+        while sum(a.nbytes for g in _grids.values() for a in g) > _GRID_CACHE_BYTES:
+            _grids.popitem(last=False)
+    return grid
 
+
+basis_grid.cache_clear = _grids.clear
 
 # Kept for bench/tracer.py, which wraps this alias by name.
 _cached_grid = basis_grid
@@ -194,17 +242,14 @@ def gram_matrix(degree=DEFAULT_DEGREE, n_theta=128, n_phi=256):
     return basis.T @ (basis * weights[:, None])
 
 
-def _double_factorial(n):
-    if n <= 0:
-        return 1
-    r = 1
-    while n > 1:
-        r *= n
-        n -= 2
-    return r
-
-
 def _norm_constant(l, m):
     return math.sqrt(
         (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
     )
+
+
+# Start of the order-m Legendre recurrence, (2m-1)!!, and the scale of
+# basis function (l, m): K(l, 0), and sqrt(2) * K(l, m) for m > 0.
+_START = [float(math.prod(range(2 * m - 1, 0, -2))) for m in range(MAX_DEGREE + 1)]
+_SCALE = [[_norm_constant(l, 0)] + [math.sqrt(2.0) * _norm_constant(l, m) for m in range(1, l + 1)]
+          for l in range(MAX_DEGREE + 1)]

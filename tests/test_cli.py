@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from prtvol import cli, envlight, field, imageio, transport
+from prtvol import cli, envlight, field, imageio, render, transport
 from conftest import lobe_sh_light, sphere_scene_dict
 
 EXAMPLE_SCENE = pathlib.Path(__file__).resolve().parents[1] / "docs" / "example_scene.json"
@@ -475,6 +475,27 @@ class TestTopLevel:
         assert cli.main([files.get(a, a) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, callee", [
+        ("project-env", (envlight, "project_to_sh")),
+        ("bake", (transport, "sample_surface_points")),
+        ("render", (render, "render_image")),
+    ])
+    def test_out_of_memory_is_runtime_error(self, command, callee, scene_file, light_file,
+                                            envmap_file, workdir, monkeypatch, capsys):
+        # Stands in for a resolution or image size too large to allocate.
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 224. GiB for an array")
+        monkeypatch.setattr(*callee, exhausted)
+        out = workdir / "never_written"
+        base = {"render": [scene_file, "--env", light_file],
+                "bake": [scene_file],
+                "project-env": [envmap_file]}[command]
+        assert cli.main([command] + base + ["-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "224. GiB" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", [

@@ -108,7 +108,8 @@ class TestImages:
                                                        monkeypatch):
         # The specular term shades each anchor with the normal its transfer
         # was baked with: field.normals at the anchor position, bit for bit.
-        # Material is looked up only where an anchor is shaded.
+        # Material and cached transfer are looked up only where an anchor
+        # is shaded.
         calls = {}
 
         def spy(module, name):
@@ -138,6 +139,21 @@ class TestImages:
         shaded = np.any(got != 0.0, axis=1)
         assert got.shape[0] > weighted.shape[0] and np.count_nonzero(shaded) > 10
         assert got[shaded].tobytes() == want[valid].tobytes()
+
+        # A cached render queries the cache at exactly those anchors.
+        spy(transport.TransferCache, "nearest")
+        pos = np.random.default_rng(2).normal(size=(40, 3))
+        cache = transport.TransferCache(positions=pos, normals=np.zeros_like(pos),
+                                        coeffs=np.ones((40, sky_light.coeffs.shape[0])),
+                                        degree=sky_light.degree)
+        calls.clear()
+        render.render_image(shiny_sphere_scene, sky_light, sphere_camera(6, 6), "specular",
+                            render.RenderSettings(steps=96, transfer_cache=cache))
+        assert len(calls["nearest"]) == len(calls["normals"]) == 1
+        weighted = calls["normals"][0][1]
+        _, valid = normals(shiny_sphere_scene, weighted)
+        assert 10 < np.count_nonzero(valid) < weighted.shape[0]
+        assert calls["nearest"][0][1].tobytes() == weighted[valid].tobytes()
 
     def test_irradiance_times_albedo_over_pi_is_diffuse(self, sphere_scene, sky_light):
         # One material everywhere, so the relation holds per pixel.

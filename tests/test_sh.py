@@ -1,7 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prtvol import sh
 
@@ -93,6 +98,118 @@ class TestEvalBasis:
         b2 = sh.eval_basis(dirs, degree=2)
         assert b8.shape == (40, 81)
         assert np.max(np.abs(b8[:, :9] - b2)) < 1e-14
+
+
+class TestBlockedEvaluation:
+    """eval_basis evaluates in blocks of sh._BASIS_BLOCK directions; no
+    value may depend on the blocks or on the rest of the batch."""
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_direction_alone_equals_any_batch(self, block, data, monkeypatch):
+        monkeypatch.setattr(sh, "_BASIS_BLOCK", block)
+        degree = data.draw(st.integers(0, sh.MAX_DEGREE), label="degree")
+        size = data.draw(st.sampled_from([block - 1, block, block + 1, 2 * block + 7]),
+                         label="size")
+        # Any finite components; unit length does not matter to the bits.
+        dirs = data.draw(arrays(np.float64, (size, 3), elements=st.floats(-1.0, 1.0)),
+                         label="dirs")
+        rows = data.draw(st.sampled_from([1] + [d for d in range(2, size + 1) if size % d == 0]),
+                         label="rows")
+        shape = data.draw(st.sampled_from([(size,), (rows, size // rows)]), label="shape")
+        n = sh.num_coeffs(degree)
+        batch = sh.eval_basis(dirs.reshape(shape + (3,)), degree)
+        assert batch.shape == shape + (n,)
+        flat = batch.reshape(size, n)
+        for i in range(size):
+            alone = sh.eval_basis(dirs[i], degree)
+            assert alone.shape == (n,) and alone.tobytes() == flat[i].tobytes()
+        pick = data.draw(st.permutations(range(size)), label="order")[: size // 2 + 1]
+        assert sh.eval_basis(dirs[pick], degree).tobytes() == flat[pick].tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3), (0, 3), (2, 0, 3)])
+    @pytest.mark.parametrize("degree", [0, 4, 8])
+    def test_result_is_c_contiguous_float64(self, shape, degree):
+        # Projections multiply this layout with BLAS, whose bits depend on it.
+        count = int(np.prod(shape[:-1]))
+        dirs = np.asfortranarray(random_unit_dirs(count, seed=4).reshape(shape))
+        for given_dirs in (dirs, dirs.astype(np.float32)):
+            got = sh.eval_basis(given_dirs, degree)
+            assert got.shape == shape[:-1] + (sh.num_coeffs(degree),)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+
+
+class TestBasisGridCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        sh.basis_grid.cache_clear()
+        yield
+        sh.basis_grid.cache_clear()
+
+    @staticmethod
+    def nbytes(grid):
+        return sum(a.nbytes for a in grid)
+
+    def test_keeps_recently_used_grids_up_to_bound(self, monkeypatch):
+        keys = [(0, 8, 16), (0, 8, 17), (0, 9, 16)]
+        sizes = [t * p * (3 + 1 + 1) * 8 for _, t, p in keys]  # dirs, weight, one column
+        assert sizes[0] < sizes[1] < sizes[2]
+        monkeypatch.setattr(sh, "_GRID_CACHE_BYTES", sizes[0] + sizes[2])
+        a, b = sh.basis_grid(*keys[0]), sh.basis_grid(*keys[1])
+        assert self.nbytes(a) == sizes[0] and self.nbytes(b) == sizes[1]
+        assert sh.basis_grid(*keys[1]) is b
+        assert sh.basis_grid(*keys[0]) is a  # a is now the most recently used
+        c = sh.basis_grid(*keys[2])  # evicts b, the least recently used
+        assert sh.basis_grid(*keys[0]) is a and sh.basis_grid(*keys[2]) is c
+        rebuilt = sh.basis_grid(*keys[1])
+        assert rebuilt is not b
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(rebuilt, b))
+
+    def test_grid_above_bound_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(sh, "_GRID_CACHE_BYTES", 1000)
+        a = sh.basis_grid(2, 8, 16)
+        b = sh.basis_grid(2, 8, 16)
+        assert a is not b and a[2].tobytes() == b[2].tobytes()
+
+    def test_threads_share_the_cache_safely(self, monkeypatch):
+        # Render and validate threads call basis_grid concurrently; with a
+        # bound of about two grids every call inserts and evicts.
+        keys = [(d, 8, 16) for d in range(4)]
+        want = {k: sh.eval_basis(sh.quadrature_nodes(8, 16)[0], k[0]).tobytes() for k in keys}
+        monkeypatch.setattr(sh, "_GRID_CACHE_BYTES", 2 * 128 * (3 + 1 + 9) * 8)
+        errors = []
+
+        def worker(seed):
+            try:
+                for i in range(500):
+                    k = keys[(seed + i * (seed + 1)) % len(keys)]
+                    if sh.basis_grid(*k)[2].tobytes() != want[k]:
+                        errors.append(k)
+            except Exception as e:  # reported below; a thread cannot fail the test itself
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        kept = sum(a.nbytes for g in sh._grids.values() for a in g)
+        assert 0 < kept <= sh._GRID_CACHE_BYTES
+
+    def test_cache_clear_through_alias(self):
+        a = sh.basis_grid(1, 8, 16)
+        assert sh.basis_grid(1, 8, 16) is a
+        sh._cached_grid.cache_clear()
+        assert sh.basis_grid(1, 8, 16) is not a
 
 
 class TestOrthonormality:
