@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import chunks, envlight, field, imageio, metrics, oracle, render, transport
+from . import chunks, envlight, field, imageio, metrics, oracle, render, sh, transport
 
 BAKE_CHUNK = 32  # points per bake batch; fixed so threads cannot reorder math
 
@@ -28,15 +28,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text):
-    """argparse type for counts and sizes: an integer of at least 1."""
+def _int_in(text, low, high, what):
+    """An integer low <= value <= high (high None for no bound), else ArgumentTypeError."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < low or (high is not None and value > high):
+        raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
     return value
+
+
+def _positive_int(text):
+    """argparse type for counts and sizes: an integer of at least 1."""
+    return _int_in(text, 1, None, "a positive integer")
+
+
+def _non_negative_int(text):
+    """argparse type for RNG seeds: an integer of at least 0."""
+    return _int_in(text, 0, None, "a non-negative integer")
+
+
+def _degree(text):
+    """argparse type for SH degrees: an integer the basis supports."""
+    return _int_in(text, 0, sh.MAX_DEGREE, f"an integer in [0, {sh.MAX_DEGREE}]")
 
 
 def _finite_float(text):
@@ -102,12 +117,9 @@ def _cmd_bake(args):
             scene, positions[lo:hi], normals[lo:hi], degree=args.degree,
             resolution=tuple(args.resolution), steps=args.secondary_steps)
 
-    out = chunks.map_chunks(run, len(points), BAKE_CHUNK, args.threads)
-    coeffs = np.vstack(out)
-    samples = [transport.TransferSample(point=p, transfer=c)
-               for p, c in zip(points, coeffs)]
-    transport.save_transfer_cache(args.output, scene, samples, degree=args.degree)
-    print(f"baked {len(samples)} points at degree {args.degree} -> {args.output}")
+    coeffs = np.vstack(chunks.map_chunks(run, len(points), BAKE_CHUNK, args.threads))
+    transport.save_transfer_cache(args.output, scene, positions, normals, coeffs)
+    print(f"baked {len(points)} points at degree {args.degree} -> {args.output}")
 
 
 def _camera_from(args, embedded):
@@ -209,7 +221,7 @@ def build_parser():
     p = sub.add_parser("project-env", formatter_class=fmt,
                        help="project an environment map onto SH coefficients")
     p.add_argument("envmap", help="equirectangular PFM environment map")
-    p.add_argument("--degree", type=int, default=4, help="SH truncation degree")
+    p.add_argument("--degree", type=_degree, default=4, help="SH truncation degree")
     p.add_argument("--exposure", type=_finite_float, default=1.0,
                    help="linear multiplier applied on load")
     p.add_argument("--resolution", type=_positive_int, nargs=2, metavar=("H", "W"), default=None,
@@ -221,8 +233,8 @@ def build_parser():
                        help="bake a transfer cache at sampled surface points")
     p.add_argument("scene", help="scene JSON")
     p.add_argument("--points", type=_positive_int, default=500, help="surface points to bake")
-    p.add_argument("--degree", type=int, default=4, help="SH truncation degree")
-    p.add_argument("--seed", type=int, default=0, help="probe-ray RNG seed")
+    p.add_argument("--degree", type=_degree, default=4, help="SH truncation degree")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="probe-ray RNG seed")
     p.add_argument("--resolution", type=_positive_int, nargs=2, metavar=("H", "W"),
                    default=list(transport.BAKE_GRID), help="bake direction grid")
     p.add_argument("--secondary-steps", type=_positive_int, default=None,
@@ -237,7 +249,7 @@ def build_parser():
     p.add_argument("scene", help="scene JSON, camera block optional")
     p.add_argument("--env", default=None,
                    help="SH light JSON, or a PFM map projected at --degree")
-    p.add_argument("--degree", type=int, default=4,
+    p.add_argument("--degree", type=_degree, default=4,
                    help="projection degree when --env is a PFM map")
     p.add_argument("--mode", choices=render.MODES, default="lit", help="output channel")
     p.add_argument("--steps", type=_positive_int, default=None,
@@ -276,12 +288,12 @@ def build_parser():
     p.add_argument("--points", type=_positive_int, default=100, help="surface points to validate")
     p.add_argument("--mc-samples", type=_positive_int, default=10000,
                    help="Monte Carlo directions per point")
-    p.add_argument("--degree", type=int, default=4, help="SH truncation degree")
+    p.add_argument("--degree", type=_degree, default=4, help="SH truncation degree")
     p.add_argument("--grid", type=_positive_int, nargs=2, metavar=("H", "W"), default=[64, 128],
                    help="bake and visibility-map grid")
     p.add_argument("--secondary-steps", type=_positive_int, default=None,
                    help="visibility march steps; scene value if omitted")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="RNG seed")
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                    help="worker threads")
     p.add_argument("-o", "--output", default=None,

@@ -6,11 +6,13 @@ radiance times ray-traced visibility times the clamped cosine, with
 the (albedo / pi) * (4 pi / S) estimator. compare_prt_vs_mc probes
 surface points and scores baked transfer three ways per point: the
 coefficient dot product against the MC estimate, the mean squared
-10-ray reconstruction residual, and the L2 gap between reconstructed
-and ray-traced visibility maps at several truncation degrees.
+10-ray reconstruction residual, and visibility_l2, the L2 gap between
+reconstructed and ray-traced visibility maps at several truncation
+degrees.
 
-All three take V * max(0, n . d) from transport.visibility_map, and a
-point's transfer is the same bits as its row of a bake on the same grid.
+All three take V * max(0, n . d) from transport.visibility_map; each
+point's map is marched once for its transfer and visibility_l2, and the
+transfer is the same bits as the point's row of a bake on the same grid.
 
 Per-point randomness derives from (seed, point index), so serial and
 parallel runs produce identical reports.
@@ -45,15 +47,13 @@ def mc_diffuse_radiance(scene, light, x, n, albedo, samples, seed=0, steps=None)
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    x = np.asarray(x, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
     albedo = np.asarray(albedo, dtype=np.float64)
     rng = np.random.default_rng(seed)
     dirs = _uniform_sphere(rng, samples)
     radiance = np.asarray(light.radiance(dirs), dtype=np.float64)
     if radiance.ndim == 1:
         radiance = radiance[:, None]
-    vh = transport.visibility_map(scene, x[None, :], n[None, :], dirs, steps=steps)[0]
+    vh = transport.visibility_map(scene, [x], [n], dirs, steps=steps)[0]
     g = radiance * vh[:, None]  # (S, C) integrand per direction
     scale = albedo / np.pi * 4.0 * np.pi
     value = scale * np.mean(g, axis=0)
@@ -64,24 +64,15 @@ def mc_diffuse_radiance(scene, light, x, n, albedo, samples, seed=0, steps=None)
     return value, stderr
 
 
-def visibility_l2(scene, position, normal, transfer, degrees=(2, 3, 4),
-                  resolution=transport.BAKE_GRID, steps=None):
-    """L2 gap between reconstructed transfer and the ray-traced map.
+def visibility_l2(vals, transfer, degrees, resolution):
+    """L2 gap between reconstructed transfer and a ray-traced map.
 
-    The reference is visibility * clamped cosine on a direction grid;
-    the reconstruction truncates the transfer vector to each requested
+    vals is the (D,) visibility * clamped cosine map of one point on the
+    resolution grid, as transport.visibility_map marches it; the
+    reconstruction truncates the transfer vector to each requested
     degree. Returns {degree: sqrt(mean solid-angle-weighted squared
-    error)}; with an all-zero transfer this is the RMS of the
-    reference itself.
+    error)}; with an all-zero transfer this is the RMS of the map itself.
     """
-    dirs, _, _ = sh.basis_grid(0, resolution[0], resolution[1])
-    vals = transport.visibility_map(scene, np.asarray(position)[None, :],
-                                    np.asarray(normal)[None, :], dirs, steps=steps)
-    return _map_l2(vals[0], transfer, degrees, resolution)
-
-
-def _map_l2(vals, transfer, degrees, resolution):
-    """visibility_l2 against an already marched (D,) map."""
     transfer = np.asarray(transfer, dtype=np.float64)
     max_deg = max(degrees)
     if sh.num_coeffs(max_deg) > transfer.shape[0]:
@@ -217,23 +208,22 @@ def compare_prt_vs_mc(scene, light, points=None, views=None, config=None):
         if sp.normal is None:
             raise ValueError(f"point {i} has no surface normal")
         position = np.asarray(sp.position, dtype=np.float64)
-        vals = transport.visibility_map(
-            scene, position[None, :], np.asarray(sp.normal, dtype=np.float64)[None, :],
-            dirs, steps=config.secondary_steps)
+        vals = transport.visibility_map(scene, [position], [sp.normal], dirs,
+                                        steps=config.secondary_steps)
         transfer = transport.project_map(vals, degree=config.degree,
                                          resolution=config.resolution)[0]
         mc, stderr = mc_diffuse_radiance(
             scene, light, sp.position, sp.normal, sp.albedo,
             config.mc_samples, seed=(config.seed, i),
             steps=config.secondary_steps)
-        rays = transport.nrt_rays(sp.normal, views[i], seed=(config.seed, i))
-        sample = transport.TransferSample(point=sp, transfer=transfer)
-        residuals = transport.nrt_residuals(scene, sample, rays,
-                                            steps=config.secondary_steps)
+        residuals = transport.nrt_residuals(
+            scene, position, sp.normal, transfer,
+            transport.nrt_rays(sp.normal, views[i], seed=(config.seed, i)),
+            steps=config.secondary_steps)
         return PointReport(
             position=position,
             nrt_residual_mean=float(np.mean(residuals)),
-            visibility_l2=_map_l2(vals[0], transfer, config.degrees, config.resolution),
+            visibility_l2=visibility_l2(vals[0], transfer, config.degrees, config.resolution),
             sh_diffuse=shading.diffuse_radiance(sp.albedo, transfer, sh_light),
             mc_diffuse=mc,
             mc_stderr=stderr)

@@ -77,14 +77,6 @@ class LinearImage:
     pixels: np.ndarray
     alpha: np.ndarray
 
-    @property
-    def width(self):
-        return self.pixels.shape[1]
-
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
 
 @dataclass(frozen=True)
 class RenderSettings:
@@ -123,6 +115,15 @@ def render_image(scene, light, camera, mode="lit", settings=None, threads=1):
     schedules those chunks, so output is independent of it.
     """
     settings = settings or RenderSettings()
+    if mode not in MODES:
+        raise ValueError(f"unknown render mode {mode!r}; expected one of {MODES}")
+    if mode in ("lit", "diffuse", "specular", "irradiance"):
+        if light is None:
+            raise ValueError(f"mode {mode!r} requires an SH light")
+        cache = settings.transfer_cache
+        if cache is not None and cache.degree != light.degree:
+            raise ValueError(f"transfer cache degree {cache.degree} does not match light "
+                             f"degree {light.degree}")
     origins, dirs = camera.rays()
     flat_o = origins.reshape(-1, 3)
     flat_d = dirs.reshape(-1, 3)
@@ -140,18 +141,9 @@ def render_image(scene, light, camera, mode="lit", settings=None, threads=1):
 
 
 def _trace_batch(scene, light, origins, dirs, mode, settings):
-    if mode not in MODES:
-        raise ValueError(f"unknown render mode {mode!r}; expected one of {MODES}")
-    needs_light = mode in ("lit", "diffuse", "specular", "irradiance")
-    if needs_light and light is None:
-        raise ValueError(f"mode {mode!r} requires an SH light")
-
     n_rays = origins.shape[0]
     sigma, t, dt = transport.primary_march(scene, origins, dirs, steps=settings.steps)
-    depth = sigma * dt
-    tau_before = np.cumsum(depth, axis=1) - depth  # exclusive prefix
-    trans = np.exp(-tau_before)
-    weight = trans * depth  # T_k * sigma_k * dt
+    depth, trans, weight = transport._march_weights(sigma, dt)
     alpha = 1.0 - np.exp(-np.sum(depth, axis=1))
 
     rgb = np.zeros((n_rays, 3), dtype=np.float64)
@@ -240,9 +232,6 @@ def _anchor_transfers(scene, light, apos, aw, settings):
     anrm[sel], avalid[sel] = field.normals(scene, pos)
     cache = settings.transfer_cache
     if cache is not None:
-        if cache.degree != degree:
-            raise ValueError(
-                f"transfer cache degree {cache.degree} does not match light degree {degree}")
         sel = sel[avalid[sel]]
         coeffs[sel] = cache.coeffs[cache.nearest(apos[sel])]
     else:

@@ -5,19 +5,21 @@ secondary ray, marched with fixed-step midpoint quadrature by
 transmittance from a small self-occlusion offset (twice the normal
 finite-difference step) out to the bounding sphere. Primary rays, the
 renderer's and the surface probes', are marched by primary_march over
-[t_near, t_far]. Both marches evaluate density only on the samples
-_live_samples gives, the run of steps inside each ray's
-field.support_interval; every skipped sample would be an exact 0.0, so
-both equal a dense march bit for bit. Primary samples are returned as
-distances, and primary_points forms a position only where one is needed,
-in the bits the march evaluated. The probes of up to PROBE_BLOCK tries
-are marched together, and their hits share one field.normals and one
-field.material call.
+[t_near, t_far], and _march_weights gives both their T * density * dt.
+Both marches evaluate density only on the samples _live_samples gives,
+the run of steps inside each ray's field.support_interval; every skipped
+sample would be an exact 0.0, so both equal a dense march bit for bit.
+Primary samples are returned as distances, and primary_points forms a
+position only where one is needed, in the bits the march evaluated. The
+probes of up to PROBE_BLOCK tries are marched together, and their hits
+share one field.normals and one field.material call.
 
-visibility_map is the one implementation of V * max(0, n . d), and
-transfer is its SH projection, so a transfer dotted with light
-coefficients gives occluded irradiance. Every step works per point, so a
-point's transfer is the same bits whatever batch it is baked in.
+visibility_map is the one implementation of V * max(0, n . d); the bake
+(bake_transfer_batch) is its SH projection and the 10-ray residual
+(nrt_rays, nrt_residuals) compares the two. Every step works per point,
+so a point's transfer is the same bits whatever batch it is baked in.
+Callers pass points as (P, 3) positions and normals (a zero normal for a
+point without one) and transfers as (P, n) coefficient arrays.
 
 A TransferCache rejects non-finite records and sizes a grid over its
 points once. TransferCache.nearest returns exactly the indices a
@@ -39,21 +41,6 @@ MAP_POINTS = 256  # points whose visibility maps are marched together
 PROBE_BLOCK = 256  # probe rays of sample_surface_points marched together
 MARCH_CHUNK = 65536  # rays per internal batch of transmittance
 MARCH_BLOCK = 1 << 13  # samples per field.density call of either march
-
-
-@dataclass(frozen=True)
-class TransferSample:
-    point: field.SurfacePoint
-    transfer: np.ndarray
-
-
-@dataclass(frozen=True)
-class RaySet:
-    """Evaluation rays for one surface point: 2 primary + 8 auxiliary."""
-
-    directions: np.ndarray
-    tags: tuple
-    seed: int
 
 
 def _cosine(n, d):
@@ -162,44 +149,12 @@ def transmittance(scene, origins, dirs, steps=None, offset=0.0):
     return out
 
 
-def visibility(scene, x, dirs, steps=None, offset=None):
-    """Visibility of the environment from x toward dirs, shape (N,).
-
-    offset defaults to twice the scene's finite-difference step so the
-    march starts outside the shading point's own density sample.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64)
-    single = dirs.ndim == 1
-    if single:
-        dirs = dirs[None, :]
-    if offset is None:
-        offset = 2.0 * scene.fd_step
-    origins = np.broadcast_to(x, dirs.shape).copy()
-    v = transmittance(scene, origins, dirs, steps=steps, offset=offset)
-    return float(v[0]) if single else v
-
-
-def bake_transfer(scene, position, normal, degree=4, resolution=BAKE_GRID,
-                  steps=None, dtype=np.float64):
-    """Transfer coefficients at one surface point.
-
-    Projects visibility(x, w) * max(0, dot(n, w)) onto the SH basis over
-    a latitude-longitude direction grid. Directions on the back side of
-    the normal contribute exactly zero and are skipped.
-    """
-    t = bake_transfer_batch(scene, np.asarray(position, dtype=np.float64)[None, :],
-                            np.asarray(normal, dtype=np.float64)[None, :],
-                            degree=degree, resolution=resolution, steps=steps,
-                            dtype=dtype)
-    return t[0]
-
-
 def bake_transfer_batch(scene, positions, normals, degree=4, resolution=BAKE_GRID,
                         steps=None, dtype=np.float64):
-    """Transfer coefficients for (P, 3) positions with matching normals.
+    """Transfer coefficients for (P, 3) positions with matching normals, (P, n).
 
-    Rows whose normal is a zero vector (invalid gradient) bake to zero.
+    Projects visibility_map on the bake grid onto the SH basis. Rows whose
+    normal is a zero vector (invalid gradient) bake to zero.
     """
     dirs, _, _ = sh.basis_grid(degree, resolution[0], resolution[1])
     vals = visibility_map(scene, positions, normals, dirs, steps=steps, dtype=dtype)
@@ -243,11 +198,12 @@ def project_map(values, degree=4, resolution=BAKE_GRID):
 
 
 def nrt_rays(normal, view, seed=0):
-    """The 10-ray evaluation set for one surface point.
+    """The (10, 3) evaluation directions for one surface point.
 
-    Two primary rays (the view direction and its opposite) plus eight
-    auxiliary rays drawn uniformly from the hemisphere opposite the
-    normal, where the reference transfer response is identically zero.
+    Rows 0 and 1 are the primary pair, the view direction and its
+    opposite. Rows 2 to 9 are the auxiliary rays, drawn uniformly from the
+    hemisphere opposite the normal, where the reference transfer response
+    is identically zero.
     """
     normal = sh.normalize(np.asarray(normal, dtype=np.float64))
     # The view is kept bit-for-bit so the returned primary rays equal the
@@ -269,23 +225,18 @@ def nrt_rays(normal, view, seed=0):
         take = min(8 - got, v.shape[0])
         aux[got:got + take] = v[:take]
         got += take
-    directions = np.vstack([view[None, :], -view[None, :], aux])
-    tags = ("primary+", "primary-") + ("auxiliary",) * 8
-    return RaySet(directions=directions, tags=tags, seed=seed)
+    return np.vstack([view[None, :], -view[None, :], aux])
 
 
-def nrt_residuals(scene, sample, rays, steps=None):
+def nrt_residuals(scene, position, normal, transfer, dirs, steps=None):
     """Squared error between reconstructed transfer and ray-traced V*H.
 
-    One entry per direction of the RaySet; V*H comes from visibility_map,
+    One entry per row of the (D, 3) dirs; V*H comes from visibility_map,
     with a zero normal standing for a point without one.
     """
-    dirs = np.asarray(rays.directions, dtype=np.float64)
-    t = np.asarray(sample.transfer, dtype=np.float64)
-    point = sample.point
-    normal = np.zeros(3) if point.normal is None else point.normal
-    ref = visibility_map(scene, np.asarray(point.position)[None, :],
-                         np.asarray(normal)[None, :], dirs, steps=steps)[0]
+    dirs = np.asarray(dirs, dtype=np.float64)
+    t = np.asarray(transfer, dtype=np.float64)
+    ref = visibility_map(scene, [position], [normal], dirs, steps=steps)[0]
     # Reconstructions are one dot product per direction, and squares are
     # Python float powers: a matrix-vector product or a numpy square can
     # round differently in the last bit.
@@ -318,7 +269,18 @@ def primary_points(origins, dirs, t, ray, step):
     return origins[ray] + t[step, None] * dirs[ray]
 
 
-def _probe(scene, origins, dirs, steps):
+def _march_weights(sigma, dt):
+    """(depth, T, T * depth) of primary_march densities, each (R, K).
+
+    depth is sigma * dt and T the transmittance of all strictly earlier
+    samples, exp(-(cumsum(depth) - depth)).
+    """
+    depth = sigma * dt
+    trans = np.exp(-(np.cumsum(depth, axis=1) - depth))
+    return depth, trans, trans * depth
+
+
+def _probe(scene, origins, dirs):
     """Dominant surface point of each probe ray, or None.
 
     The dominant sample has the largest volume rendering weight
@@ -326,10 +288,8 @@ def _probe(scene, origins, dirs, steps):
     sample has no gradient normal or one facing away from the probe's
     origin (a grazing probe past a soft shell's tangent point), gives None.
     """
-    sigma, t, dt = primary_march(scene, origins, dirs, steps)
-    tau = np.zeros_like(sigma)
-    tau[:, 1:] = np.cumsum(sigma * dt, axis=1)[:, :-1]
-    weight = np.exp(-tau) * sigma * dt
+    sigma, t, dt = primary_march(scene, origins, dirs)
+    _, _, weight = _march_weights(sigma, dt)
     rows = np.flatnonzero(np.any(sigma > 0.0, axis=1))
     found = [None] * origins.shape[0]
     if rows.size == 0:
@@ -344,7 +304,7 @@ def _probe(scene, origins, dirs, steps):
     return found
 
 
-def sample_surface_points(scene, count, seed=0, steps=None, max_tries=None):
+def sample_surface_points(scene, count, seed=0, max_tries=None):
     """Deterministic surface-point sampling by probing random rays.
 
     Rays start on the bounding sphere and aim at a jittered point near
@@ -382,7 +342,7 @@ def sample_surface_points(scene, count, seed=0, steps=None, max_tries=None):
             dirs.append(d / dn)
         if not origins:
             continue
-        for sp, d in zip(_probe(scene, np.array(origins), np.array(dirs), steps), dirs):
+        for sp, d in zip(_probe(scene, np.array(origins), np.array(dirs)), dirs):
             if sp is not None and len(points) < count:
                 points.append(sp)
                 views.append(-d)
@@ -395,26 +355,24 @@ CACHE_RECORD_FLOATS = 6  # position + normal; transfer coeffs follow
 NEAREST_CHUNK_ENTRIES = 1 << 16  # distance pairs held at once by nearest
 
 
-def save_transfer_cache(path, scene, samples, degree=4):
+def save_transfer_cache(path, scene, positions, normals, coeffs):
     """Write baked transfer records plus a JSON sidecar.
 
-    Each record is little-endian float64: position (3), normal (3), then
-    the transfer coefficients. The sidecar (path + '.json') carries the
-    degree, record count, and scene hash for validation on load.
+    positions and normals are (P, 3) and coeffs (P, n) with n a square,
+    which gives the degree. Each record is little-endian float64: position
+    (3), normal (3), then the transfer coefficients. The sidecar
+    (path + '.json') carries the degree, record count, and scene hash for
+    validation on load.
     """
-    n_coeff = sh.num_coeffs(degree)
-    rows = np.empty((len(samples), CACHE_RECORD_FLOATS + n_coeff), dtype="<f8")
-    for i, s in enumerate(samples):
-        normal = s.point.normal if s.point.normal is not None else np.zeros(3)
-        rows[i, 0:3] = s.point.position
-        rows[i, 3:6] = normal
-        if s.transfer.shape[0] != n_coeff:
-            raise ValueError(
-                f"sample {i} has {s.transfer.shape[0]} coefficients, expected {n_coeff}")
-        rows[i, 6:] = s.transfer
+    coeffs = np.asarray(coeffs, dtype="<f8")
+    count = coeffs.shape[0]
+    if coeffs.ndim != 2 or np.shape(positions) != (count, 3) or np.shape(normals) != (count, 3):
+        raise ValueError("transfer cache needs (P, 3) positions and normals, (P, n) coefficients")
+    degree = sh.degree_for(coeffs.shape[1])
+    rows = np.concatenate([positions, normals, coeffs], axis=1, dtype="<f8")
     with open(path, "wb") as f:
         f.write(rows.tobytes())
-    sidecar = {"degree": degree, "count": len(samples), "scene_hash": field.scene_hash(scene)}
+    sidecar = {"degree": degree, "count": count, "scene_hash": field.scene_hash(scene)}
     with open(path + ".json", "w") as f:
         json.dump(sidecar, f, indent=2)
         f.write("\n")

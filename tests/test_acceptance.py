@@ -57,10 +57,10 @@ def test_criterion_2_constant_light_albedo_recovery(wall_scene, white_light):
 
 def test_criterion_3_analytic_slab_transmittance(slab_scene):
     start = time.perf_counter()
-    head_on = transport.visibility(slab_scene, [0.0, 0.0, 2.0], [0.0, 0.0, -1.0],
-                                   steps=256)
     tilt = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
-    oblique = transport.visibility(slab_scene, [0.0, -2.0, 2.0], tilt, steps=256)
+    head_on, oblique = transport.transmittance(
+        slab_scene, np.array([[0.0, 0.0, 2.0], [0.0, -2.0, 2.0]]),
+        np.array([[0.0, 0.0, -1.0], tilt]), steps=256, offset=2.0 * slab_scene.fd_step)
     elapsed = time.perf_counter() - start
     tau = SLAB_SIGMA * SLAB_THICKNESS
     err = max(abs(head_on - np.exp(-tau)), abs(oblique - np.exp(-tau * np.sqrt(2.0))))
@@ -85,18 +85,20 @@ def test_criterion_5_reconstruction_residual_bound(sphere_scene):
     positions = np.array([p.position for p in points])
     normals = np.array([p.normal for p in points])
     coeffs = transport.bake_transfer_batch(sphere_scene, positions, normals)
+    dirs, _, _ = sh.basis_grid(0, *transport.BAKE_GRID)
+    maps = transport.visibility_map(sphere_scene, positions, normals, dirs)
     baked = []
     zeroed = []
     map_rms = []
     zero_transfer = np.zeros(coeffs.shape[1])
     for i, (p, v) in enumerate(zip(points, views)):
         rays = transport.nrt_rays(p.normal, v, seed=(0, i))
-        sample = transport.TransferSample(point=p, transfer=coeffs[i])
-        baked.append(np.mean(transport.nrt_residuals(sphere_scene, sample, rays)))
-        sample0 = transport.TransferSample(point=p, transfer=zero_transfer)
-        zeroed.append(np.mean(transport.nrt_residuals(sphere_scene, sample0, rays)))
-        map_rms.append(oracle.visibility_l2(sphere_scene, p.position, p.normal,
-                                            zero_transfer, degrees=(4,))[4])
+        baked.append(np.mean(transport.nrt_residuals(sphere_scene, p.position, p.normal,
+                                                     coeffs[i], rays)))
+        zeroed.append(np.mean(transport.nrt_residuals(sphere_scene, p.position, p.normal,
+                                                      zero_transfer, rays)))
+        map_rms.append(oracle.visibility_l2(maps[i], zero_transfer, (4,),
+                                            transport.BAKE_GRID)[4])
     elapsed = time.perf_counter() - start
     baked_mean = float(np.mean(baked))
     zeroed_mean = float(np.mean(zeroed))
@@ -132,15 +134,13 @@ def test_criterion_7_normals_and_zero_reference(sphere_scene):
     points, views = transport.sample_surface_points(sphere_scene, 20, seed=2)
     exact = True
     for i, (p, v) in enumerate(zip(points, views)):
-        t = transport.bake_transfer(sphere_scene, p.position, p.normal,
-                                    resolution=(16, 32))
+        t = transport.bake_transfer_batch(sphere_scene, [p.position], [p.normal],
+                                          resolution=(16, 32))[0]
         rays = transport.nrt_rays(p.normal, v, seed=(2, i))
-        sample = transport.TransferSample(point=p, transfer=t)
-        residuals = transport.nrt_residuals(sphere_scene, sample, rays)
-        for tag, d, r in zip(rays.tags, rays.directions, residuals):
-            if tag != "auxiliary":
-                continue
-            rec = float(sh.reconstruct(sample.transfer, d))
+        residuals = transport.nrt_residuals(sphere_scene, p.position, p.normal, t, rays)
+        # Rows 2 to 9 are the auxiliary rays.
+        for d, r in zip(rays[2:], residuals[2:]):
+            rec = float(sh.reconstruct(t, d))
             exact = exact and r == rec ** 2
     _report(7, bool(np.all(valid)) and min_cos >= 0.999 and exact,
             f"finite-difference cosine >= {min_cos:.5f} over 200 shell points; "

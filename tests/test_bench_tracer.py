@@ -1,9 +1,11 @@
 import importlib.util
+import json
 import pathlib
 
 import pytest
 
-from prtvol import render
+from prtvol import cli, envlight, render
+from conftest import lobe_sh_light, sphere_scene_dict
 
 TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -40,3 +42,38 @@ def test_worker_chunks_nest_under_render_image(tracer_module, sphere_scene):
         assert s.parent is not None and s.parent.name == "render.render_image"
         assert s.thread != s.parent.thread
     assert not hasattr(render._trace_batch, "__wrapped__")
+
+
+def test_cli_run_fills_the_bench_counters(tracer_module, tmp_path):
+    # The counters read the arguments and results of the functions they
+    # wrap; a signature change there zeroes a metric without raising.
+    scene = tmp_path / "scene.json"
+    data = sphere_scene_dict()
+    data["camera"] = {"position": [0.0, -2.8, 0.9], "look_at": [0.0, 0.0, 0.0],
+                      "width": 8, "height": 6}
+    scene.write_text(json.dumps(data))
+    light = str(tmp_path / "light.json")
+    envlight.save_sh_light(light, lobe_sh_light())
+    cache = str(tmp_path / "cache.bin")
+    ops = {
+        "bake": ["bake", str(scene), "--points", "6", "--resolution", "8", "16",
+                 "--threads", "1", "-o", cache],
+        "render": ["render", str(scene), "--env", light, "--cache", cache, "--threads", "1",
+                   "-o", str(tmp_path / "lit.pfm")],
+        "validate": ["validate", str(scene), "--env", light, "--points", "2",
+                     "--mc-samples", "64", "--grid", "8", "16", "--threads", "1",
+                     "-o", str(tmp_path / "report.json")],
+    }
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for op, argv in ops.items():
+            tracer.op = op
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer_module.layer_metrics(tracer, {op: 1 for op in ops})
+    for name in ("transport.save_transfer_cache.bytes", "transport.sample_surface_points.found",
+                 "transport.bake_transfer_batch.points", "transport.TransferCache.nearest.queries",
+                 "transport.nrt_residuals.self_s", "oracle.visibility_l2.self_s"):
+        assert metrics[name] > 0, name

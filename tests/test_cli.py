@@ -236,6 +236,25 @@ class TestRender:
         assert "error: transfer cache was baked for a different scene" in \
             capsys.readouterr().err
 
+    def test_cache_degree_mismatch(self, workdir, scene_file, light_file, capsys):
+        # A degree-2 cache cannot shade under the degree-4 light, but the
+        # channels that use no transfer still render.
+        cache = str(workdir / "degree2_cache.bin")
+        assert cli.main(["bake", scene_file, "--points", "8", "--degree", "2",
+                         "--resolution", "8", "16", "-o", cache]) == 0
+        base = ["render", scene_file, "--env", light_file, "--cache", cache,
+                "--width", "4", "--height", "4"]
+        for mode in ("albedo", "normal", "visibility"):
+            out = workdir / f"degree2_{mode}.pfm"
+            assert cli.main(base + ["--mode", mode, "-o", str(out)]) == 0
+            assert out.exists()
+        capsys.readouterr()
+        out = workdir / "degree2_lit.pfm"
+        assert cli.main(base + ["--mode", "lit", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: transfer cache degree 2 does not match light degree 4\n"
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("broken", ["no_radius", "nan_softness"])
     def test_malformed_primitive_is_runtime_error(self, workdir, light_file, capsys, broken):
@@ -496,6 +515,35 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and "224. GiB" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bake", "validate"])
+    def test_negative_seed_is_usage_error(self, command, scene_file, light_file, workdir,
+                                          capsys):
+        out = workdir / "never_written"
+        base = {"bake": [scene_file], "validate": [scene_file, "--env", light_file]}[command]
+        assert cli.main([command] + base + ["--seed", "-3", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --seed: ") and "-3" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("degree", ["9", "-1"])
+    @pytest.mark.parametrize("command", ["project-env", "bake", "render", "validate"])
+    def test_degree_out_of_range_is_usage_error(self, command, degree, scene_file, light_file,
+                                                envmap_file, workdir, monkeypatch, capsys):
+        # Rejected while parsing, before bake probes any surface point.
+        def never(*args, **kwargs):
+            raise AssertionError("probed surface points")
+        monkeypatch.setattr(transport, "sample_surface_points", never)
+        out = workdir / "never_written"
+        base = {"render": [scene_file, "--env", light_file],
+                "bake": [scene_file],
+                "validate": [scene_file, "--env", light_file],
+                "project-env": [envmap_file]}[command]
+        assert cli.main([command] + base + ["--degree", degree, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --degree: ") and degree in err
+        assert "[0, 8]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", [

@@ -533,15 +533,14 @@ def test_primary_march_equals_dense_density(case, steps, t_near, length):
 
 # ------------------------------------------------------ surface sampler
 
-def one_ray_sampler(scene, count, seed=0, steps=None, max_tries=None):
+def one_ray_sampler(scene, count, seed=0, max_tries=None):
     """The sampler as a loop of tries: one dense probe march per try, then
     one normals and one material call on the dominant sample, kept when
     its normal faces the probe's origin."""
     rng = np.random.default_rng(seed)
     if max_tries is None:
         max_tries = 40 * count
-    if steps is None:
-        steps = scene.march.primary_steps
+    steps = scene.march.primary_steps
     t0, t1 = scene.march.t_near, scene.march.t_far
     dt = (t1 - t0) / steps
     t = t0 + (np.arange(steps) + 0.5) * dt
@@ -582,12 +581,18 @@ def one_ray_sampler(scene, count, seed=0, steps=None, max_tries=None):
     (5, {"max_tries": 1}),
 ], ids=["two_blocks", "max_tries_mid_block", "count_mid_block", "one_try"])
 def test_batched_sampler_equals_one_ray_loop(blocker_scene, count, kwargs):
-    want = one_ray_sampler(blocker_scene, count, **kwargs)
+    # A "steps" entry sets the scene's primary march steps.
+    kwargs = dict(kwargs)
+    scene = blocker_scene
+    if "steps" in kwargs:
+        march = dataclasses.replace(scene.march, primary_steps=kwargs.pop("steps"))
+        scene = dataclasses.replace(scene, march=march)
+    want = one_ray_sampler(scene, count, **kwargs)
     if not want:
         with pytest.raises(ValueError, match="no valid surface points"):
-            transport.sample_surface_points(blocker_scene, count, **kwargs)
+            transport.sample_surface_points(scene, count, **kwargs)
         return
-    points, views = transport.sample_surface_points(blocker_scene, count, **kwargs)
+    points, views = transport.sample_surface_points(scene, count, **kwargs)
     assert len(points) == len(views) == len(want) <= count
     for sp, view, (x, nrm, albedo, tint, v) in zip(points, views, want):
         assert sp.normal is not None

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from prtvol import envlight, oracle, shading, transport
+from prtvol import envlight, oracle, sh, shading, transport
 from conftest import constant_sh_light, field_surface_point, lobe_sh_light
 
 
@@ -51,19 +51,25 @@ class TestMcDiffuse:
         assert not np.array_equal(a, c)
 
 
+def pole_map(scene):
+    """visibility_map on the bake grid at the origin with a +z normal, (D,)."""
+    dirs, _, _ = sh.basis_grid(0, *transport.BAKE_GRID)
+    return transport.visibility_map(scene, [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], dirs)[0]
+
+
 class TestVisibilityL2:
     def test_zeroed_transfer_measures_reference_rms(self, empty_scene):
         # With no occluders the reference map is the clamped cosine, whose
         # mean square over the sphere is 1/6.
-        out = oracle.visibility_l2(empty_scene, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                                   np.zeros(25))
+        out = oracle.visibility_l2(pole_map(empty_scene), np.zeros(25), (2, 3, 4),
+                                   transport.BAKE_GRID)
         want = math.sqrt(1.0 / 6.0)
         for d in (2, 3, 4):
             assert abs(out[d] - want) < 1e-3
 
     def test_baked_transfer_shrinks_gap(self, empty_scene):
-        t = transport.bake_transfer(empty_scene, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        out = oracle.visibility_l2(empty_scene, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], t)
+        t = transport.bake_transfer_batch(empty_scene, [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]])[0]
+        out = oracle.visibility_l2(pole_map(empty_scene), t, (2, 3, 4), transport.BAKE_GRID)
         # Degree 3 adds only odd bands, which vanish for this pole-aligned
         # map, so compare the degrees that genuinely differ.
         assert out[4] < 0.05
@@ -71,8 +77,8 @@ class TestVisibilityL2:
 
     def test_short_transfer_rejected(self, empty_scene):
         with pytest.raises(ValueError, match="needs"):
-            oracle.visibility_l2(empty_scene, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                                 np.zeros(9), degrees=(2, 3, 4))
+            oracle.visibility_l2(pole_map(empty_scene), np.zeros(9), (2, 3, 4),
+                                 transport.BAKE_GRID)
 
 
 @pytest.fixture(scope="module")
@@ -128,13 +134,15 @@ class TestCompare:
         light = lobe_sh_light().truncated(config.degree)
         points, _ = transport.sample_surface_points(blocker_scene, config.count,
                                                     seed=config.seed)
+        dirs, _, _ = sh.basis_grid(0, *config.resolution)
         for sp, e in zip(points, blocker_report.entries):
-            t = transport.bake_transfer(blocker_scene, sp.position, sp.normal,
-                                        degree=config.degree, resolution=config.resolution)
+            t = transport.bake_transfer_batch(blocker_scene, [sp.position], [sp.normal],
+                                              degree=config.degree,
+                                              resolution=config.resolution)[0]
             assert np.array_equal(e.sh_diffuse, shading.diffuse_radiance(sp.albedo, t, light))
-            assert e.visibility_l2 == oracle.visibility_l2(
-                blocker_scene, sp.position, sp.normal, t, degrees=config.degrees,
-                resolution=config.resolution)
+            vals = transport.visibility_map(blocker_scene, [sp.position], [sp.normal], dirs)[0]
+            assert e.visibility_l2 == oracle.visibility_l2(vals, t, config.degrees,
+                                                           config.resolution)
 
     def test_full_band_light_relative_rms(self, blocker_scene):
         # The MC side integrates the raw lobe; the SH side sees only its
@@ -213,8 +221,8 @@ class TestUnoccludedDiffuseExact:
         # back the albedo: the SH route with no occlusion reduces to the
         # clamped-cosine integral, which the 1/pi normalizes away.
         albedo = np.array([0.6, 0.45, 0.3])
-        t = transport.bake_transfer(empty_scene, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                                    resolution=(128, 256))
+        t = transport.bake_transfer_batch(empty_scene, [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]],
+                                          resolution=(128, 256))[0]
         light = constant_sh_light(1.0)
         got = albedo / np.pi * (t @ light.coeffs)
         assert np.max(np.abs(got - albedo)) < 1e-3

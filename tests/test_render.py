@@ -86,12 +86,11 @@ class TestTrace:
 
     def test_unknown_mode(self, empty_scene):
         with pytest.raises(ValueError, match="unknown render mode"):
-            trace_one(empty_scene, None, np.zeros(3), np.array([0.0, 0.0, 1.0]), mode="depth")
+            render.render_image(empty_scene, None, sphere_camera(2, 2), mode="depth")
 
     def test_lit_requires_light(self, sphere_scene):
         with pytest.raises(ValueError, match="requires an SH light"):
-            trace_one(sphere_scene, None, np.array([0.0, -3.0, 0.0]),
-                      np.array([0.0, 1.0, 0.0]), mode="lit")
+            render.render_image(sphere_scene, None, sphere_camera(2, 2), mode="lit")
 
 
 class TestImages:
@@ -230,14 +229,38 @@ class TestImages:
 class TestCacheRender:
     def _cache(self, scene, tmp_path, count=80):
         pts, _ = transport.sample_surface_points(scene, count, seed=9)
-        samples = []
-        for sp in pts:
-            t = transport.bake_transfer(scene, sp.position, sp.normal,
-                                        resolution=(16, 32), steps=24)
-            samples.append(transport.TransferSample(point=sp, transfer=t))
+        positions = np.array([sp.position for sp in pts])
+        normals = np.array([sp.normal for sp in pts])
+        coeffs = transport.bake_transfer_batch(scene, positions, normals,
+                                               resolution=(16, 32), steps=24)
         path = str(tmp_path / "cache.bin")
-        transport.save_transfer_cache(path, scene, samples)
+        transport.save_transfer_cache(path, scene, positions, normals, coeffs)
         return transport.load_transfer_cache(path, scene=scene)
+
+    def test_cache_degree_checked_before_marching(self, sphere_scene, sky_light, tmp_path,
+                                                  monkeypatch):
+        # A degree-4 cache under a degree-2 light fails before any primary
+        # ray is marched in the shaded modes; the debug channels use no
+        # transfer and render as usual.
+        cache = self._cache(sphere_scene, tmp_path, count=8)
+        light = sky_light.truncated(2)
+        settings = render.RenderSettings(steps=32, transfer_cache=cache)
+        march = transport.primary_march
+        marched = []
+
+        def spy(scene, origins, *args, **kwargs):
+            marched.append(len(origins))
+            return march(scene, origins, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "primary_march", spy)
+        for mode in ("lit", "diffuse", "specular", "irradiance"):
+            with pytest.raises(ValueError, match="cache degree 4 does not match light degree 2"):
+                render.render_image(sphere_scene, light, sphere_camera(4, 4), mode, settings)
+        assert marched == []
+        for mode in ("albedo", "normal", "visibility"):
+            img = render.render_image(sphere_scene, light, sphere_camera(4, 4), mode, settings)
+            assert np.all(np.isfinite(img.pixels))
+        assert sum(marched) == 3 * 16
 
     def test_cached_render_close_to_direct(self, sphere_scene, sky_light, tmp_path):
         cam = sphere_camera()

@@ -16,22 +16,6 @@ from conftest import blocker_scene_dict, field_surface_point, random_unit_dirs
 EXAMPLE_SCENE = pathlib.Path(__file__).resolve().parents[1] / "docs" / "example_scene.json"
 
 
-def make_surface_point(position, normal, albedo=(0.5, 0.5, 0.5)):
-    n = None if normal is None else sh.normalize(np.asarray(normal, dtype=np.float64))
-    return field.SurfacePoint(
-        position=np.asarray(position, dtype=np.float64),
-        normal=n,
-        albedo=np.asarray(albedo, dtype=np.float64),
-        tint=np.zeros(3),
-    )
-
-
-def residuals_toward(scene, sample, dirs):
-    """nrt_residuals over an arbitrary list of directions."""
-    rays = transport.RaySet(directions=np.asarray(dirs, dtype=np.float64), tags=(), seed=0)
-    return transport.nrt_residuals(scene, sample, rays)
-
-
 def half_space_scene(gap=0.5, sigma=50.0):
     """Dense slab filling x > gap inside the bounds, a one-sided blocker."""
     return field.scene_from_dict(
@@ -74,26 +58,29 @@ class TestCosineTerm:
 class TestVisibility:
     def test_empty_scene_is_one(self, empty_scene):
         dirs = random_unit_dirs(20, seed=5)
-        v = transport.visibility(empty_scene, [0.3, -0.2, 0.1], dirs)
+        v = transport.transmittance(empty_scene, np.tile([0.3, -0.2, 0.1], (20, 1)), dirs,
+                                    offset=2.0 * empty_scene.fd_step)
         assert np.all(v == 1.0)
 
     def test_slab_crossing_attenuates_to_quarter(self, slab_scene):
-        v = transport.visibility(
-            slab_scene, [0.0, 0.0, 2.0], np.array([0.0, 0.0, -1.0]), steps=256
-        )
-        assert abs(v - 0.25) < 1e-3
+        v = transport.transmittance(slab_scene, np.array([[0.0, 0.0, 2.0]]),
+                                    np.array([[0.0, 0.0, -1.0]]), steps=256,
+                                    offset=2.0 * slab_scene.fd_step)
+        assert abs(v[0] - 0.25) < 1e-3
 
     def test_slab_oblique_crossing(self, slab_scene):
         # At incidence angle theta the path length grows by 1/cos(theta).
         c = math.cos(math.radians(40.0))
         d = np.array([math.sin(math.radians(40.0)), 0.0, -c])
-        v = transport.visibility(slab_scene, [0.0, 0.0, 2.0], d, steps=512)
+        v = transport.transmittance(slab_scene, np.array([[0.0, 0.0, 2.0]]), d[None, :],
+                                    steps=512, offset=2.0 * slab_scene.fd_step)
         want = 0.25 ** (1.0 / c)
-        assert abs(v - want) < 1e-3
+        assert abs(v[0] - want) < 1e-3
 
     def test_single_direction_returns_float(self, empty_scene):
-        v = transport.visibility(empty_scene, [0.0, 0.0, 0.0], np.array([1.0, 0.0, 0.0]))
-        assert isinstance(v, float)
+        v = transport.transmittance(empty_scene, np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]))
+        assert v.shape == (1,) and v.dtype == np.float64
+        assert isinstance(v.item(), float)
 
     def test_monotone_under_added_density(self, sphere_scene, blocker_scene):
         # blocker_scene is sphere_scene plus one more primitive, so V can
@@ -103,34 +90,34 @@ class TestVisibility:
         rng = np.random.default_rng(12)
         pts = rng.uniform(-1.5, 1.5, size=(40, 3))
         dirs = random_unit_dirs(40, seed=13)
-        for p, d in zip(pts, dirs):
-            va = transport.visibility(sphere_scene, p, d, steps=64, offset=0.05)
-            vb = transport.visibility(blocker_scene, p, d, steps=64, offset=0.05)
-            assert vb <= va + 1e-12
+        va = transport.transmittance(sphere_scene, pts, dirs, steps=64, offset=0.05)
+        vb = transport.transmittance(blocker_scene, pts, dirs, steps=64, offset=0.05)
+        assert np.all(vb <= va + 1e-12)
 
     def test_range(self, blocker_scene):
         dirs = random_unit_dirs(200, seed=3)
-        v = transport.visibility(blocker_scene, [0.0, 0.0, 1.05], dirs)
+        v = transport.transmittance(blocker_scene, np.tile([0.0, 0.0, 1.05], (200, 1)), dirs,
+                                    offset=2.0 * blocker_scene.fd_step)
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
 
 class TestBakeTransfer:
     def test_unoccluded_point_matches_clamped_cosine(self, empty_scene):
-        t = transport.bake_transfer(empty_scene, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        t = transport.bake_transfer_batch(empty_scene, [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]])[0]
         assert t.shape == (25,)
         assert abs(t[0] - 0.8862269254527580) < 2e-3
         # Finer grids tighten toward the analytic zonal values.
-        t_fine = transport.bake_transfer(
-            empty_scene, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], resolution=(128, 256)
-        )
+        t_fine = transport.bake_transfer_batch(
+            empty_scene, [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], resolution=(128, 256)
+        )[0]
         assert abs(t_fine[0] - 0.8862269254527580) < 2e-4
         assert abs(t_fine[2] - 1.0233267079464885) < 2e-4
 
     def test_bake_rotates_with_normal(self, empty_scene):
         # An unoccluded bake about +x must reproduce the same reconstruction
         # profile as about +z, just rotated.
-        t = transport.bake_transfer(empty_scene, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                                    resolution=(128, 256))
+        t = transport.bake_transfer_batch(empty_scene, [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]],
+                                          resolution=(128, 256))[0]
         at_pole = float(sh.reconstruct(t, np.array([1.0, 0.0, 0.0])))
         assert abs(at_pole - 0.96875) < 2e-3
 
@@ -144,7 +131,7 @@ class TestBakeTransfer:
                 ],
             }
         )
-        t = transport.bake_transfer(scene, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        t = transport.bake_transfer_batch(scene, [[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]])[0]
         assert np.linalg.norm(t) <= 1e-3
 
     def test_invalid_normal_row_bakes_to_zero(self, sphere_scene):
@@ -164,8 +151,8 @@ class TestBakeTransfer:
         pos = np.array([0.0, 0.0, 0.0])
         nrm = np.array([0.0, 0.0, 1.0])
         steps = 128
-        baked = transport.bake_transfer(scene, pos, nrm, resolution=(128, 256),
-                                        steps=steps)
+        baked = transport.bake_transfer_batch(scene, [pos], [nrm], resolution=(128, 256),
+                                              steps=steps)[0]
         rng = np.random.default_rng(99)
         n_mc = 1_000_000
         dirs = rng.normal(size=(n_mc, 3))
@@ -173,7 +160,9 @@ class TestBakeTransfer:
         h = np.maximum(0.0, dirs @ nrm)
         vals = np.zeros(n_mc)
         front = h > 0.0
-        vals[front] = transport.visibility(scene, pos, dirs[front], steps=steps) * h[front]
+        vals[front] = transport.transmittance(
+            scene, np.tile(pos, (int(front.sum()), 1)), dirs[front], steps=steps,
+            offset=2.0 * scene.fd_step) * h[front]
         basis = sh.eval_basis(dirs, 4)
         integrand = vals[:, None] * basis  # (S, 25)
         mc = 4.0 * math.pi * np.mean(integrand, axis=0)
@@ -187,7 +176,7 @@ class TestBakeTransfer:
         # as bands are added.
         pts, _ = transport.sample_surface_points(blocker_scene, 6, seed=41)
         for sp in pts:
-            t = transport.bake_transfer(blocker_scene, sp.position, sp.normal)
+            t = transport.bake_transfer_batch(blocker_scene, [sp.position], [sp.normal])[0]
             dirs, weights, basis = sh.basis_grid(4, *transport.BAKE_GRID)
             vals = transport.visibility_map(blocker_scene, [sp.position], [sp.normal], dirs)[0]
             errs = []
@@ -207,7 +196,7 @@ class TestBakeTransfer:
         pts, _ = transport.sample_surface_points(blocker_scene, 4, seed=55)
         dirs, weights, _ = sh.basis_grid(0, 128, 256)
         for sp in pts:
-            t = transport.bake_transfer(blocker_scene, sp.position, sp.normal)
+            t = transport.bake_transfer_batch(blocker_scene, [sp.position], [sp.normal])[0]
             integral = float(np.sum(weights * sh.reconstruct(t, dirs)))
             assert abs(integral - math.sqrt(4.0 * math.pi) * t[0]) < 5e-4
             assert t[0] >= 0.0
@@ -217,16 +206,15 @@ class TestNrtRays:
     def test_contains_view_and_opposite_exactly(self):
         view = sh.normalize(np.array([0.3, -0.4, 0.85]))
         rays = transport.nrt_rays([0.0, 0.0, 1.0], view, seed=3)
-        assert rays.directions.shape == (10, 3)
-        assert np.array_equal(rays.directions[0], view)
-        assert np.array_equal(rays.directions[1], -view)
-        assert rays.tags[:2] == ("primary+", "primary-")
+        assert rays.shape == (10, 3)
+        assert np.array_equal(rays[0], view)
+        assert np.array_equal(rays[1], -view)
 
     def test_auxiliaries_in_negative_hemisphere(self):
         normal = sh.normalize(np.array([0.2, 0.7, 0.4]))
         for seed in range(5):
             rays = transport.nrt_rays(normal, [0.0, 0.0, 1.0], seed=seed)
-            aux = rays.directions[2:]
+            aux = rays[2:]
             assert aux.shape == (8, 3)
             assert np.all(aux @ normal < 0.0)
             assert np.allclose(np.linalg.norm(aux, axis=1), 1.0, atol=1e-12)
@@ -235,14 +223,13 @@ class TestNrtRays:
         a = transport.nrt_rays([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], seed=7)
         b = transport.nrt_rays([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], seed=7)
         c = transport.nrt_rays([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], seed=8)
-        assert np.array_equal(a.directions, b.directions)
-        assert not np.array_equal(a.directions, c.directions)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_cardinality_is_ten(self):
         for seed in range(20):
             rays = transport.nrt_rays([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], seed=seed)
-            assert rays.directions.shape[0] == 10
-            assert len(rays.tags) == 10
+            assert rays.shape == (10, 3)
 
 
 class TestNrtResidual:
@@ -250,11 +237,10 @@ class TestNrtResidual:
         # Reference V*H vanishes behind the surface, so the residual is
         # exactly the squared reconstruction there.
         sp = field_surface_point(sphere_scene, [1.0, 0.0, 0.0])
-        t = transport.bake_transfer(sphere_scene, sp.position, sp.normal)
-        sample = transport.TransferSample(point=sp, transfer=t)
+        t = transport.bake_transfer_batch(sphere_scene, [sp.position], [sp.normal])[0]
         back_dir = sh.normalize(np.array([-1.0, 0.1, 0.0]))
         assert float(np.dot(sp.normal, back_dir)) < 0.0
-        r = residuals_toward(sphere_scene, sample, [back_dir])
+        r = transport.nrt_residuals(sphere_scene, sp.position, sp.normal, t, [back_dir])
         rec = float(sh.reconstruct(t, back_dir))
         assert r[0] == rec ** 2
 
@@ -266,29 +252,28 @@ class TestNrtResidual:
         n = np.array([0.0, 0.0, 1.0])
         t = np.zeros(25)
         t[2] = math.sqrt(4.0 * math.pi / 3.0)
-        sp = make_surface_point([0.0, 0.0, 0.0], n)
-        sample = transport.TransferSample(point=sp, transfer=t)
         dirs = random_unit_dirs(50, seed=17)
         dirs[:, 2] = np.abs(dirs[:, 2]) + 0.05
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        assert np.all(residuals_toward(empty_scene, sample, dirs) < 1e-10)
+        assert np.all(transport.nrt_residuals(empty_scene, np.zeros(3), n, t, dirs) < 1e-10)
 
     def test_zero_transfer_back_hemisphere_residual_zero(self, empty_scene):
-        sp = make_surface_point([0.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        sample = transport.TransferSample(point=sp, transfer=np.zeros(25))
         d = sh.normalize(np.array([0.3, 0.3, -0.9]))
-        assert residuals_toward(empty_scene, sample, [d])[0] == 0.0
+        r = transport.nrt_residuals(empty_scene, np.zeros(3), [0.0, 0.0, 1.0], np.zeros(25), [d])
+        assert r[0] == 0.0
 
     def test_residual_matches_direct_formula(self, blocker_scene):
         # Independent recomputation of the same quantity from the public
         # pieces: reconstruction, visibility, clamped cosine.
         sp = field_surface_point(blocker_scene, [0.0, 1.0, 0.0])
-        t = transport.bake_transfer(blocker_scene, sp.position, sp.normal)
-        sample = transport.TransferSample(point=sp, transfer=t)
+        t = transport.bake_transfer_batch(blocker_scene, [sp.position], [sp.normal])[0]
         dirs = random_unit_dirs(20, seed=23)
-        for d, got in zip(dirs, residuals_toward(blocker_scene, sample, dirs)):
+        got_all = transport.nrt_residuals(blocker_scene, sp.position, sp.normal, t, dirs)
+        for d, got in zip(dirs, got_all):
             h = max(0.0, float(sp.normal @ d))
-            ref = transport.visibility(blocker_scene, sp.position, d) * h if h > 0 else 0.0
+            v = transport.transmittance(blocker_scene, sp.position[None, :], d[None, :],
+                                        offset=2.0 * blocker_scene.fd_step)[0]
+            ref = v * h if h > 0 else 0.0
             want = (float(sh.reconstruct(t, d)) - ref) ** 2
             assert abs(got - want) < 1e-15
 
@@ -297,10 +282,10 @@ class TestNrtResidual:
         pts, views = transport.sample_surface_points(sphere_scene, 40, seed=2)
         total = []
         for i, (sp, view) in enumerate(zip(pts, views)):
-            t = transport.bake_transfer(sphere_scene, sp.position, sp.normal)
-            sample = transport.TransferSample(point=sp, transfer=t)
+            t = transport.bake_transfer_batch(sphere_scene, [sp.position], [sp.normal])[0]
             rays = transport.nrt_rays(sp.normal, view, seed=i)
-            total.append(np.mean(transport.nrt_residuals(sphere_scene, sample, rays)))
+            total.append(np.mean(transport.nrt_residuals(sphere_scene, sp.position, sp.normal,
+                                                         t, rays)))
         assert float(np.mean(total)) < 0.05
 
 
@@ -370,28 +355,30 @@ def surface_cloud(rng, n):
 
 class TestTransferCache:
     def _bake_samples(self, scene, count, seed):
+        """(positions, normals, coeffs) of count sampled points, each baked alone."""
         pts, _ = transport.sample_surface_points(scene, count, seed=seed)
-        samples = []
-        for sp in pts:
-            t = transport.bake_transfer(scene, sp.position, sp.normal)
-            samples.append(transport.TransferSample(point=sp, transfer=t))
-        return samples
+        positions = np.array([sp.position for sp in pts])
+        normals = np.array([sp.normal for sp in pts])
+        coeffs = np.array([transport.bake_transfer_batch(scene, [p], [n])[0]
+                           for p, n in zip(positions, normals)])
+        return positions, normals, coeffs
 
     def test_roundtrip(self, sphere_scene, tmp_path):
         samples = self._bake_samples(sphere_scene, 6, seed=31)
         path = str(tmp_path / "cache.bin")
-        transport.save_transfer_cache(path, sphere_scene, samples)
+        transport.save_transfer_cache(path, sphere_scene, *samples)
         cache = transport.load_transfer_cache(path, scene=sphere_scene)
         assert cache.degree == 4
         assert cache.positions.shape == (6, 3)
-        for i, s in enumerate(samples):
-            assert np.array_equal(cache.positions[i], s.point.position)
-            assert np.array_equal(cache.coeffs[i], s.transfer)
+        positions, _, coeffs = samples
+        for i in range(6):
+            assert np.array_equal(cache.positions[i], positions[i])
+            assert np.array_equal(cache.coeffs[i], coeffs[i])
 
     def test_nearest_lookup(self, sphere_scene, tmp_path):
         samples = self._bake_samples(sphere_scene, 6, seed=31)
         path = str(tmp_path / "cache.bin")
-        transport.save_transfer_cache(path, sphere_scene, samples)
+        transport.save_transfer_cache(path, sphere_scene, *samples)
         cache = transport.load_transfer_cache(path)
         idx = cache.nearest(cache.positions[3][None, :] + 1e-6)
         assert idx[0] == 3
@@ -437,7 +424,7 @@ class TestTransferCache:
     def test_non_finite_record_rejected(self, sphere_scene, tmp_path, column, bad):
         path = str(tmp_path / "cache.bin")
         transport.save_transfer_cache(path, sphere_scene,
-                                      self._bake_samples(sphere_scene, 3, seed=2))
+                                      *self._bake_samples(sphere_scene, 3, seed=2))
         rows = np.fromfile(path, dtype="<f8").reshape(3, -1)
         rows[1, column] = bad
         rows.tofile(path)
@@ -447,7 +434,7 @@ class TestTransferCache:
     def test_wrong_scene_rejected(self, sphere_scene, blocker_scene, tmp_path):
         samples = self._bake_samples(sphere_scene, 3, seed=2)
         path = str(tmp_path / "cache.bin")
-        transport.save_transfer_cache(path, sphere_scene, samples)
+        transport.save_transfer_cache(path, sphere_scene, *samples)
         with pytest.raises(ValueError, match="different scene"):
             transport.load_transfer_cache(path, scene=blocker_scene)
 
@@ -460,7 +447,7 @@ class TestTransferCache:
     def test_truncated_payload(self, sphere_scene, tmp_path):
         samples = self._bake_samples(sphere_scene, 3, seed=2)
         path = str(tmp_path / "cache.bin")
-        transport.save_transfer_cache(path, sphere_scene, samples)
+        transport.save_transfer_cache(path, sphere_scene, *samples)
         data = open(path, "rb").read()
         with open(path, "wb") as f:
             f.write(data[:-8])
@@ -474,7 +461,7 @@ class TestTransferCache:
         # make up a whole float are not silently dropped.
         samples = self._bake_samples(sphere_scene, 3, seed=2)
         path = str(tmp_path / "cache.bin")
-        transport.save_transfer_cache(path, sphere_scene, samples)
+        transport.save_transfer_cache(path, sphere_scene, *samples)
         data = open(path, "rb").read()
         with open(path, "wb") as f:
             f.write(data[:len(data) - cut] + b"\x00" * extra)
@@ -500,7 +487,7 @@ class TestTransferCache:
     def test_malformed_sidecar_rejected(self, sphere_scene, tmp_path, change):
         path = str(tmp_path / "cache.bin")
         transport.save_transfer_cache(path, sphere_scene,
-                                      self._bake_samples(sphere_scene, 3, seed=2))
+                                      *self._bake_samples(sphere_scene, 3, seed=2))
         with open(path + ".json") as f:
             sidecar = json.load(f)
         for key, value in change.items():
@@ -672,7 +659,8 @@ def rows_alone(name, dtype):
     dirs, _, _ = sh.basis_grid(4, *BATCH_GRID)
     maps = [transport.visibility_map(scene, p[None, :], n[None, :], dirs, dtype=dtype)[0]
             for p, n in zip(pos, nrm)]
-    transfers = [transport.bake_transfer(scene, p, n, resolution=BATCH_GRID, dtype=dtype)
+    transfers = [transport.bake_transfer_batch(scene, p[None, :], n[None, :],
+                                               resolution=BATCH_GRID, dtype=dtype)[0]
                  for p, n in zip(pos, nrm)]
     return np.array(maps), np.array(transfers)
 
