@@ -375,6 +375,20 @@ class TestTransferCache:
             assert np.array_equal(cache.positions[i], positions[i])
             assert np.array_equal(cache.coeffs[i], coeffs[i])
 
+    @pytest.mark.parametrize("bad, value", [
+        ("positions", np.zeros((2, 3))),
+        ("normals", np.zeros((3, 2))),
+        ("coeffs", np.zeros(25)),
+        ("coeffs", np.zeros((3, 24))),  # not (degree + 1)^2 coefficients
+    ], ids=["positions", "normals", "coeffs_1d", "coeffs_24"])
+    def test_save_rejects_mismatched_arrays(self, sphere_scene, tmp_path, bad, value):
+        arrays = {"positions": np.zeros((3, 3)), "normals": np.zeros((3, 3)),
+                  "coeffs": np.zeros((3, 25)), bad: value}
+        path = tmp_path / "cache.bin"
+        with pytest.raises(ValueError, match=r"transfer cache needs|not \(degree\+1\)\^2"):
+            transport.save_transfer_cache(str(path), sphere_scene, **arrays)
+        assert not path.exists()
+
     def test_nearest_lookup(self, sphere_scene, tmp_path):
         samples = self._bake_samples(sphere_scene, 6, seed=31)
         path = str(tmp_path / "cache.bin")
