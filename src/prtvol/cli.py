@@ -107,19 +107,18 @@ def _cmd_project_env(args):
 
 def _cmd_bake(args):
     scene = field.load_scene(_require_file(args.scene))
-    points, _ = transport.sample_surface_points(scene, args.points, seed=args.seed)
-    _warn_shortfall(len(points), args.points)
-    positions = np.array([p.position for p in points])
-    normals = np.array([p.normal for p in points])
+    positions, normals, _, _ = transport.sample_surface_points(scene, args.points,
+                                                               seed=args.seed)
+    _warn_shortfall(len(positions), args.points)
 
     def run(lo, hi):
         return transport.bake_transfer_batch(
             scene, positions[lo:hi], normals[lo:hi], degree=args.degree,
             resolution=tuple(args.resolution), steps=args.secondary_steps)
 
-    coeffs = np.vstack(chunks.map_chunks(run, len(points), BAKE_CHUNK, args.threads))
+    coeffs = np.vstack(chunks.map_chunks(run, len(positions), BAKE_CHUNK, args.threads))
     transport.save_transfer_cache(args.output, scene, positions, normals, coeffs)
-    print(f"baked {len(points)} points at degree {args.degree} -> {args.output}")
+    print(f"baked {len(positions)} points at degree {args.degree} -> {args.output}")
 
 
 def _camera_from(args, embedded):
@@ -176,6 +175,9 @@ def _cmd_render(args):
 def _cmd_validate(args):
     scene = field.load_scene(_require_file(args.scene))
     light = _load_light(args.env, args.degree)
+    if light.degree < args.degree:
+        raise ValueError(f"--degree {args.degree} exceeds the degree {light.degree} "
+                         f"of the SH light {args.env}")
     config = oracle.ValidationConfig(
         count=args.points, mc_samples=args.mc_samples, degree=args.degree,
         resolution=tuple(args.grid), secondary_steps=args.secondary_steps,

@@ -101,14 +101,6 @@ class MarchParams:
 
 
 @dataclass(frozen=True)
-class SurfacePoint:
-    position: np.ndarray
-    normal: np.ndarray | None
-    albedo: np.ndarray
-    tint: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpherePrimitive:
     center: np.ndarray
     radius: float

@@ -3,12 +3,13 @@
 mc_diffuse_radiance integrates the diffuse shading integral directly:
 uniform directions over the full sphere, each carrying environment
 radiance times ray-traced visibility times the clamped cosine, with
-the (albedo / pi) * (4 pi / S) estimator. compare_prt_vs_mc probes
-surface points and scores baked transfer three ways per point: the
-coefficient dot product against the MC estimate, the mean squared
-10-ray reconstruction residual, and visibility_l2, the L2 gap between
-reconstructed and ray-traced visibility maps at several truncation
-degrees.
+the (albedo / pi) * (4 pi / S) estimator. compare_prt_vs_mc takes
+surface points as the (P, 3) arrays transport.sample_surface_points
+returns, probing them itself by default, and scores baked transfer three
+ways per point: the coefficient dot product against the MC estimate, the
+mean squared 10-ray reconstruction residual, and visibility_l2, the L2
+gap between reconstructed and ray-traced visibility maps at the
+truncation degrees 2, 3 and 4 up to the configured degree.
 
 All three take V * max(0, n . d) from transport.visibility_map; each
 point's map is marched once for its transfer and visibility_l2, and the
@@ -94,11 +95,15 @@ class ValidationConfig:
     count: int = 50                    # probe points when none are supplied
     mc_samples: int = 10000
     degree: int = 4
-    degrees: tuple = (2, 3, 4)
     resolution: tuple = (64, 128)      # bake and visibility-map grid
     secondary_steps: int | None = None
     seed: int = 0
     threads: int = 1
+
+    @property
+    def degrees(self):
+        """Visibility-L2 degrees: those of 2, 3, 4 up to degree, else degree alone."""
+        return tuple(d for d in (2, 3, 4) if d <= self.degree) or (self.degree,)
 
 
 @dataclass(frozen=True)
@@ -181,54 +186,55 @@ def format_table(report):
     return "\n".join(lines)
 
 
-def compare_prt_vs_mc(scene, light, points=None, views=None, config=None):
+def compare_prt_vs_mc(scene, light, surface=None, config=None):
     """Validate baked transfer against the Monte Carlo oracle.
 
-    points/views default to deterministic probe-ray sampling. The SH
-    side uses the light's coefficients (an analytic light is projected
-    first); the MC side integrates the light as given, so the two agree
-    within sampling error exactly when the light is band-limited.
+    surface is (positions, normals, albedo, views), (P, 3) rows as
+    transport.sample_surface_points returns them, which it defaults to;
+    a zero normal marks a point without one and is rejected. The SH side
+    uses the light's coefficients (an analytic light is projected first,
+    and an SH light truncated, before any point is sampled); the MC side
+    integrates the light as given, so the two agree within sampling error
+    exactly when the light is band-limited.
     """
     config = config or ValidationConfig()
-    if points is None:
-        points, views = transport.sample_surface_points(
-            scene, config.count, seed=config.seed)
-    if views is None or len(views) != len(points):
-        raise ValueError("views must pair one view direction with each point")
     if isinstance(light, envlight.ShLight):
         sh_light = light.truncated(config.degree)
     else:
         sh_light = envlight.project_to_sh(light, degree=config.degree)
+    if surface is None:
+        surface = transport.sample_surface_points(scene, config.count, seed=config.seed)
+    positions, normals, albedo, views = (np.asarray(a, dtype=np.float64) for a in surface)
+    if not len(positions) == len(normals) == len(albedo) == len(views):
+        raise ValueError("normals, albedo and views must pair one row with each point")
+    missing = np.flatnonzero(~normals.any(axis=1))
+    if missing.size:
+        raise ValueError(f"point {missing[0]} has no surface normal")
 
     start = time.perf_counter()
     dirs, _, _ = sh.basis_grid(config.degree, config.resolution[0], config.resolution[1])
 
     def run(i, _end):
-        sp = points[i]
-        if sp.normal is None:
-            raise ValueError(f"point {i} has no surface normal")
-        position = np.asarray(sp.position, dtype=np.float64)
-        vals = transport.visibility_map(scene, [position], [sp.normal], dirs,
+        x, n = positions[i], normals[i]
+        vals = transport.visibility_map(scene, x[None], n[None], dirs,
                                         steps=config.secondary_steps)
         transfer = transport.project_map(vals, degree=config.degree,
                                          resolution=config.resolution)[0]
         mc, stderr = mc_diffuse_radiance(
-            scene, light, sp.position, sp.normal, sp.albedo,
-            config.mc_samples, seed=(config.seed, i),
+            scene, light, x, n, albedo[i], config.mc_samples, seed=(config.seed, i),
             steps=config.secondary_steps)
         residuals = transport.nrt_residuals(
-            scene, position, sp.normal, transfer,
-            transport.nrt_rays(sp.normal, views[i], seed=(config.seed, i)),
+            scene, x, n, transfer, transport.nrt_rays(n, views[i], seed=(config.seed, i)),
             steps=config.secondary_steps)
         return PointReport(
-            position=position,
+            position=x,
             nrt_residual_mean=float(np.mean(residuals)),
             visibility_l2=visibility_l2(vals[0], transfer, config.degrees, config.resolution),
-            sh_diffuse=shading.diffuse_radiance(sp.albedo, transfer, sh_light),
+            sh_diffuse=shading.diffuse_radiance(albedo[i], transfer, sh_light),
             mc_diffuse=mc,
             mc_stderr=stderr)
 
-    entries = chunks.map_chunks(run, len(points), 1, config.threads)
+    entries = chunks.map_chunks(run, len(positions), 1, config.threads)
     runtime = time.perf_counter() - start
     return ValidationReport(entries=tuple(entries), config=config,
                             runtime_seconds=runtime)

@@ -12,7 +12,8 @@ sample would be an exact 0.0, so both equal a dense march bit for bit.
 Primary samples are returned as distances, and primary_points forms a
 position only where one is needed, in the bits the march evaluated. The
 probes of up to PROBE_BLOCK tries are marched together, and their hits
-share one field.normals and one field.material call.
+share one field.normals and one field.material call; sample_surface_points
+returns the points as (P, 3) positions, normals, albedo and views.
 
 visibility_map is the one implementation of V * max(0, n . d); the bake
 (bake_transfer_batch) is its SH projection and the 10-ray residual
@@ -281,27 +282,23 @@ def _march_weights(sigma, dt):
 
 
 def _probe(scene, origins, dirs):
-    """Dominant surface point of each probe ray, or None.
+    """Dominant surface points of the probe rays, (rows, positions, normals, albedo).
 
     The dominant sample has the largest volume rendering weight
-    T * density * dt; a ray crossing only empty space, or whose dominant
-    sample has no gradient normal or one facing away from the probe's
-    origin (a grazing probe past a soft shell's tangent point), gives None.
+    T * density * dt. rows are the indices of the rays whose dominant
+    sample has a gradient normal facing the probe's origin, in ray order;
+    a ray crossing only empty space, or whose dominant sample has no normal
+    or one facing away (a grazing probe past a soft shell's tangent point),
+    gives no row.
     """
     sigma, t, dt = primary_march(scene, origins, dirs)
     _, _, weight = _march_weights(sigma, dt)
     rows = np.flatnonzero(np.any(sigma > 0.0, axis=1))
-    found = [None] * origins.shape[0]
-    if rows.size == 0:
-        return found
     x = primary_points(origins, dirs, t, rows, np.argmax(weight[rows], axis=1))
     nrm, valid = field.normals(scene, x)
-    facing = _cosine(nrm, dirs[rows]) < 0.0
-    albedo, tint = field.material(scene, x)
-    for j in np.flatnonzero(valid & facing):
-        found[rows[j]] = field.SurfacePoint(position=x[j], normal=nrm[j], albedo=albedo[j],
-                                            tint=tint[j])
-    return found
+    keep = valid & (_cosine(nrm, dirs[rows]) < 0.0)
+    albedo, _ = field.material(scene, x[keep])
+    return rows[keep], x[keep], nrm[keep], albedo
 
 
 def sample_surface_points(scene, count, seed=0, max_tries=None):
@@ -309,22 +306,22 @@ def sample_surface_points(scene, count, seed=0, max_tries=None):
 
     Rays start on the bounding sphere and aim at a jittered point near
     the center. Each try draws its ray from the RNG in turn; the probes
-    of up to PROBE_BLOCK tries are marched together and accepted in try
-    order until count points are found or max_tries tries are spent.
-    Returns (points, views) with views the unit directions from each
-    point back toward its ray origin; there may be fewer than count.
+    of up to PROBE_BLOCK tries are marched together and their hits
+    accepted in try order until count points are found or max_tries tries
+    are spent. Returns (positions, normals, albedo, views), each (P, 3)
+    float64 with P <= count: unit gradient normals facing the probe, and
+    views the unit directions from each point back toward its ray origin.
     Raises when no probe ray finds a valid surface point.
     """
     rng = np.random.default_rng(seed)
     if max_tries is None:
         max_tries = 40 * count
-    points = []
-    views = []
-    tries = 0
-    while len(points) < count and tries < max_tries:
+    parts = []
+    found = tries = 0
+    while found < count and tries < max_tries:
         # Twice the points still missing: most probes hit, so a block seldom
         # has to be followed by another, and few probes are marched in vain.
-        block = min(PROBE_BLOCK, max_tries - tries, 2 * (count - len(points)))
+        block = min(PROBE_BLOCK, max_tries - tries, 2 * (count - found))
         tries += block
         origins, dirs = [], []
         for _ in range(block):
@@ -342,13 +339,14 @@ def sample_surface_points(scene, count, seed=0, max_tries=None):
             dirs.append(d / dn)
         if not origins:
             continue
-        for sp, d in zip(_probe(scene, np.array(origins), np.array(dirs)), dirs):
-            if sp is not None and len(points) < count:
-                points.append(sp)
-                views.append(-d)
-    if not points:
+        dirs = np.array(dirs)
+        rows, x, nrm, albedo = _probe(scene, np.array(origins), dirs)
+        need = count - found
+        parts.append((x[:need], nrm[:need], albedo[:need], -dirs[rows[:need]]))
+        found += len(parts[-1][0])
+    if not found:
         raise ValueError("no valid surface points found on any probe ray")
-    return points, views
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 CACHE_RECORD_FLOATS = 6  # position + normal; transfer coeffs follow

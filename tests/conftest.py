@@ -175,12 +175,12 @@ def sky_light():
 
 
 def field_surface_point(scene, x):
-    """SurfacePoint at x from one field.normals and one field.material call."""
+    """(x, normal, albedo) at x from one field.normals and one field.material
+    call; the normal is a zero vector where it is invalid."""
     x = np.asarray(x, dtype=np.float64)
-    n, valid = field.normals(scene, x[None, :])
-    albedo, tint = field.material(scene, x)
-    return field.SurfacePoint(position=x, normal=n[0] if valid[0] else None,
-                              albedo=albedo, tint=tint)
+    n, _ = field.normals(scene, x[None, :])
+    albedo, _ = field.material(scene, x)
+    return x, n[0], albedo
 
 
 def random_unit_dirs(n, seed):

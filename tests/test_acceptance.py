@@ -81,9 +81,7 @@ def test_criterion_4_band_limited_exactness(validation_report):
 
 def test_criterion_5_reconstruction_residual_bound(sphere_scene):
     start = time.perf_counter()
-    points, views = transport.sample_surface_points(sphere_scene, 500, seed=0)
-    positions = np.array([p.position for p in points])
-    normals = np.array([p.normal for p in points])
+    positions, normals, _, views = transport.sample_surface_points(sphere_scene, 500, seed=0)
     coeffs = transport.bake_transfer_batch(sphere_scene, positions, normals)
     dirs, _, _ = sh.basis_grid(0, *transport.BAKE_GRID)
     maps = transport.visibility_map(sphere_scene, positions, normals, dirs)
@@ -91,12 +89,11 @@ def test_criterion_5_reconstruction_residual_bound(sphere_scene):
     zeroed = []
     map_rms = []
     zero_transfer = np.zeros(coeffs.shape[1])
-    for i, (p, v) in enumerate(zip(points, views)):
-        rays = transport.nrt_rays(p.normal, v, seed=(0, i))
-        baked.append(np.mean(transport.nrt_residuals(sphere_scene, p.position, p.normal,
-                                                     coeffs[i], rays)))
-        zeroed.append(np.mean(transport.nrt_residuals(sphere_scene, p.position, p.normal,
-                                                      zero_transfer, rays)))
+    for i, (x, n, v) in enumerate(zip(positions, normals, views)):
+        rays = transport.nrt_rays(n, v, seed=(0, i))
+        baked.append(np.mean(transport.nrt_residuals(sphere_scene, x, n, coeffs[i], rays)))
+        zeroed.append(np.mean(transport.nrt_residuals(sphere_scene, x, n, zero_transfer,
+                                                      rays)))
         map_rms.append(oracle.visibility_l2(maps[i], zero_transfer, (4,),
                                             transport.BAKE_GRID)[4])
     elapsed = time.perf_counter() - start
@@ -131,13 +128,12 @@ def test_criterion_7_normals_and_zero_reference(sphere_scene):
     fd, valid = field.normals(sphere_scene, dirs)
     cosines = np.sum(fd * dirs, axis=1)
     min_cos = float(np.min(cosines))
-    points, views = transport.sample_surface_points(sphere_scene, 20, seed=2)
+    positions, normals, _, views = transport.sample_surface_points(sphere_scene, 20, seed=2)
     exact = True
-    for i, (p, v) in enumerate(zip(points, views)):
-        t = transport.bake_transfer_batch(sphere_scene, [p.position], [p.normal],
-                                          resolution=(16, 32))[0]
-        rays = transport.nrt_rays(p.normal, v, seed=(2, i))
-        residuals = transport.nrt_residuals(sphere_scene, p.position, p.normal, t, rays)
+    for i, (x, n, v) in enumerate(zip(positions, normals, views)):
+        t = transport.bake_transfer_batch(sphere_scene, [x], [n], resolution=(16, 32))[0]
+        rays = transport.nrt_rays(n, v, seed=(2, i))
+        residuals = transport.nrt_residuals(sphere_scene, x, n, t, rays)
         # Rows 2 to 9 are the auxiliary rays.
         for d, r in zip(rays[2:], residuals[2:]):
             rec = float(sh.reconstruct(t, d))

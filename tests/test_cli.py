@@ -408,6 +408,32 @@ class TestValidate:
         assert code == 0
         assert '"aggregate"' in capsys.readouterr().out
 
+    @pytest.mark.parametrize("degree, want", [(0, [0]), (1, [1]), (2, [2]), (3, [2, 3])])
+    def test_low_degree_scores_its_own_bands(self, degree, want, workdir, scene_file,
+                                             light_file):
+        out = workdir / f"report_d{degree}.json"
+        assert cli.main(["validate", scene_file, "--env", light_file, "--degree", str(degree),
+                         "--points", "1", "--mc-samples", "100", "--grid", "8", "16",
+                         "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["degrees"] == want
+        assert list(report["aggregate"]["visibility_l2"]) == [str(d) for d in want]
+
+    def test_light_below_degree_fails_before_sampling(self, workdir, scene_file, monkeypatch,
+                                                      capsys):
+        light = workdir / "light_d2.json"
+        envlight.save_sh_light(str(light), lobe_sh_light(degree=2))
+
+        def never(*args, **kwargs):
+            raise AssertionError("probed surface points")
+        monkeypatch.setattr(transport, "sample_surface_points", never)
+        out = workdir / "never_written"
+        assert cli.main(["validate", scene_file, "--env", str(light), "--degree", "4",
+                         "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --degree 4 ") and "degree 2" in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def map_files(workdir):

@@ -569,8 +569,8 @@ def one_ray_sampler(scene, count, seed=0, max_tries=None):
         facing = nrm[0, 0] * d[0] + nrm[0, 1] * d[1] + nrm[0, 2] * d[2] < 0.0
         if not (valid[0] and facing):
             continue
-        albedo, tint = field.material(scene, x)
-        found.append((x, nrm[0], albedo, tint, -d))
+        albedo, _ = field.material(scene, x)
+        found.append((x, nrm[0], albedo, -d))
     return found
 
 
@@ -592,19 +592,18 @@ def test_batched_sampler_equals_one_ray_loop(blocker_scene, count, kwargs):
         with pytest.raises(ValueError, match="no valid surface points"):
             transport.sample_surface_points(scene, count, **kwargs)
         return
-    points, views = transport.sample_surface_points(scene, count, **kwargs)
-    assert len(points) == len(views) == len(want) <= count
-    for sp, view, (x, nrm, albedo, tint, v) in zip(points, views, want):
-        assert sp.normal is not None
-        for got, ref in ((sp.position, x), (sp.normal, nrm), (sp.albedo, albedo),
-                         (sp.tint, tint), (view, v)):
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    out = transport.sample_surface_points(scene, count, **kwargs)
+    assert all(len(a) == len(want) <= count for a in out)
+    for i, ref in enumerate(want):
+        assert out[1][i].any()
+        for got, r in zip((a[i] for a in out), ref):
+            assert got.shape == r.shape and got.tobytes() == r.tobytes()
 
 
 def test_batched_sampler_on_a_mostly_missed_scene():
     scene = make_scene(dict(SPHERE, center=[0.9, 0.0, 0.0], radius=0.08, softness=0.06,
                             density_scale=30.0), radius=4.0, march={"primary_steps": 96})
     want = one_ray_sampler(scene, 20)
-    points, _ = transport.sample_surface_points(scene, 20)
+    positions = transport.sample_surface_points(scene, 20)[0]
     assert 0 < len(want) < 20
-    assert [p.position.tobytes() for p in points] == [w[0].tobytes() for w in want]
+    assert [x.tobytes() for x in positions] == [w[0].tobytes() for w in want]

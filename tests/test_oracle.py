@@ -99,14 +99,14 @@ class TestCompare:
                             lambda *a, **k: used.append(project(*a, **k)) or used[-1])
         report = oracle.compare_prt_vs_mc(blocker_scene, sky_light, config=config)
         monkeypatch.undo()
-        pts, _ = transport.sample_surface_points(blocker_scene, config.count, seed=config.seed)
-        baked = transport.bake_transfer_batch(
-            blocker_scene, np.array([sp.position for sp in pts]),
-            np.array([sp.normal for sp in pts]), resolution=config.resolution)
+        pos, nrm, albedo, _ = transport.sample_surface_points(blocker_scene, config.count,
+                                                             seed=config.seed)
+        baked = transport.bake_transfer_batch(blocker_scene, pos, nrm,
+                                              resolution=config.resolution)
         assert len(used) == len(report.entries) == baked.shape[0]
-        for got, row, sp, e in zip(used, baked, pts, report.entries):
+        for got, row, a, e in zip(used, baked, albedo, report.entries):
             assert got[0].tobytes() == row.tobytes()
-            want = shading.diffuse_radiance(sp.albedo, row, sky_light)
+            want = shading.diffuse_radiance(a, row, sky_light)
             assert e.sh_diffuse.tobytes() == want.tobytes()
 
     def test_band_limited_light_within_3_sigma(self, blocker_report):
@@ -132,15 +132,14 @@ class TestCompare:
         # routes bit for bit.
         config = blocker_report.config
         light = lobe_sh_light().truncated(config.degree)
-        points, _ = transport.sample_surface_points(blocker_scene, config.count,
-                                                    seed=config.seed)
+        pos, nrm, albedo, _ = transport.sample_surface_points(blocker_scene, config.count,
+                                                             seed=config.seed)
         dirs, _, _ = sh.basis_grid(0, *config.resolution)
-        for sp, e in zip(points, blocker_report.entries):
-            t = transport.bake_transfer_batch(blocker_scene, [sp.position], [sp.normal],
-                                              degree=config.degree,
+        for x, n, a, e in zip(pos, nrm, albedo, blocker_report.entries):
+            t = transport.bake_transfer_batch(blocker_scene, [x], [n], degree=config.degree,
                                               resolution=config.resolution)[0]
-            assert np.array_equal(e.sh_diffuse, shading.diffuse_radiance(sp.albedo, t, light))
-            vals = transport.visibility_map(blocker_scene, [sp.position], [sp.normal], dirs)[0]
+            assert np.array_equal(e.sh_diffuse, shading.diffuse_radiance(a, t, light))
+            vals = transport.visibility_map(blocker_scene, [x], [n], dirs)[0]
             assert e.visibility_l2 == oracle.visibility_l2(vals, t, config.degrees,
                                                            config.resolution)
 
@@ -195,17 +194,30 @@ class TestCompare:
         assert "runtime" not in text
 
     def test_views_must_pair_points(self, sphere_scene, white_light):
-        pts, _ = transport.sample_surface_points(sphere_scene, 3, seed=1)
+        pos, nrm, albedo, _ = transport.sample_surface_points(sphere_scene, 3, seed=1)
         with pytest.raises(ValueError, match="pair"):
-            oracle.compare_prt_vs_mc(sphere_scene, white_light, points=pts,
-                                     views=[np.array([0.0, 0.0, 1.0])])
+            oracle.compare_prt_vs_mc(sphere_scene, white_light,
+                                     surface=(pos, nrm, albedo, [[0.0, 0.0, 1.0]]))
 
     def test_invalid_normal_rejected(self, sphere_scene, white_light):
-        bad = field_surface_point(sphere_scene, [0.0, 0.0, 0.0])
-        assert bad.normal is None
-        with pytest.raises(ValueError, match="no surface normal"):
-            oracle.compare_prt_vs_mc(sphere_scene, white_light, points=[bad],
-                                     views=[np.array([0.0, 0.0, 1.0])])
+        x, n, albedo = field_surface_point(sphere_scene, [0.0, 0.0, 0.0])
+        assert not n.any()
+        with pytest.raises(ValueError, match="point 0 has no surface normal"):
+            oracle.compare_prt_vs_mc(sphere_scene, white_light,
+                                     surface=([x], [n], [albedo], [[0.0, 0.0, 1.0]]))
+
+    def test_light_degree_checked_before_sampling(self, sphere_scene, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("probed surface points")
+        monkeypatch.setattr(transport, "sample_surface_points", never)
+        config = oracle.ValidationConfig(count=3, mc_samples=100, degree=4)
+        with pytest.raises(ValueError, match="cannot extend degree 2 light to 4"):
+            oracle.compare_prt_vs_mc(sphere_scene, constant_sh_light(degree=2), config=config)
+
+    @pytest.mark.parametrize("degree, want", [
+        (0, (0,)), (1, (1,)), (2, (2,)), (3, (2, 3)), (4, (2, 3, 4)), (8, (2, 3, 4))])
+    def test_l2_degrees_stop_at_the_degree(self, degree, want):
+        assert oracle.ValidationConfig(degree=degree).degrees == want
 
     def test_format_table(self, blocker_report):
         text = oracle.format_table(blocker_report)

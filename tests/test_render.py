@@ -228,9 +228,7 @@ class TestImages:
 
 class TestCacheRender:
     def _cache(self, scene, tmp_path, count=80):
-        pts, _ = transport.sample_surface_points(scene, count, seed=9)
-        positions = np.array([sp.position for sp in pts])
-        normals = np.array([sp.normal for sp in pts])
+        positions, normals, _, _ = transport.sample_surface_points(scene, count, seed=9)
         coeffs = transport.bake_transfer_batch(scene, positions, normals,
                                                resolution=(16, 32), steps=24)
         path = str(tmp_path / "cache.bin")

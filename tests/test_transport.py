@@ -174,11 +174,11 @@ class TestBakeTransfer:
         # The degree-d transfer is the leading slice of the degree-4 bake,
         # so the quadrature L2 against the ray-traced map can only shrink
         # as bands are added.
-        pts, _ = transport.sample_surface_points(blocker_scene, 6, seed=41)
-        for sp in pts:
-            t = transport.bake_transfer_batch(blocker_scene, [sp.position], [sp.normal])[0]
+        pos, nrm, _, _ = transport.sample_surface_points(blocker_scene, 6, seed=41)
+        for x, n in zip(pos, nrm):
+            t = transport.bake_transfer_batch(blocker_scene, [x], [n])[0]
             dirs, weights, basis = sh.basis_grid(4, *transport.BAKE_GRID)
-            vals = transport.visibility_map(blocker_scene, [sp.position], [sp.normal], dirs)[0]
+            vals = transport.visibility_map(blocker_scene, [x], [n], dirs)[0]
             errs = []
             for degree in (2, 3, 4):
                 n = sh.num_coeffs(degree)
@@ -193,10 +193,10 @@ class TestBakeTransfer:
         # non-negative.
         # The quadrature grid leaves an O(dtheta^2) leak into the even
         # zonal terms, so the match is to the grid's accuracy, not exact.
-        pts, _ = transport.sample_surface_points(blocker_scene, 4, seed=55)
+        pos, nrm, _, _ = transport.sample_surface_points(blocker_scene, 4, seed=55)
         dirs, weights, _ = sh.basis_grid(0, 128, 256)
-        for sp in pts:
-            t = transport.bake_transfer_batch(blocker_scene, [sp.position], [sp.normal])[0]
+        for x, n in zip(pos, nrm):
+            t = transport.bake_transfer_batch(blocker_scene, [x], [n])[0]
             integral = float(np.sum(weights * sh.reconstruct(t, dirs)))
             assert abs(integral - math.sqrt(4.0 * math.pi) * t[0]) < 5e-4
             assert t[0] >= 0.0
@@ -236,11 +236,11 @@ class TestNrtResidual:
     def test_negative_hemisphere_reference_is_zero(self, sphere_scene):
         # Reference V*H vanishes behind the surface, so the residual is
         # exactly the squared reconstruction there.
-        sp = field_surface_point(sphere_scene, [1.0, 0.0, 0.0])
-        t = transport.bake_transfer_batch(sphere_scene, [sp.position], [sp.normal])[0]
+        x, n, _ = field_surface_point(sphere_scene, [1.0, 0.0, 0.0])
+        t = transport.bake_transfer_batch(sphere_scene, [x], [n])[0]
         back_dir = sh.normalize(np.array([-1.0, 0.1, 0.0]))
-        assert float(np.dot(sp.normal, back_dir)) < 0.0
-        r = transport.nrt_residuals(sphere_scene, sp.position, sp.normal, t, [back_dir])
+        assert float(np.dot(n, back_dir)) < 0.0
+        r = transport.nrt_residuals(sphere_scene, x, n, t, [back_dir])
         rec = float(sh.reconstruct(t, back_dir))
         assert r[0] == rec ** 2
 
@@ -265,13 +265,13 @@ class TestNrtResidual:
     def test_residual_matches_direct_formula(self, blocker_scene):
         # Independent recomputation of the same quantity from the public
         # pieces: reconstruction, visibility, clamped cosine.
-        sp = field_surface_point(blocker_scene, [0.0, 1.0, 0.0])
-        t = transport.bake_transfer_batch(blocker_scene, [sp.position], [sp.normal])[0]
+        x, n, _ = field_surface_point(blocker_scene, [0.0, 1.0, 0.0])
+        t = transport.bake_transfer_batch(blocker_scene, [x], [n])[0]
         dirs = random_unit_dirs(20, seed=23)
-        got_all = transport.nrt_residuals(blocker_scene, sp.position, sp.normal, t, dirs)
+        got_all = transport.nrt_residuals(blocker_scene, x, n, t, dirs)
         for d, got in zip(dirs, got_all):
-            h = max(0.0, float(sp.normal @ d))
-            v = transport.transmittance(blocker_scene, sp.position[None, :], d[None, :],
+            h = max(0.0, float(n @ d))
+            v = transport.transmittance(blocker_scene, x[None, :], d[None, :],
                                         offset=2.0 * blocker_scene.fd_step)[0]
             ref = v * h if h > 0 else 0.0
             want = (float(sh.reconstruct(t, d)) - ref) ** 2
@@ -279,13 +279,12 @@ class TestNrtResidual:
 
     def test_mean_residual_small_on_sphere(self, sphere_scene):
         # Smaller rehearsal of the 500-point bound checked in acceptance.
-        pts, views = transport.sample_surface_points(sphere_scene, 40, seed=2)
+        pos, nrm, _, views = transport.sample_surface_points(sphere_scene, 40, seed=2)
         total = []
-        for i, (sp, view) in enumerate(zip(pts, views)):
-            t = transport.bake_transfer_batch(sphere_scene, [sp.position], [sp.normal])[0]
-            rays = transport.nrt_rays(sp.normal, view, seed=i)
-            total.append(np.mean(transport.nrt_residuals(sphere_scene, sp.position, sp.normal,
-                                                         t, rays)))
+        for i, (x, n, view) in enumerate(zip(pos, nrm, views)):
+            t = transport.bake_transfer_batch(sphere_scene, [x], [n])[0]
+            rays = transport.nrt_rays(n, view, seed=i)
+            total.append(np.mean(transport.nrt_residuals(sphere_scene, x, n, t, rays)))
         assert float(np.mean(total)) < 0.05
 
 
@@ -300,12 +299,12 @@ class TestSurfacePoints:
         assert np.array_equal(sigma, np.zeros((1, 192)))
 
     def test_hit_lands_on_shell(self, sphere_scene):
-        pts, _ = transport.sample_surface_points(sphere_scene, 40, seed=3)
-        for sp in pts:
-            assert sp.normal is not None
-            r = np.linalg.norm(sp.position)
+        pos, nrm, _, _ = transport.sample_surface_points(sphere_scene, 40, seed=3)
+        for x, n in zip(pos, nrm):
+            assert n.any()
+            r = np.linalg.norm(x)
             assert 0.9 < r < 1.06
-            assert float(np.dot(sp.normal, sp.position / r)) > 0.8
+            assert float(np.dot(n, x / r)) > 0.8
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_points_face_their_view(self, sphere_scene, seed):
@@ -314,23 +313,26 @@ class TestSurfacePoints:
         # On the example scene this happened for 2, 6 and 6 of 500 points.
         example = field.load_scene(str(EXAMPLE_SCENE))
         for scene, count in ((example, 500), (sphere_scene, 40)):
-            pts, views = transport.sample_surface_points(scene, count, seed=seed)
-            assert len(pts) == count
-            cos = np.array([float(sp.normal @ v) for sp, v in zip(pts, views)])
+            _, nrm, _, views = transport.sample_surface_points(scene, count, seed=seed)
+            assert len(nrm) == count
+            cos = np.array([float(n @ v) for n, v in zip(nrm, views)])
             assert np.all(cos > 0.0), cos.min()
 
     def test_sample_surface_points_contract(self, blocker_scene):
-        pts, views = transport.sample_surface_points(blocker_scene, 25, seed=11)
-        assert len(pts) == 25 and len(views) == 25
-        for sp, view in zip(pts, views):
-            assert sp.normal is not None
-            assert abs(np.linalg.norm(view) - 1.0) < 1e-12
+        out = transport.sample_surface_points(blocker_scene, 25, seed=11)
+        assert len(out) == 4
+        for a in out:
+            assert a.shape == (25, 3) and a.dtype == np.float64
+        _, nrm, _, views = out
+        assert np.all(np.abs(np.linalg.norm(nrm, axis=1) - 1.0) < 1e-12)
+        assert np.all(np.abs(np.linalg.norm(views, axis=1) - 1.0) < 1e-12)
+        assert np.all(np.sum(nrm * views, axis=1) > 0.0)
 
     def test_sample_deterministic(self, sphere_scene):
-        a, _ = transport.sample_surface_points(sphere_scene, 10, seed=4)
-        b, _ = transport.sample_surface_points(sphere_scene, 10, seed=4)
+        a = transport.sample_surface_points(sphere_scene, 10, seed=4)
+        b = transport.sample_surface_points(sphere_scene, 10, seed=4)
         for sa, sb in zip(a, b):
-            assert np.array_equal(sa.position, sb.position)
+            assert np.array_equal(sa, sb)
 
     def test_empty_scene_raises(self, empty_scene):
         with pytest.raises(ValueError, match="no valid surface points"):
@@ -356,9 +358,7 @@ def surface_cloud(rng, n):
 class TestTransferCache:
     def _bake_samples(self, scene, count, seed):
         """(positions, normals, coeffs) of count sampled points, each baked alone."""
-        pts, _ = transport.sample_surface_points(scene, count, seed=seed)
-        positions = np.array([sp.position for sp in pts])
-        normals = np.array([sp.normal for sp in pts])
+        positions, normals, _, _ = transport.sample_surface_points(scene, count, seed=seed)
         coeffs = np.array([transport.bake_transfer_batch(scene, [p], [n])[0]
                            for p, n in zip(positions, normals)])
         return positions, normals, coeffs
@@ -626,9 +626,9 @@ class TestVisibilityMap:
     def test_batched_rows_match_single_points(self, blocker_scene):
         # Each row of a batched map is the map of its point alone, bit for
         # bit, and a zero normal gives a zero row.
-        pts, _ = transport.sample_surface_points(blocker_scene, 3, seed=5)
-        pos = np.array([sp.position for sp in pts] + [[0.0, 0.0, 0.0]])
-        nrm = np.array([sp.normal for sp in pts] + [[0.0, 0.0, 0.0]])
+        pos, nrm, _, _ = transport.sample_surface_points(blocker_scene, 3, seed=5)
+        pos = np.vstack([pos, np.zeros(3)])
+        nrm = np.vstack([nrm, np.zeros(3)])
         dirs, _, _ = sh.basis_grid(0, 16, 32)
         vals = transport.visibility_map(blocker_scene, pos, nrm, dirs)
         for i in range(4):
@@ -638,9 +638,7 @@ class TestVisibilityMap:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_point_blocks_do_not_change_the_map(self, blocker_scene, monkeypatch, dtype):
-        pts, _ = transport.sample_surface_points(blocker_scene, 7, seed=6)
-        pos = np.array([sp.position for sp in pts])
-        nrm = np.array([sp.normal for sp in pts])
+        pos, nrm, _, _ = transport.sample_surface_points(blocker_scene, 7, seed=6)
         dirs, _, _ = sh.basis_grid(0, 8, 16)
         whole = transport.visibility_map(blocker_scene, pos, nrm, dirs, dtype=dtype)
         for block in (1, 3):
@@ -659,10 +657,9 @@ BATCH_POINTS = 9  # eight sampled points and one with a zero normal
 
 @functools.lru_cache(maxsize=None)
 def batch_points(name):
-    pts, _ = transport.sample_surface_points(BATCH_SCENES[name], BATCH_POINTS - 1, seed=0)
-    pos = np.array([sp.position for sp in pts] + [[0.1, 0.2, 0.3]])
-    nrm = np.array([sp.normal for sp in pts] + [[0.0, 0.0, 0.0]])
-    return pos, nrm
+    pos, nrm, _, _ = transport.sample_surface_points(BATCH_SCENES[name], BATCH_POINTS - 1,
+                                                     seed=0)
+    return np.vstack([pos, [0.1, 0.2, 0.3]]), np.vstack([nrm, np.zeros(3)])
 
 
 @functools.lru_cache(maxsize=None)
