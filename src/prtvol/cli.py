@@ -73,6 +73,16 @@ def _positive_float(text):
     return value
 
 
+class _Grid(argparse.Action):
+    """Action of H W grid flags: at least the sh.MIN_GRID quadrature, checked on parse."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values[0] < sh.MIN_GRID[0] or values[1] < sh.MIN_GRID[1]:
+            raise argparse.ArgumentError(self, "grid {}x{} below minimum {}x{}".format(
+                *values, *sh.MIN_GRID))
+        setattr(namespace, self.dest, values)
+
+
 def _require_file(path):
     if not os.path.isfile(path):
         raise _UsageError(f"file not found: {path}")
@@ -107,14 +117,15 @@ def _cmd_project_env(args):
 
 def _cmd_bake(args):
     scene = field.load_scene(_require_file(args.scene))
+    marched = field.with_steps(scene, secondary_steps=args.secondary_steps)
     positions, normals, _, _ = transport.sample_surface_points(scene, args.points,
                                                                seed=args.seed)
     _warn_shortfall(len(positions), args.points)
 
     def run(lo, hi):
         return transport.bake_transfer_batch(
-            scene, positions[lo:hi], normals[lo:hi], degree=args.degree,
-            resolution=tuple(args.resolution), steps=args.secondary_steps)
+            marched, positions[lo:hi], normals[lo:hi], degree=args.degree,
+            resolution=tuple(args.resolution))
 
     coeffs = np.vstack(chunks.map_chunks(run, len(positions), BAKE_CHUNK, args.threads))
     transport.save_transfer_cache(args.output, scene, positions, normals, coeffs)
@@ -148,19 +159,17 @@ def _cmd_render(args):
     camera = _camera_from(args, data.get("camera", {}))
     if not (args.output or args.srgb or args.alpha):
         raise _UsageError("no output requested; pass -o, --srgb, or --alpha")
-    needs_light = args.mode in ("lit", "diffuse", "specular", "irradiance")
-    if needs_light and not args.env:
+    if args.mode in render.SHADED_MODES and not args.env:
         raise _UsageError(f"mode {args.mode} requires --env")
     light = _load_light(args.env, args.degree) if args.env else None
     cache = None
     if args.cache:
         cache = transport.load_transfer_cache(_require_file(args.cache), scene=scene)
     settings = render.RenderSettings(
-        steps=args.steps, secondary_steps=args.secondary_steps,
         transfer_grid=tuple(args.transfer_grid), anchors_per_ray=args.anchors,
         transfer_cache=cache)
-    img = render.render_image(scene, light, camera, mode=args.mode,
-                              settings=settings, threads=args.threads)
+    img = render.render_image(field.with_steps(scene, args.steps, args.secondary_steps), light,
+                              camera, mode=args.mode, settings=settings, threads=args.threads)
     if args.output:
         imageio.write_pfm(args.output, img.pixels)
         print(f"wrote {args.output}")
@@ -227,7 +236,7 @@ def build_parser():
     p.add_argument("--exposure", type=_finite_float, default=1.0,
                    help="linear multiplier applied on load")
     p.add_argument("--resolution", type=_positive_int, nargs=2, metavar=("H", "W"), default=None,
-                   help="projection grid; defaults to the map's own texel grid")
+                   action=_Grid, help="projection grid; defaults to the map's own texel grid")
     p.add_argument("-o", "--output", required=True, help="output coefficient JSON")
     p.set_defaults(func=_cmd_project_env)
 
@@ -238,7 +247,7 @@ def build_parser():
     p.add_argument("--degree", type=_degree, default=4, help="SH truncation degree")
     p.add_argument("--seed", type=_non_negative_int, default=0, help="probe-ray RNG seed")
     p.add_argument("--resolution", type=_positive_int, nargs=2, metavar=("H", "W"),
-                   default=list(transport.BAKE_GRID), help="bake direction grid")
+                   default=list(transport.BAKE_GRID), action=_Grid, help="bake direction grid")
     p.add_argument("--secondary-steps", type=_positive_int, default=None,
                    help="visibility march steps; scene value if omitted")
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
@@ -259,8 +268,9 @@ def build_parser():
     p.add_argument("--secondary-steps", type=_positive_int, default=None,
                    help="visibility march steps; scene value if omitted")
     p.add_argument("--transfer-grid", type=_positive_int, nargs=2, metavar=("H", "W"),
-                   default=[16, 32], help="per-anchor bake grid")
-    p.add_argument("--anchors", type=_positive_int, default=4,
+                   default=list(render.RenderSettings.transfer_grid), action=_Grid,
+                   help="per-anchor bake grid")
+    p.add_argument("--anchors", type=_positive_int, default=render.RenderSettings.anchors_per_ray,
                    help="transfer anchors per primary ray")
     p.add_argument("--cache", default=None,
                    help="transfer cache file; anchors look up instead of baking")
@@ -292,7 +302,7 @@ def build_parser():
                    help="Monte Carlo directions per point")
     p.add_argument("--degree", type=_degree, default=4, help="SH truncation degree")
     p.add_argument("--grid", type=_positive_int, nargs=2, metavar=("H", "W"), default=[64, 128],
-                   help="bake and visibility-map grid")
+                   action=_Grid, help="bake and visibility-map grid")
     p.add_argument("--secondary-steps", type=_positive_int, default=None,
                    help="visibility march steps; scene value if omitted")
     p.add_argument("--seed", type=_non_negative_int, default=0, help="RNG seed")

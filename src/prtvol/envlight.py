@@ -131,8 +131,9 @@ class ShLight:
             if key not in d:
                 raise ValueError(f"ShLight JSON missing field '{key}'")
         degree = d["degree"]
-        if type(degree) is not int:
-            raise ValueError(f"ShLight degree must be an integer, got {degree!r}")
+        if type(degree) is not int or not 0 <= degree <= sh.MAX_DEGREE:
+            raise ValueError(
+                f"ShLight degree must be an integer in [0, {sh.MAX_DEGREE}], got {degree!r}")
         channels = d["channels"]
         if not isinstance(channels, list) or len(channels) != 3:
             raise ValueError("ShLight JSON must carry exactly 3 channels")
@@ -152,7 +153,7 @@ class ShLight:
         if len(lengths) != 1:
             raise ValueError("ShLight channels must have equal lengths")
         n = lengths.pop()
-        if degree < 0 or n != sh.num_coeffs(degree):
+        if n != sh.num_coeffs(degree):
             raise ValueError(f"channel length {n} does not match degree {degree}")
         return cls(coeffs=np.asarray(channels, dtype=np.float64).T)
 

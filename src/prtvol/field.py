@@ -23,7 +23,7 @@ the normal invalid; invalid is a value, not an error.
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -284,6 +284,13 @@ def scene_from_dict(d):
 def load_scene(path):
     with open(path) as f:
         return scene_from_dict(json.load(f))
+
+
+def with_steps(scene, primary_steps=None, secondary_steps=None):
+    """scene with the march step counts given (not None) replaced; scene itself if none is."""
+    steps = {k: v for k, v in (("primary_steps", primary_steps),
+                               ("secondary_steps", secondary_steps)) if v is not None}
+    return replace(scene, march=replace(scene.march, **steps)) if steps else scene
 
 
 # The compiled kernel. Each kind's primitives are packed into float64

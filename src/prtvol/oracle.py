@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import chunks, envlight, sh, shading, transport
+from . import chunks, envlight, field, sh, shading, transport
 
 
 def _uniform_sphere(rng, count):
@@ -38,13 +38,13 @@ def _uniform_sphere(rng, count):
     return dirs / norms[:, None]
 
 
-def mc_diffuse_radiance(scene, light, x, n, albedo, samples, seed=0, steps=None):
+def mc_diffuse_radiance(scene, light, x, n, albedo, samples, seed=0):
     """Monte Carlo diffuse radiance at a surface point.
 
     Estimates (albedo / pi) * integral of L(w) * V(x, w) * max(0, n.w)
-    with uniform sphere sampling, V * max(0, n.w) from visibility_map.
-    Returns (rgb (3,), stderr (3,)); stderr is the empirical standard
-    error of the estimator per channel.
+    with uniform sphere sampling, V * max(0, n.w) from visibility_map in
+    scene.march.secondary_steps steps. Returns (rgb (3,), stderr (3,));
+    stderr is the empirical standard error of the estimator per channel.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -54,7 +54,7 @@ def mc_diffuse_radiance(scene, light, x, n, albedo, samples, seed=0, steps=None)
     radiance = np.asarray(light.radiance(dirs), dtype=np.float64)
     if radiance.ndim == 1:
         radiance = radiance[:, None]
-    vh = transport.visibility_map(scene, [x], [n], dirs, steps=steps)[0]
+    vh = transport.visibility_map(scene, [x], [n], dirs)[0]
     g = radiance * vh[:, None]  # (S, C) integrand per direction
     scale = albedo / np.pi * 4.0 * np.pi
     value = scale * np.mean(g, axis=0)
@@ -96,7 +96,7 @@ class ValidationConfig:
     mc_samples: int = 10000
     degree: int = 4
     resolution: tuple = (64, 128)      # bake and visibility-map grid
-    secondary_steps: int | None = None
+    secondary_steps: int | None = None  # replaces scene.march.secondary_steps if set
     seed: int = 0
     threads: int = 1
 
@@ -198,6 +198,7 @@ def compare_prt_vs_mc(scene, light, surface=None, config=None):
     exactly when the light is band-limited.
     """
     config = config or ValidationConfig()
+    scene = field.with_steps(scene, secondary_steps=config.secondary_steps)
     if isinstance(light, envlight.ShLight):
         sh_light = light.truncated(config.degree)
     else:
@@ -216,16 +217,13 @@ def compare_prt_vs_mc(scene, light, surface=None, config=None):
 
     def run(i, _end):
         x, n = positions[i], normals[i]
-        vals = transport.visibility_map(scene, x[None], n[None], dirs,
-                                        steps=config.secondary_steps)
+        vals = transport.visibility_map(scene, x[None], n[None], dirs)
         transfer = transport.project_map(vals, degree=config.degree,
                                          resolution=config.resolution)[0]
         mc, stderr = mc_diffuse_radiance(
-            scene, light, x, n, albedo[i], config.mc_samples, seed=(config.seed, i),
-            steps=config.secondary_steps)
+            scene, light, x, n, albedo[i], config.mc_samples, seed=(config.seed, i))
         residuals = transport.nrt_residuals(
-            scene, x, n, transfer, transport.nrt_rays(n, views[i], seed=(config.seed, i)),
-            steps=config.secondary_steps)
+            scene, x, n, transfer, transport.nrt_rays(n, views[i], seed=(config.seed, i)))
         return PointReport(
             position=x,
             nrt_residual_mean=float(np.mean(residuals)),

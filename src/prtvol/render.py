@@ -27,6 +27,7 @@ import numpy as np
 from . import chunks, field, sh, shading, transport
 
 MODES = ("lit", "diffuse", "specular", "albedo", "normal", "irradiance", "visibility")
+SHADED_MODES = ("lit", "diffuse", "specular", "irradiance")  # modes that need an SH light
 DEFAULT_RESOLUTION = 64
 RAY_CHUNK = 1024  # rays per batch; fixed so thread count cannot affect results
 
@@ -80,8 +81,8 @@ class LinearImage:
 
 @dataclass(frozen=True)
 class RenderSettings:
-    steps: int | None = None          # primary steps; scene value if None
-    secondary_steps: int | None = None
+    """Shading settings; march step counts come from the scene's march block."""
+
     transfer_grid: tuple = (16, 32)   # on-the-fly bake grid per anchor
     anchors_per_ray: int = 4
     transfer_cache: object = None     # TransferCache for lookup shading
@@ -117,7 +118,7 @@ def render_image(scene, light, camera, mode="lit", settings=None, threads=1):
     settings = settings or RenderSettings()
     if mode not in MODES:
         raise ValueError(f"unknown render mode {mode!r}; expected one of {MODES}")
-    if mode in ("lit", "diffuse", "specular", "irradiance"):
+    if mode in SHADED_MODES:
         if light is None:
             raise ValueError(f"mode {mode!r} requires an SH light")
         cache = settings.transfer_cache
@@ -142,7 +143,7 @@ def render_image(scene, light, camera, mode="lit", settings=None, threads=1):
 
 def _trace_batch(scene, light, origins, dirs, mode, settings):
     n_rays = origins.shape[0]
-    sigma, t, dt = transport.primary_march(scene, origins, dirs, steps=settings.steps)
+    sigma, t, dt = transport.primary_march(scene, origins, dirs)
     depth, trans, weight = transport._march_weights(sigma, dt)
     alpha = 1.0 - np.exp(-np.sum(depth, axis=1))
 
@@ -237,5 +238,5 @@ def _anchor_transfers(scene, light, apos, aw, settings):
     else:
         coeffs[sel] = transport.bake_transfer_batch(
             scene, pos, anrm[sel], degree=degree, resolution=settings.transfer_grid,
-            steps=settings.secondary_steps, dtype=np.float32)
+            dtype=np.float32)
     return avalid, anrm, coeffs

@@ -27,6 +27,7 @@ import numpy as np
 
 DEFAULT_DEGREE = 4
 MAX_DEGREE = 8
+MIN_GRID = (8, 16)  # smallest (n_theta, n_phi) quadrature grid
 # Directions per block of eval_basis; a degree-8 block's rows take 3.9 MB.
 # Larger blocks ran no faster and left more heap resident after threaded
 # calls. A power of two would make the transposed copy out of a block
@@ -147,8 +148,9 @@ def quadrature_nodes(n_theta=128, n_phi=256):
         (dirs, weights) with dirs (n_theta*n_phi, 3) and weights summing
         to 4 pi up to quadrature error.
     """
-    if n_theta < 8 or n_phi < 16:
-        raise ValueError(f"quadrature grid {n_theta}x{n_phi} below minimum 8x16")
+    if n_theta < MIN_GRID[0] or n_phi < MIN_GRID[1]:
+        raise ValueError("quadrature grid {}x{} below minimum {}x{}".format(
+            n_theta, n_phi, *MIN_GRID))
     d_theta = math.pi / n_theta
     d_phi = 2.0 * math.pi / n_phi
     theta = (np.arange(n_theta) + 0.5) * d_theta

@@ -1,11 +1,11 @@
 """Radiance transfer: visibility marching, transfer baking, residuals.
 
 Visibility is the transmittance exp(-integral of density) along a
-secondary ray, marched with fixed-step midpoint quadrature by
-transmittance from a small self-occlusion offset (twice the normal
-finite-difference step) out to the bounding sphere. Primary rays, the
-renderer's and the surface probes', are marched by primary_march over
-[t_near, t_far], and _march_weights gives both their T * density * dt.
+secondary ray, marched by transmittance in scene.march.secondary_steps
+midpoint steps from a small self-occlusion offset (twice the normal
+finite-difference step) out to the bounding sphere. primary_march
+marches the renderer's and the probes' rays in scene.march.primary_steps
+over [t_near, t_far], and _march_weights gives both T * density * dt.
 Both marches evaluate density only on the samples _live_samples gives,
 the run of steps inside each ray's field.support_interval; every skipped
 sample would be an exact 0.0, so both equal a dense march bit for bit.
@@ -113,15 +113,15 @@ def _live_samples(scene, origins, dirs, t0, dt, steps, t_max):
         yield np.repeat(np.arange(r0, r1 + 1), per), k, pts.T
 
 
-def transmittance(scene, origins, dirs, steps=None, offset=0.0):
+def transmittance(scene, origins, dirs, *, offset=0.0):
     """exp(-optical depth) from origins along dirs out of the bounds.
 
-    Each ray's live samples are added in step order, as a dense march would.
+    Each ray takes scene.march.secondary_steps midpoint samples, and its
+    live samples are added in step order, as a dense march would.
 
     Args:
         scene: volume scene.
         origins, dirs: (N, 3) arrays of matching dtype; dirs unit length.
-        steps: midpoint samples per ray; scene secondary_steps if None.
         offset: march start distance (self-occlusion offset).
 
     Returns:
@@ -129,9 +129,7 @@ def transmittance(scene, origins, dirs, steps=None, offset=0.0):
     """
     origins = np.asarray(origins)
     dirs = np.asarray(dirs, dtype=origins.dtype)
-    dtype = origins.dtype.type
-    if steps is None:
-        steps = scene.march.secondary_steps
+    dtype, steps = origins.dtype.type, scene.march.secondary_steps
     n = origins.shape[0]
     out = np.empty(n, dtype=origins.dtype)
     for lo in range(0, n, MARCH_CHUNK):
@@ -151,18 +149,18 @@ def transmittance(scene, origins, dirs, steps=None, offset=0.0):
 
 
 def bake_transfer_batch(scene, positions, normals, degree=4, resolution=BAKE_GRID,
-                        steps=None, dtype=np.float64):
+                        dtype=np.float64):
     """Transfer coefficients for (P, 3) positions with matching normals, (P, n).
 
     Projects visibility_map on the bake grid onto the SH basis. Rows whose
     normal is a zero vector (invalid gradient) bake to zero.
     """
     dirs, _, _ = sh.basis_grid(degree, resolution[0], resolution[1])
-    vals = visibility_map(scene, positions, normals, dirs, steps=steps, dtype=dtype)
+    vals = visibility_map(scene, positions, normals, dirs, dtype=dtype)
     return project_map(vals, degree=degree, resolution=resolution)
 
 
-def visibility_map(scene, positions, normals, dirs, steps=None, dtype=np.float64):
+def visibility_map(scene, positions, normals, dirs, dtype=np.float64):
     """Ray-traced visibility * clamped cosine, V(x, d) * max(0, n . d).
 
     positions and normals are (P, 3), dirs (D, 3) unit directions. Only
@@ -181,8 +179,7 @@ def visibility_map(scene, positions, normals, dirs, steps=None, dtype=np.float64
     for lo in range(0, positions.shape[0], MAP_POINTS):
         front = np.maximum(0.0, _cosine(normals[lo:lo + MAP_POINTS, None, :], dirs))
         pt_idx, dir_idx = np.nonzero(front > 0.0)
-        v = transmittance(scene, origins[lo + pt_idx], rays[dir_idx], steps=steps,
-                          offset=2.0 * scene.fd_step)
+        v = transmittance(scene, origins[lo + pt_idx], rays[dir_idx], offset=2.0 * scene.fd_step)
         vals[lo + pt_idx, dir_idx] = v.astype(np.float64) * front[pt_idx, dir_idx]
     return vals
 
@@ -229,7 +226,7 @@ def nrt_rays(normal, view, seed=0):
     return np.vstack([view[None, :], -view[None, :], aux])
 
 
-def nrt_residuals(scene, position, normal, transfer, dirs, steps=None):
+def nrt_residuals(scene, position, normal, transfer, dirs):
     """Squared error between reconstructed transfer and ray-traced V*H.
 
     One entry per row of the (D, 3) dirs; V*H comes from visibility_map,
@@ -237,7 +234,7 @@ def nrt_residuals(scene, position, normal, transfer, dirs, steps=None):
     """
     dirs = np.asarray(dirs, dtype=np.float64)
     t = np.asarray(transfer, dtype=np.float64)
-    ref = visibility_map(scene, [position], [normal], dirs, steps=steps)[0]
+    ref = visibility_map(scene, [position], [normal], dirs)[0]
     # Reconstructions are one dot product per direction, and squares are
     # Python float powers: a matrix-vector product or a numpy square can
     # round differently in the last bit.
@@ -245,19 +242,17 @@ def nrt_residuals(scene, position, normal, transfer, dirs, steps=None):
     return np.array([(float(row @ t) - r) ** 2 for row, r in zip(basis, ref.tolist())])
 
 
-def primary_march(scene, origins, dirs, steps=None):
+def primary_march(scene, origins, dirs):
     """Density at the midpoint samples of primary rays over [t_near, t_far].
 
     origins and dirs are (R, 3). Returns (sigma (R, K), t (K,), dt) for
-    K = steps, the scene's primary_steps if None; sample k of ray r lies at
+    K = scene.march.primary_steps; sample k of ray r lies at
     primary_points(origins, dirs, t, r, k). Samples outside the live runs
     (exact since t_near >= 0) hold the 0.0 field.density gives there.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    if steps is None:
-        steps = scene.march.primary_steps
-    t0, t1 = scene.march.t_near, scene.march.t_far
+    steps, t0, t1 = scene.march.primary_steps, scene.march.t_near, scene.march.t_far
     dt = (t1 - t0) / steps
     sigma = np.zeros((origins.shape[0], steps))
     for ray, step, pts in _live_samples(scene, origins, dirs, t0, dt, steps, t1):

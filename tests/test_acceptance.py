@@ -59,8 +59,9 @@ def test_criterion_3_analytic_slab_transmittance(slab_scene):
     start = time.perf_counter()
     tilt = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
     head_on, oblique = transport.transmittance(
-        slab_scene, np.array([[0.0, 0.0, 2.0], [0.0, -2.0, 2.0]]),
-        np.array([[0.0, 0.0, -1.0], tilt]), steps=256, offset=2.0 * slab_scene.fd_step)
+        field.with_steps(slab_scene, secondary_steps=256),
+        np.array([[0.0, 0.0, 2.0], [0.0, -2.0, 2.0]]),
+        np.array([[0.0, 0.0, -1.0], tilt]), offset=2.0 * slab_scene.fd_step)
     elapsed = time.perf_counter() - start
     tau = SLAB_SIGMA * SLAB_THICKNESS
     err = max(abs(head_on - np.exp(-tau)), abs(oblique - np.exp(-tau * np.sqrt(2.0))))

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from prtvol import cli, envlight, render
+from prtvol import cli, envlight, field, render
 from conftest import lobe_sh_light, sphere_scene_dict
 
 TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -32,8 +32,8 @@ def test_worker_chunks_nest_under_render_image(tracer_module, sphere_scene):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        render.render_image(sphere_scene, None, camera, mode="albedo",
-                            settings=render.RenderSettings(steps=32), threads=2)
+        render.render_image(field.with_steps(sphere_scene, 32), None, camera, mode="albedo",
+                            threads=2)
     finally:
         tracer.uninstall()
     batches = [s for s in tracer.spans if s.name == "render._trace_batch"]
@@ -77,3 +77,27 @@ def test_cli_run_fills_the_bench_counters(tracer_module, tmp_path):
                  "transport.bake_transfer_batch.points", "transport.TransferCache.nearest.queries",
                  "transport.nrt_residuals.self_s", "oracle.visibility_l2.self_s"):
         assert metrics[name] > 0, name
+
+
+def test_transmittance_counts_the_flag_steps(tracer_module, tmp_path):
+    # The counter reads the step count from the scene transmittance marches,
+    # which carries the --secondary-steps value.
+    scene = tmp_path / "scene.json"
+    data = sphere_scene_dict()
+    data["camera"] = {"position": [0.0, -2.8, 0.9], "look_at": [0.0, 0.0, 0.0],
+                      "width": 4, "height": 4}
+    scene.write_text(json.dumps(data))
+    light = str(tmp_path / "light.json")
+    envlight.save_sh_light(light, lobe_sh_light())
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        tracer.op = "render"
+        assert cli.main(["render", str(scene), "--env", light, "--secondary-steps", "7",
+                         "--transfer-grid", "8", "16", "--threads", "1",
+                         "-o", str(tmp_path / "lit.pfm")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer_module.layer_metrics(tracer, {"render": 1})
+    rays = metrics["transport.transmittance.rays"]
+    assert rays > 0 and metrics["transport.transmittance.ray_steps"] == 7 * rays

@@ -337,6 +337,32 @@ class TestRender:
         assert capsys.readouterr().err == "error: transfer cache record 2 is not finite\n"
         assert not out.exists()
 
+    def test_light_above_max_degree_fails_on_load(self, workdir, scene_file, monkeypatch,
+                                                 capsys):
+        # A degree-9 light used to march the first ray chunk (render) or
+        # probe every point (validate) before sh rejected its degree.
+        light = workdir / "light_d9.json"
+        light.write_text(json.dumps({"degree": 9, "channels": [[0.1] * 100] * 3}))
+        calls = []
+
+        def spy(name):
+            real = getattr(transport, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(transport, name, wrapped)
+
+        spy("primary_march")
+        spy("sample_surface_points")
+        out = workdir / "never_written"
+        for command in ("render", "validate"):
+            assert cli.main([command, scene_file, "--env", str(light), "-o", str(out)]) == 2
+            assert capsys.readouterr().err == \
+                "error: ShLight degree must be an integer in [0, 8], got 9\n"
+        assert calls == [] and not out.exists()
+
+
 @pytest.fixture(scope="module")
 def sparse_scene_file(workdir):
     """A small sphere off center that most probe rays miss."""
@@ -433,6 +459,81 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: --degree 4 ") and "degree 2" in err
         assert not out.exists()
+
+
+class TestMarchFlags:
+    """--steps and --secondary-steps act as a per-run copy of the scene's march block."""
+
+    N, M = 96, 24
+
+    @pytest.fixture(scope="class")
+    def edited_files(self, workdir, scene_file):
+        """Copies of scene_file whose march block holds N and M, and M alone."""
+        paths = {}
+        for tag, march in (("both", {"primary_steps": self.N, "secondary_steps": self.M}),
+                           ("secondary", {"secondary_steps": self.M})):
+            data = json.loads(pathlib.Path(scene_file).read_text())
+            data["march"].update(march)
+            paths[tag] = workdir / f"sphere_{tag}.json"
+            paths[tag].write_text(json.dumps(data))
+        return {tag: str(p) for tag, p in paths.items()}
+
+    def test_render_flags_equal_an_edited_march_block(self, workdir, scene_file, light_file,
+                                                      edited_files):
+        cache = workdir / "march_cache.bin"
+        assert cli.main(["bake", scene_file, "--points", "8", "--resolution", "8", "16",
+                         "-o", str(cache)]) == 0
+        # The same records, with a sidecar for the edited file.
+        edited_cache = workdir / "march_cache_edited.bin"
+        edited_cache.write_bytes(cache.read_bytes())
+        sidecar = json.loads(pathlib.Path(str(cache) + ".json").read_text())
+        sidecar["scene_hash"] = field.scene_hash(field.load_scene(edited_files["both"]))
+        pathlib.Path(str(edited_cache) + ".json").write_text(json.dumps(sidecar))
+        flags = ["--steps", str(self.N), "--secondary-steps", str(self.M)]
+        base = ["render", "--env", light_file, "--width", "6", "--height", "6",
+                "--transfer-grid", "8", "16"]
+        runs = {"uncached": ([], []),
+                "cached": (["--cache", str(cache)], ["--cache", str(edited_cache)])}
+        for tag, (flag_cache, file_cache) in runs.items():
+            by_flags, by_file = workdir / f"flags_{tag}.pfm", workdir / f"file_{tag}.pfm"
+            assert cli.main(base + [scene_file] + flags + flag_cache + ["-o", str(by_flags)]) == 0
+            assert cli.main(base + [edited_files["both"]] + file_cache
+                            + ["-o", str(by_file)]) == 0
+            assert by_flags.read_bytes() == by_file.read_bytes(), tag
+        plain = workdir / "plain_uncached.pfm"
+        assert cli.main(base + [scene_file, "-o", str(plain)]) == 0
+        assert plain.read_bytes() != (workdir / "flags_uncached.pfm").read_bytes()
+
+    def test_bake_keeps_the_file_scene_hash(self, workdir, scene_file, light_file,
+                                            edited_files):
+        # A cache baked with --secondary-steps holds the records a bake of
+        # the edited file gives, under the unedited file's scene hash.
+        by_flags, by_file = workdir / "ss_flags.bin", workdir / "ss_file.bin"
+        base = ["bake", "--points", "8", "--resolution", "8", "16"]
+        assert cli.main(base + [scene_file, "--secondary-steps", str(self.M),
+                                "-o", str(by_flags)]) == 0
+        assert cli.main(base + [edited_files["secondary"], "-o", str(by_file)]) == 0
+        assert by_flags.read_bytes() == by_file.read_bytes()
+        sidecar = json.loads(pathlib.Path(str(by_flags) + ".json").read_text())
+        assert sidecar["scene_hash"] == field.scene_hash(field.load_scene(scene_file))
+        out = workdir / "ss_cached.pfm"
+        assert cli.main(["render", scene_file, "--env", light_file, "--cache", str(by_flags),
+                         "--width", "4", "--height", "4", "-o", str(out)]) == 0
+
+    def test_validate_echoes_the_flag(self, workdir, scene_file, light_file, edited_files):
+        base = ["validate", "--env", light_file, "--points", "2", "--mc-samples", "100",
+                "--grid", "8", "16"]
+        reports = {}
+        for tag, argv in (("flags", [scene_file, "--secondary-steps", str(self.M)]),
+                          ("file", [edited_files["secondary"]]), ("plain", [scene_file])):
+            out = workdir / f"march_report_{tag}.json"
+            assert cli.main(base + argv + ["-o", str(out)]) == 0
+            reports[tag] = json.loads(out.read_text())
+        assert reports["flags"]["config"]["secondary_steps"] == self.M
+        assert reports["file"]["config"]["secondary_steps"] is None
+        assert reports["plain"]["config"]["secondary_steps"] is None
+        assert reports["flags"]["entries"] == reports["file"]["entries"]
+        assert reports["flags"]["entries"] != reports["plain"]["entries"]
 
 
 @pytest.fixture(scope="module")
@@ -590,14 +691,26 @@ class TestTopLevel:
         ("validate", ["--grid", "0", "8"]),
         ("validate", ["--threads", "0"]),
         ("project-env", ["--resolution", "-8", "16"]),
+        # Grids below the 8x16 quadrature minimum fail before any work.
+        *((command, [flag, h, w]) for command, flag in (
+            ("project-env", "--resolution"), ("bake", "--resolution"), ("validate", "--grid"),
+            ("render", "--transfer-grid")) for h, w in (("4", "4"), ("7", "16"), ("8", "15"))),
+        ("render", ["--transfer-grid", "8", "15", "--mode", "albedo"]),
     ])
     def test_non_positive_count_is_usage_error(self, command, flags, scene_file, light_file,
-                                               envmap_file, workdir, capsys):
+                                               envmap_file, workdir, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("probed surface points")
+        monkeypatch.setattr(transport, "sample_surface_points", never)
         out = workdir / "never_written"
         base = {"render": [scene_file, "--env", light_file],
                 "bake": [scene_file],
                 "validate": [scene_file, "--env", light_file],
                 "project-env": [envmap_file]}[command]
         assert cli.main([command] + base + flags + ["-o", str(out)]) == 1
-        assert "usage error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument {flags[0]}: ")
+        if flags[0] in ("--resolution", "--grid", "--transfer-grid") and \
+                min(int(v) for v in flags[1:3]) > 0:
+            assert f"grid {flags[1]}x{flags[2]} below minimum 8x16" in err
         assert not out.exists()

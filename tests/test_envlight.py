@@ -169,6 +169,7 @@ class TestShLight:
         {"degree": 1.0},
         {"degree": True},
         {"degree": -1},
+        {"degree": 9, "channels": [[0.1] * 100 for _ in range(3)]},  # above sh.MAX_DEGREE
         {"channels": "abc"},                # wrong JSON type
         {"channels": {"r": [1.0]}},
         {"channels": [1.0, 2.0, 3.0]},

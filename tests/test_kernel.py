@@ -175,7 +175,8 @@ def assert_march_matches_dense(scene, origins, dirs, dtype, steps=24, offset=0.0
     d = np.asarray(dirs, dtype=dtype)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "MARCH_CHUNK", chunk)
-        got = transport.transmittance(scene, o, d, steps=steps, offset=offset)
+        got = transport.transmittance(field.with_steps(scene, secondary_steps=steps), o, d,
+                                      offset=offset)
     want = dense_transmittance(scene, o, d, steps, offset)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want), np.flatnonzero(got != want)
@@ -241,15 +242,16 @@ class TestSkippingMarchCases:
                          [0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]])
         o, d = origins.astype(dtype), dirs.astype(dtype)
         with np.errstate(invalid="ignore"):
-            got = transport.transmittance(MIXED, o, d, steps=6)
+            got = transport.transmittance(field.with_steps(MIXED, secondary_steps=6), o, d)
             want = dense_transmittance(MIXED, o, d, 6, 0.0)
         np.testing.assert_array_equal(got, want)
 
     def test_no_primitives(self, dtype):
         rng = np.random.default_rng(9)
         origins = rng.uniform(-1.0, 1.0, size=(12, 3))
-        got = transport.transmittance(make_scene(), origins.astype(dtype),
-                                      unit(rng.normal(size=(12, 3))).astype(dtype), steps=8)
+        got = transport.transmittance(field.with_steps(make_scene(), secondary_steps=8),
+                                      origins.astype(dtype),
+                                      unit(rng.normal(size=(12, 3))).astype(dtype))
         assert np.all(got == 1.0)
         assert_march_matches_dense(make_scene(), origins, unit(rng.normal(size=(12, 3))), dtype)
 
@@ -300,7 +302,8 @@ class TestLiveSpanMarch:
         if nudge:
             lo, hi = np.nextafter(lo, nudge * np.inf), np.nextafter(hi, nudge * np.inf)
         monkeypatch.setattr(field, "support_interval", lambda *args: (lo, hi))
-        got = transport.transmittance(FILLED, o, d, steps=steps, offset=offset)
+        got = transport.transmittance(field.with_steps(FILLED, secondary_steps=steps), o, d,
+                                      offset=offset)
         want = dense_transmittance(FILLED, o, d, steps, offset, window=(lo, hi))
         assert got.tobytes() == want.tobytes()
         assert np.all(want < 1.0) if nudge == 0 else np.any(want < 1.0)
@@ -312,7 +315,8 @@ class TestLiveSpanMarch:
         o = np.array([[2.8, 0.0, 0.0], [2.8, 0.0, 0.0], [0.1, 0.5, 0.0]], dtype=dtype)
         d = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], dtype=dtype)
         for offset in (0.0, 0.3, 9.0):
-            got = transport.transmittance(FILLED, o, d, steps=5, offset=offset)
+            got = transport.transmittance(field.with_steps(FILLED, secondary_steps=5), o, d,
+                                          offset=offset)
             want = dense_transmittance(FILLED, o, d, 5, offset)
             assert got.tobytes() == want.tobytes()
         assert np.all(got == 1.0)
@@ -335,7 +339,8 @@ class TestLiveSpanMarch:
                 monkeypatch.setattr(transport, "MARCH_BLOCK", block)
                 for chunk in chunks:
                     monkeypatch.setattr(transport, "MARCH_CHUNK", chunk)
-                    runs.append(transport.transmittance(MIXED, o, d, steps=24, offset=0.05))
+                    runs.append(transport.transmittance(
+                        field.with_steps(MIXED, secondary_steps=24), o, d, offset=0.05))
         assert np.isnan(want[50]) and np.isnan(want[51])
         for got in runs:
             assert got.tobytes() == want.tobytes()
@@ -461,10 +466,10 @@ def dense_primary_march(scene, origins, dirs, steps):
 
 
 def assert_primary_matches_dense(scene, origins, dirs, steps=None):
+    scene = field.with_steps(scene, primary_steps=steps)
     o, d = np.asarray(origins, dtype=np.float64), np.asarray(dirs, dtype=np.float64)
-    sigma, t, dt = transport.primary_march(scene, o, d, steps=steps)
-    want_pts, want_sigma, want_dt = dense_primary_march(
-        scene, o, d, scene.march.primary_steps if steps is None else steps)
+    sigma, t, dt = transport.primary_march(scene, o, d)
+    want_pts, want_sigma, want_dt = dense_primary_march(scene, o, d, scene.march.primary_steps)
     assert dt == want_dt
     # The positions consumers form are the ones the dense march evaluated.
     # Byte comparison: the sign of a zero counts too.
@@ -583,10 +588,7 @@ def one_ray_sampler(scene, count, seed=0, max_tries=None):
 def test_batched_sampler_equals_one_ray_loop(blocker_scene, count, kwargs):
     # A "steps" entry sets the scene's primary march steps.
     kwargs = dict(kwargs)
-    scene = blocker_scene
-    if "steps" in kwargs:
-        march = dataclasses.replace(scene.march, primary_steps=kwargs.pop("steps"))
-        scene = dataclasses.replace(scene, march=march)
+    scene = field.with_steps(blocker_scene, primary_steps=kwargs.pop("steps", None))
     want = one_ray_sampler(scene, count, **kwargs)
     if not want:
         with pytest.raises(ValueError, match="no valid surface points"):

@@ -63,10 +63,9 @@ class TestTrace:
         assert alpha == 0.0
 
     def test_slab_alpha_matches_analytic(self, slab_scene):
-        settings = render.RenderSettings(steps=256)
         rgb, alpha = trace_one(
-            slab_scene, None, np.array([0.0, 0.0, 2.0]),
-            np.array([0.0, 0.0, -1.0]), mode="visibility", settings=settings)
+            field.with_steps(slab_scene, 256), None, np.array([0.0, 0.0, 2.0]),
+            np.array([0.0, 0.0, -1.0]), mode="visibility")
         want = 1.0 - math.exp(-SLAB_SIGMA * SLAB_THICKNESS)
         assert abs(alpha - want) < 1e-3
 
@@ -75,9 +74,8 @@ class TestTrace:
         origin = np.array([0.3, -2.5, 0.6])
         direction = np.array([0.0, 1.0, 0.0])
         steps = 128
-        settings = render.RenderSettings(steps=steps)
-        _, alpha = trace_one(blocker_scene, None, origin, direction, mode="albedo",
-                             settings=settings)
+        _, alpha = trace_one(field.with_steps(blocker_scene, steps), None, origin, direction,
+                             mode="albedo")
         t0, t1 = blocker_scene.march.t_near, blocker_scene.march.t_far
         dt = (t1 - t0) / steps
         t = t0 + (np.arange(steps) + 0.5) * dt
@@ -96,10 +94,10 @@ class TestTrace:
 class TestImages:
     def test_diffuse_plus_specular_equals_lit(self, shiny_sphere_scene, sky_light):
         cam = sphere_camera()
-        settings = render.RenderSettings(steps=96, secondary_steps=24)
-        lit = render.render_image(shiny_sphere_scene, sky_light, cam, "lit", settings)
-        dif = render.render_image(shiny_sphere_scene, sky_light, cam, "diffuse", settings)
-        spc = render.render_image(shiny_sphere_scene, sky_light, cam, "specular", settings)
+        scene = field.with_steps(shiny_sphere_scene, 96, 24)
+        lit = render.render_image(scene, sky_light, cam, "lit")
+        dif = render.render_image(scene, sky_light, cam, "diffuse")
+        spc = render.render_image(scene, sky_light, cam, "specular")
         assert np.max(np.abs(dif.pixels + spc.pixels - lit.pixels)) < 1e-9
         assert np.max(np.abs(dif.alpha - lit.alpha)) == 0.0
 
@@ -123,9 +121,8 @@ class TestImages:
         normals = spy(field, "normals")
         spy(field, "material")
         spy(shading, "specular_radiance")
-        settings = render.RenderSettings(steps=96, secondary_steps=24)
-        render.render_image(shiny_sphere_scene, sky_light, sphere_camera(6, 6), "specular",
-                            settings)
+        scene = field.with_steps(shiny_sphere_scene, 96, 24)
+        render.render_image(scene, sky_light, sphere_camera(6, 6), "specular")
         # One ray chunk: one normals call, at the anchors with weight, and
         # one material call, at those of them that have a normal.
         assert len(calls["material"]) == len(calls["normals"]) == 1
@@ -146,8 +143,8 @@ class TestImages:
                                         coeffs=np.ones((40, sky_light.coeffs.shape[0])),
                                         degree=sky_light.degree)
         calls.clear()
-        render.render_image(shiny_sphere_scene, sky_light, sphere_camera(6, 6), "specular",
-                            render.RenderSettings(steps=96, transfer_cache=cache))
+        render.render_image(scene, sky_light, sphere_camera(6, 6), "specular",
+                            render.RenderSettings(transfer_cache=cache))
         assert len(calls["nearest"]) == len(calls["normals"]) == 1
         weighted = calls["normals"][0][1]
         _, valid = normals(shiny_sphere_scene, weighted)
@@ -157,27 +154,26 @@ class TestImages:
     def test_irradiance_times_albedo_over_pi_is_diffuse(self, sphere_scene, sky_light):
         # One material everywhere, so the relation holds per pixel.
         cam = sphere_camera()
-        settings = render.RenderSettings(steps=96, secondary_steps=24)
-        dif = render.render_image(sphere_scene, sky_light, cam, "diffuse", settings)
-        irr = render.render_image(sphere_scene, sky_light, cam, "irradiance", settings)
+        scene = field.with_steps(sphere_scene, 96, 24)
+        dif = render.render_image(scene, sky_light, cam, "diffuse")
+        irr = render.render_image(scene, sky_light, cam, "irradiance")
         want = np.array([0.6, 0.5, 0.4]) / math.pi * irr.pixels
         assert np.max(np.abs(dif.pixels - want)) < 1e-12
 
     def test_render_twice_bit_identical(self, sphere_scene, sky_light):
         cam = sphere_camera()
-        settings = render.RenderSettings(steps=64, secondary_steps=16)
-        a = render.render_image(sphere_scene, sky_light, cam, "lit", settings)
-        b = render.render_image(sphere_scene, sky_light, cam, "lit", settings)
+        scene = field.with_steps(sphere_scene, 64, 16)
+        a = render.render_image(scene, sky_light, cam, "lit")
+        b = render.render_image(scene, sky_light, cam, "lit")
         assert np.array_equal(a.pixels, b.pixels)
         assert np.array_equal(a.alpha, b.alpha)
 
     def test_thread_count_does_not_change_pixels(self, sphere_scene, sky_light):
         cam = sphere_camera(16, 16)
-        settings = render.RenderSettings(steps=64, secondary_steps=16)
-        one = render.render_image(sphere_scene, sky_light, cam, "lit", settings, threads=1)
+        scene = field.with_steps(sphere_scene, 64, 16)
+        one = render.render_image(scene, sky_light, cam, "lit", threads=1)
         for threads in (2, 5):
-            many = render.render_image(sphere_scene, sky_light, cam, "lit", settings,
-                                       threads=threads)
+            many = render.render_image(scene, sky_light, cam, "lit", threads=threads)
             assert np.array_equal(one.pixels, many.pixels)
             assert np.array_equal(one.alpha, many.alpha)
 
@@ -185,9 +181,8 @@ class TestImages:
         cam = wall_camera(8, 8)
         imgs = {}
         for steps in (64, 128, 256):
-            settings = render.RenderSettings(steps=steps, secondary_steps=32)
-            imgs[steps] = render.render_image(wall_scene, white_light, cam, "lit",
-                                              settings).pixels
+            imgs[steps] = render.render_image(field.with_steps(wall_scene, steps, 32),
+                                              white_light, cam, "lit").pixels
         d_coarse = np.max(np.abs(imgs[64] - imgs[128]))
         d_fine = np.max(np.abs(imgs[128] - imgs[256]))
         assert d_fine <= d_coarse
@@ -202,8 +197,7 @@ class TestImages:
 
     def test_albedo_mode_shows_material(self, wall_scene):
         cam = wall_camera(8, 8)
-        img = render.render_image(wall_scene, None, cam, "albedo",
-                                  render.RenderSettings(steps=256))
+        img = render.render_image(field.with_steps(wall_scene, 256), None, cam, "albedo")
         ratio = img.pixels[4, 4] / np.asarray(WALL_ALBEDO)
         assert np.all(np.abs(ratio / ratio[0] - 1.0) < 1e-9)
         assert abs(ratio[0] - 1.0) < 0.03
@@ -212,16 +206,15 @@ class TestImages:
         # The lit face of the wall points at the camera, +z, which encodes
         # to blue 1.0; the in-plane channels stay near 0.5.
         cam = wall_camera(8, 8)
-        img = render.render_image(wall_scene, None, cam, "normal",
-                                  render.RenderSettings(steps=256))
+        img = render.render_image(field.with_steps(wall_scene, 256), None, cam, "normal")
         px = img.pixels[4, 4] / img.alpha[4, 4]
         assert px[2] > 0.8
         assert abs(px[0] - 0.5 * px[2]) < 0.1 * px[2]
 
     def test_alpha_in_unit_range(self, blocker_scene, sky_light):
         cam = sphere_camera(10, 10)
-        img = render.render_image(blocker_scene, sky_light, cam, "lit",
-                                  render.RenderSettings(steps=64, secondary_steps=16))
+        img = render.render_image(field.with_steps(blocker_scene, 64, 16), sky_light, cam,
+                                  "lit")
         assert np.all(img.alpha >= 0.0) and np.all(img.alpha <= 1.0)
         assert np.all(np.isfinite(img.pixels))
 
@@ -229,8 +222,8 @@ class TestImages:
 class TestCacheRender:
     def _cache(self, scene, tmp_path, count=80):
         positions, normals, _, _ = transport.sample_surface_points(scene, count, seed=9)
-        coeffs = transport.bake_transfer_batch(scene, positions, normals,
-                                               resolution=(16, 32), steps=24)
+        coeffs = transport.bake_transfer_batch(field.with_steps(scene, secondary_steps=24),
+                                               positions, normals, resolution=(16, 32))
         path = str(tmp_path / "cache.bin")
         transport.save_transfer_cache(path, scene, positions, normals, coeffs)
         return transport.load_transfer_cache(path, scene=scene)
@@ -242,7 +235,8 @@ class TestCacheRender:
         # transfer and render as usual.
         cache = self._cache(sphere_scene, tmp_path, count=8)
         light = sky_light.truncated(2)
-        settings = render.RenderSettings(steps=32, transfer_cache=cache)
+        settings = render.RenderSettings(transfer_cache=cache)
+        scene = field.with_steps(sphere_scene, 32)
         march = transport.primary_march
         marched = []
 
@@ -253,22 +247,20 @@ class TestCacheRender:
         monkeypatch.setattr(transport, "primary_march", spy)
         for mode in ("lit", "diffuse", "specular", "irradiance"):
             with pytest.raises(ValueError, match="cache degree 4 does not match light degree 2"):
-                render.render_image(sphere_scene, light, sphere_camera(4, 4), mode, settings)
+                render.render_image(scene, light, sphere_camera(4, 4), mode, settings)
         assert marched == []
         for mode in ("albedo", "normal", "visibility"):
-            img = render.render_image(sphere_scene, light, sphere_camera(4, 4), mode, settings)
+            img = render.render_image(scene, light, sphere_camera(4, 4), mode, settings)
             assert np.all(np.isfinite(img.pixels))
         assert sum(marched) == 3 * 16
 
     def test_cached_render_close_to_direct(self, sphere_scene, sky_light, tmp_path):
         cam = sphere_camera()
         cache = self._cache(sphere_scene, tmp_path)
-        direct = render.render_image(
-            sphere_scene, sky_light, cam, "lit",
-            render.RenderSettings(steps=96, secondary_steps=24))
-        cached = render.render_image(
-            sphere_scene, sky_light, cam, "lit",
-            render.RenderSettings(steps=96, transfer_cache=cache))
+        scene = field.with_steps(sphere_scene, 96, 24)
+        direct = render.render_image(scene, sky_light, cam, "lit")
+        cached = render.render_image(scene, sky_light, cam, "lit",
+                                     render.RenderSettings(transfer_cache=cache))
         mask = direct.alpha > 0.5
         assert mask.any()
         rel = (np.abs(cached.pixels - direct.pixels)[mask]
@@ -280,8 +272,8 @@ class TestCacheRender:
         light = constant_sh_light(1.0, degree=2)
         cam = sphere_camera(4, 4)
         with pytest.raises(ValueError, match="cache degree"):
-            render.render_image(sphere_scene, light, cam, "lit",
-                                render.RenderSettings(steps=32, transfer_cache=cache))
+            render.render_image(field.with_steps(sphere_scene, 32), light, cam, "lit",
+                                render.RenderSettings(transfer_cache=cache))
 
 
 class TestSrgb:

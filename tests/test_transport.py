@@ -63,8 +63,8 @@ class TestVisibility:
         assert np.all(v == 1.0)
 
     def test_slab_crossing_attenuates_to_quarter(self, slab_scene):
-        v = transport.transmittance(slab_scene, np.array([[0.0, 0.0, 2.0]]),
-                                    np.array([[0.0, 0.0, -1.0]]), steps=256,
+        v = transport.transmittance(field.with_steps(slab_scene, secondary_steps=256),
+                                    np.array([[0.0, 0.0, 2.0]]), np.array([[0.0, 0.0, -1.0]]),
                                     offset=2.0 * slab_scene.fd_step)
         assert abs(v[0] - 0.25) < 1e-3
 
@@ -72,8 +72,9 @@ class TestVisibility:
         # At incidence angle theta the path length grows by 1/cos(theta).
         c = math.cos(math.radians(40.0))
         d = np.array([math.sin(math.radians(40.0)), 0.0, -c])
-        v = transport.transmittance(slab_scene, np.array([[0.0, 0.0, 2.0]]), d[None, :],
-                                    steps=512, offset=2.0 * slab_scene.fd_step)
+        v = transport.transmittance(field.with_steps(slab_scene, secondary_steps=512),
+                                    np.array([[0.0, 0.0, 2.0]]), d[None, :],
+                                    offset=2.0 * slab_scene.fd_step)
         want = 0.25 ** (1.0 / c)
         assert abs(v[0] - want) < 1e-3
 
@@ -90,8 +91,10 @@ class TestVisibility:
         rng = np.random.default_rng(12)
         pts = rng.uniform(-1.5, 1.5, size=(40, 3))
         dirs = random_unit_dirs(40, seed=13)
-        va = transport.transmittance(sphere_scene, pts, dirs, steps=64, offset=0.05)
-        vb = transport.transmittance(blocker_scene, pts, dirs, steps=64, offset=0.05)
+        va = transport.transmittance(field.with_steps(sphere_scene, secondary_steps=64),
+                                     pts, dirs, offset=0.05)
+        vb = transport.transmittance(field.with_steps(blocker_scene, secondary_steps=64),
+                                     pts, dirs, offset=0.05)
         assert np.all(vb <= va + 1e-12)
 
     def test_range(self, blocker_scene):
@@ -147,12 +150,10 @@ class TestBakeTransfer:
         # sharing only the visibility definition. 1e6 rays put the MC
         # standard error near 5e-4 per coefficient; the bake grid is made
         # fine enough that its own bias is far below that.
-        scene = half_space_scene()
+        scene = half_space_scene()  # 128 secondary steps
         pos = np.array([0.0, 0.0, 0.0])
         nrm = np.array([0.0, 0.0, 1.0])
-        steps = 128
-        baked = transport.bake_transfer_batch(scene, [pos], [nrm], resolution=(128, 256),
-                                              steps=steps)[0]
+        baked = transport.bake_transfer_batch(scene, [pos], [nrm], resolution=(128, 256))[0]
         rng = np.random.default_rng(99)
         n_mc = 1_000_000
         dirs = rng.normal(size=(n_mc, 3))
@@ -161,7 +162,7 @@ class TestBakeTransfer:
         vals = np.zeros(n_mc)
         front = h > 0.0
         vals[front] = transport.transmittance(
-            scene, np.tile(pos, (int(front.sum()), 1)), dirs[front], steps=steps,
+            scene, np.tile(pos, (int(front.sum()), 1)), dirs[front],
             offset=2.0 * scene.fd_step) * h[front]
         basis = sh.eval_basis(dirs, 4)
         integrand = vals[:, None] * basis  # (S, 25)
