@@ -133,30 +133,22 @@ def _cmd_bake(args):
 
 
 def _camera_from(args, embedded):
+    """Camera from the scene's camera block, each flag given overriding its key."""
     field._object(embedded, "camera")
-
-    def pick(flag, key, fallback=None):
-        if flag is not None:
-            return flag
-        return embedded.get(key, fallback)
-
-    position = pick(args.camera_pos, "position")
-    look_at = pick(args.look_at, "look_at")
-    if position is None or look_at is None:
+    flags = {"position": args.camera_pos, "look_at": args.look_at, "up": args.up,
+             "fov_y_deg": args.fov, "width": args.width, "height": args.height}
+    values = {key: embedded[key] for key in flags if key in embedded}
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
+    if values.get("position") is None or values.get("look_at") is None:
         raise _UsageError(
             "no camera: scene embeds none, so --camera-pos and --look-at are required")
-    return render.Camera(
-        position=position, look_at=look_at, up=pick(args.up, "up", (0.0, 0.0, 1.0)),
-        fov_y_deg=pick(args.fov, "fov_y_deg", 45.0),
-        width=pick(args.width, "width", render.DEFAULT_RESOLUTION),
-        height=pick(args.height, "height", render.DEFAULT_RESOLUTION))
+    return render.Camera(**values)
 
 
 def _cmd_render(args):
-    with open(_require_file(args.scene)) as f:
-        data = json.load(f)
-    scene = field.scene_from_dict(data)
-    camera = _camera_from(args, data.get("camera", {}))
+    scene, embedded = field.read_json(
+        _require_file(args.scene), lambda d: (field.scene_from_dict(d), d.get("camera", {})))
+    camera = _camera_from(args, embedded)
     if not (args.output or args.srgb or args.alpha):
         raise _UsageError("no output requested; pass -o, --srgb, or --alpha")
     if args.mode in render.SHADED_MODES and not args.env:
@@ -341,7 +333,7 @@ def main(argv=None):
         return 1
     except SystemExit as e:
         return int(e.code or 0)
-    except (ValueError, OSError, imageio.PfmError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

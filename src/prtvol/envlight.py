@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import imageio, sh
+from . import field, imageio, sh
 
 SH_CONVENTION = "real-sh z-up, j=l*l+l+m+1, cos for m>0 / sin for m<0"
 
@@ -87,7 +87,7 @@ def load_envmap(path, exposure=1.0):
     The exposure multiplier is applied to the pixels at load time.
     Rejects single-channel maps and non-finite samples.
     """
-    img = imageio.read_pfm(path, require_finite=True)
+    img = imageio.read_pfm(path)
     if img.ndim != 3:
         raise imageio.PfmError(f"{path}: environment map must be a color 'PF' file")
     pixels = img * float(exposure)
@@ -165,8 +165,7 @@ def save_sh_light(path, light):
 
 
 def load_sh_light(path):
-    with open(path) as f:
-        return ShLight.from_dict(json.load(f))
+    return field.read_json(path, ShLight.from_dict)
 
 
 def project_to_sh(env, degree=4, resolution=None):
@@ -183,8 +182,9 @@ def project_to_sh(env, degree=4, resolution=None):
         ShLight with (degree+1)**2 coefficients per channel.
     """
     if resolution is None:
-        if getattr(env, "kind", None) == "equirect" and env.pixels.shape[0] >= 8 and env.pixels.shape[1] >= 16:
-            resolution = (env.pixels.shape[0], env.pixels.shape[1])
+        if (getattr(env, "kind", None) == "equirect" and env.pixels.shape[0] >= sh.MIN_GRID[0]
+                and env.pixels.shape[1] >= sh.MIN_GRID[1]):
+            resolution = env.pixels.shape[:2]
         else:
             resolution = (128, 256)
     coeffs = sh.project(env.radiance, degree=degree, n_theta=resolution[0], n_phi=resolution[1])

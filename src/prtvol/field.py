@@ -6,12 +6,13 @@ falloff is a smoothstep ramp from 1 to 0 over a shell of width softness
 centered on the primitive surface. Density is clamped to zero outside the
 bounding sphere. Densities add; materials blend density-weighted.
 
-Each scene is compiled once, when it is built, into packed per-kind
-parameter rows. density and material evaluate that kernel on separate x,
-y and z arrays and sum the primitives in scene order, rounding exactly as
-the per-point formulas do; each point's value is independent of the
-other points in the batch. support_interval gives, per ray, the span
-outside which every sample's density is exactly 0.0, so a march may skip
+Each scene is compiled once, when it is built, into one parameter row
+per primitive, in scene order. density and material evaluate that kernel
+on separate x, y and z arrays and sum the primitives in scene order,
+rounding exactly as the per-point formulas do; each point's value is
+independent of the other points in the batch. support_interval gives,
+per ray, the span outside which every sample's density is exactly 0.0,
+folding each primitive's support in scene order, so a march may skip
 those samples without changing a bit of its sum.
 
 Surface normals come from the density gradient, n = -grad / |grad|,
@@ -23,16 +24,25 @@ the normal invalid; invalid is a value, not an error.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 EPS_GRAD = 1e-6
 
 
+def _numeric(v):
+    """True for ints and floats, numpy's scalars and arrays included; bools and strings are not."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.kind in "iuf"
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def _finite(v, name):
     """float(v), rejecting values that are not numbers or not finite."""
     try:
+        if not _numeric(v):
+            raise TypeError
         x = float(v)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a number, got {v!r}") from None
@@ -43,7 +53,8 @@ def _finite(v, name):
 
 def _count(v, name):
     """v itself if it is an integer of at least 1 (bools and floats are not)."""
-    _finite(v, name)
+    if not isinstance(v, bool):
+        _finite(v, name)
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
         raise ValueError(f"{name} must be a positive integer, got {v!r}")
     return v
@@ -57,6 +68,8 @@ def _object(v, name):
 
 def _as_vec3(v, name):
     try:
+        if not (_numeric(v) or isinstance(v, (list, tuple)) and all(map(_numeric, v))):
+            raise TypeError
         a = np.asarray(v, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a 3-vector of numbers") from None
@@ -157,40 +170,16 @@ class VolumeScene:
         return min(p.softness for p in self.primitives) / 4.0
 
     def to_dict(self):
-        prims = []
-        for p in self.primitives:
-            d = {
-                "type": p.kind,
-                "density_scale": p.density_scale,
-                "softness": p.softness,
-                "albedo": p.albedo.tolist(),
-                "tint": p.tint.tolist(),
-            }
-            if p.kind == "sphere":
-                d["center"] = p.center.tolist()
-                d["radius"] = p.radius
-            elif p.kind == "box":
-                d["center"] = p.center.tolist()
-                d["extent"] = p.extent.tolist()
-            else:
-                d["axis"] = p.axis.tolist()
-                d["offset"] = p.offset
-                d["thickness"] = p.thickness
-            prims.append(d)
-        return {
-            "bounds": {"center": self.bounds.center.tolist(), "radius": self.bounds.radius},
-            "default_material": {
-                "albedo": self.default_material.albedo.tolist(),
-                "tint": self.default_material.tint.tolist(),
-            },
-            "march": {
-                "primary_steps": self.march.primary_steps,
-                "secondary_steps": self.march.secondary_steps,
-                "t_near": self.march.t_near,
-                "t_far": self.march.t_far,
-            },
-            "primitives": prims,
-        }
+        """JSON form: each record's fields, arrays as lists; primitives carry their type."""
+        d = {name: _fields(getattr(self, name)) for name in ("bounds", "default_material", "march")}
+        d["primitives"] = [{"type": p.kind, **_fields(p)} for p in self.primitives]
+        return d
+
+
+def _fields(record):
+    """A dataclass record's fields by name, arrays as lists."""
+    values = {f.name: getattr(record, f.name) for f in fields(record)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def scene_hash(scene):
@@ -248,19 +237,19 @@ def scene_from_dict(d):
     if bounds.radius <= 0.0:
         raise ValueError("bounds.radius must be positive")
 
-    dm = _object(d.get("default_material", {"albedo": [0.5, 0.5, 0.5], "tint": 0.0}),
-                 "default_material")
-    default_material = Material(
-        albedo=_as_rgb01(dm.get("albedo", [0.5, 0.5, 0.5]), "default_material.albedo"),
-        tint=_as_tint(dm.get("tint", 0.0)),
-    )
+    dm = {"albedo": [0.5, 0.5, 0.5], "tint": 0.0,
+          **_object(d.get("default_material", {}), "default_material")}
+    default_material = Material(albedo=_as_rgb01(dm["albedo"], "default_material.albedo"),
+                                tint=_as_tint(dm["tint"]))
 
     m = _object(d.get("march", {}), "march")
     march = MarchParams(
-        primary_steps=_count(m.get("primary_steps", 256), "march.primary_steps"),
-        secondary_steps=_count(m.get("secondary_steps", 64), "march.secondary_steps"),
-        t_near=_finite(m.get("t_near", 0.0), "march.t_near"),
-        t_far=_finite(m.get("t_far", 10.0), "march.t_far"),
+        primary_steps=_count(m.get("primary_steps", MarchParams.primary_steps),
+                             "march.primary_steps"),
+        secondary_steps=_count(m.get("secondary_steps", MarchParams.secondary_steps),
+                               "march.secondary_steps"),
+        t_near=_finite(m.get("t_near", MarchParams.t_near), "march.t_near"),
+        t_far=_finite(m.get("t_far", MarchParams.t_far), "march.t_far"),
     )
     if not 0.0 <= march.t_near < march.t_far:
         raise ValueError("march range requires 0 <= t_near < t_far")
@@ -272,8 +261,7 @@ def scene_from_dict(d):
     for i, p in enumerate(entries):
         name = f"primitives[{i}]"
         try:
-            prims.append(_primitive(_object(p, name), name, dm.get("albedo", [0.5, 0.5, 0.5]),
-                                    dm.get("tint", 0.0)))
+            prims.append(_primitive(_object(p, name), name, dm["albedo"], dm["tint"]))
         except KeyError as e:
             raise ValueError(f"{name} missing field {e}") from e
 
@@ -281,9 +269,20 @@ def scene_from_dict(d):
                        march=march, primitives=tuple(prims))
 
 
-def load_scene(path):
+def read_json(path, parse):
+    """parse(the JSON value in the file at path), with path in front of any ValueError.
+
+    A JSON syntax error is a ValueError too, so a truncated file names itself.
+    """
     with open(path) as f:
-        return scene_from_dict(json.load(f))
+        try:
+            return parse(json.load(f))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
+
+
+def load_scene(path):
+    return read_json(path, scene_from_dict)
 
 
 def with_steps(scene, primary_steps=None, secondary_steps=None):
@@ -293,17 +292,17 @@ def with_steps(scene, primary_steps=None, secondary_steps=None):
     return replace(scene, march=replace(scene.march, **steps)) if steps else scene
 
 
-# The compiled kernel. Each kind's primitives are packed into float64
-# rows (sphere: center, radius; box: center, half extent; slab: unit axis,
-# offset, half thickness). Evaluation splits points into x, y and z
-# arrays, casts each row to the dtype of the points and sums densities in
-# scene order, so every formula rounds exactly as the per-point
-# expression it spells out.
+# The compiled kernel: one entry per primitive, in scene order, holding
+# its distance and support functions and its float64 row (sphere: center,
+# radius; box: center, half extent; slab: unit axis, offset, half
+# thickness). Evaluation splits points into x, y and z arrays, casts each
+# row to the dtype of the points and sums densities in scene order, so
+# every formula rounds exactly as the per-point expression it spells out.
 
-# Relative margin added to every support by support_interval. Sample
-# positions and the kernel round to a few units of the dtype's epsilon
-# (2**-23 for float32) times the magnitudes involved; this is 2**11 times
-# that.
+# Relative margin added to each primitive's support by support_interval.
+# Sample positions and the kernel round to a few units of the dtype's
+# epsilon (2**-23 for float32) times the magnitudes involved; this is
+# 2**11 times that.
 _SUPPORT_PAD = 2.0**-12
 
 
@@ -315,30 +314,10 @@ def _row(p):
     return [*p.axis, p.offset, 0.5 * p.thickness]
 
 
-@dataclass(frozen=True)
-class _Packed:
-    """One kind's primitives: parameter rows and smoothstep profiles."""
-
-    rows: np.ndarray      # (n, width) float64
-    scale: np.ndarray     # (n,) density_scale
-    softness: np.ndarray  # (n,)
-
-
 def _compile(primitives):
-    """Packed parameters of the kinds present, and (kind, row) in scene order."""
-    kinds = {}
-    order = [None] * len(primitives)
-    for kind in _DISTANCE:
-        slots = [i for i, p in enumerate(primitives) if p.kind == kind]
-        if not slots:
-            continue
-        for r, i in enumerate(slots):
-            order[i] = (kind, r)
-        kinds[kind] = _Packed(
-            rows=np.array([_row(primitives[i]) for i in slots], dtype=np.float64),
-            scale=np.array([primitives[i].density_scale for i in slots], dtype=np.float64),
-            softness=np.array([primitives[i].softness for i in slots], dtype=np.float64))
-    return kinds, tuple(order)
+    """(distance, support, row, density_scale, softness) of each primitive, in scene order."""
+    return tuple((_DISTANCE[p.kind], _SUPPORT[p.kind], np.array(_row(p), dtype=np.float64),
+                  float(p.density_scale), float(p.softness)) for p in primitives)
 
 
 def _squared_distance(x, y, z, c):
@@ -400,14 +379,11 @@ def _columns(pts):
 
 def _densities(scene, x, y, z):
     """Each primitive's density at the points, in scene order."""
-    kinds, order = scene._kernel
-    for kind, r in order:
-        packed = kinds[kind]
-        w = float(packed.softness[r])
-        d = _DISTANCE[kind](x, y, z, packed.rows[r].astype(x.dtype))
+    for distance, _, row, scale, w in scene._kernel:
+        d = distance(x, y, z, row.astype(x.dtype))
         t = (d + 0.5 * w) / w
         np.clip(t, 0.0, 1.0, out=t)
-        yield float(packed.scale[r]) * (1.0 - t * t * (3.0 - 2.0 * t))
+        yield scale * (1.0 - t * t * (3.0 - 2.0 * t))
 
 
 def _total_density(scene, x, y, z):
@@ -422,11 +398,11 @@ def _total_density(scene, x, y, z):
     return total, weights
 
 
-def _sphere_support(rows, grow, o, d):
-    oc = [o[i] - rows[:, i, None] for i in range(3)]
+def _sphere_support(row, grow, o, d):
+    oc = [o[i] - row[i] for i in range(3)]
     a = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
     b = oc[0] * d[0] + oc[1] * d[1] + oc[2] * d[2]
-    rho = rows[:, 3, None] + grow
+    rho = row[3] + grow
     disc = b * b - a * (oc[0] * oc[0] + oc[1] * oc[1] + oc[2] * oc[2] - rho * rho)
     root = np.sqrt(disc)
     miss = disc < 0.0
@@ -441,18 +417,18 @@ def _band(u0, slope, half):
     return np.minimum(t1, t2), np.maximum(t1, t2)
 
 
-def _box_support(rows, grow, o, d):
+def _box_support(row, grow, o, d):
     lo, hi = -np.inf, np.inf
     for i in range(3):
-        lo_i, hi_i = _band(o[i] - rows[:, i, None], d[i], rows[:, 3 + i, None] + grow)
+        lo_i, hi_i = _band(o[i] - row[i], d[i], row[3 + i] + grow)
         lo, hi = np.maximum(lo, lo_i), np.minimum(hi, hi_i)
     return lo, hi
 
 
-def _slab_support(rows, grow, o, d):
-    u0 = o[0] * rows[:, 0, None] + o[1] * rows[:, 1, None] + o[2] * rows[:, 2, None]
-    slope = d[0] * rows[:, 0, None] + d[1] * rows[:, 1, None] + d[2] * rows[:, 2, None]
-    return _band(u0 - rows[:, 3, None], slope, rows[:, 4, None] + grow)
+def _slab_support(row, grow, o, d):
+    u0 = o[0] * row[0] + o[1] * row[1] + o[2] * row[2]
+    slope = d[0] * row[0] + d[1] * row[1] + d[2] * row[2]
+    return _band(u0 - row[3], slope, row[4] + grow)
 
 
 _SUPPORT = {"sphere": _sphere_support, "box": _box_support, "slab": _slab_support}
@@ -479,17 +455,15 @@ def support_interval(scene, origins, dirs, t_max):
     size += (np.abs(d[0]) + np.abs(d[1]) + np.abs(d[2])) * t_max
     lo = np.full(o.shape[1], np.inf)
     hi = np.full(o.shape[1], -np.inf)
-    kinds, _ = scene._kernel
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for kind, packed in kinds.items():
-            own = np.sum(np.abs(packed.rows), axis=1) + packed.softness
-            grow = ((0.5 * packed.softness + _SUPPORT_PAD * own)[:, None]
-                    + _SUPPORT_PAD * size)
-            k_lo, k_hi = _SUPPORT[kind](packed.rows, grow, o, d)
-            # NaN (unknown) passes both tests and the reductions below.
-            meets = ~(k_hi < np.maximum(k_lo, 0.0))
-            lo = np.minimum(lo, np.min(np.where(meets, k_lo, np.inf), axis=0))
-            hi = np.maximum(hi, np.max(np.where(meets, k_hi, -np.inf), axis=0))
+        for _, support, row, _, softness in scene._kernel:
+            own = np.sum(np.abs(row)) + softness
+            grow = (0.5 * softness + _SUPPORT_PAD * own) + _SUPPORT_PAD * size
+            p_lo, p_hi = support(row, grow, o, d)
+            # NaN (unknown) passes both tests and the folds below.
+            meets = ~(p_hi < np.maximum(p_lo, 0.0))
+            lo = np.minimum(lo, np.where(meets, p_lo, np.inf))
+            hi = np.maximum(hi, np.where(meets, p_hi, -np.inf))
     lo[np.isnan(lo)] = -np.inf
     hi[np.isnan(hi)] = np.inf
     return lo, hi

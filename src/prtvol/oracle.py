@@ -52,8 +52,6 @@ def mc_diffuse_radiance(scene, light, x, n, albedo, samples, seed=0):
     rng = np.random.default_rng(seed)
     dirs = _uniform_sphere(rng, samples)
     radiance = np.asarray(light.radiance(dirs), dtype=np.float64)
-    if radiance.ndim == 1:
-        radiance = radiance[:, None]
     vh = transport.visibility_map(scene, [x], [n], dirs)[0]
     g = radiance * vh[:, None]  # (S, C) integrand per direction
     scale = albedo / np.pi * 4.0 * np.pi

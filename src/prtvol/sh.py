@@ -213,17 +213,19 @@ def project(fn, degree=DEFAULT_DEGREE, n_theta=128, n_phi=256):
     Returns:
         Coefficients, shape ((degree+1)**2,) or ((degree+1)**2, C).
     """
-    dirs, weights, basis = basis_grid(degree, n_theta, n_phi)
+    # fn's temporaries are freed before the basis, the largest array, is built.
+    dirs, weights = quadrature_nodes(n_theta, n_phi)
     vals = np.asarray(fn(dirs), dtype=np.float64)
     if vals.shape[0] != dirs.shape[0]:
         raise ValueError("sampler returned a value per-direction mismatch")
     if not np.all(np.isfinite(vals)):
         raise ValueError("sampler returned non-finite values")
+    if vals.ndim not in (1, 2):
+        raise ValueError("sampler must return shape (N,) or (N, C)")
+    basis = basis_grid(degree, n_theta, n_phi)[2]
     if vals.ndim == 1:
         return basis.T @ (weights * vals)
-    if vals.ndim == 2:
-        return basis.T @ (vals * weights[:, None])
-    raise ValueError("sampler must return shape (N,) or (N, C)")
+    return basis.T @ (vals * weights[:, None])
 
 
 def reconstruct(coeffs, dirs):

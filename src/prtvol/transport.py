@@ -528,8 +528,22 @@ def load_transfer_cache(path, scene=None):
     sidecar_path = path + ".json"
     if not os.path.exists(sidecar_path):
         raise ValueError(f"transfer cache sidecar missing: {sidecar_path}")
-    with open(sidecar_path) as f:
-        sidecar = json.load(f)
+    degree, count = field.read_json(sidecar_path, lambda sidecar: _sidecar(sidecar, scene))
+    n_coeff = sh.num_coeffs(degree)
+    width = CACHE_RECORD_FLOATS + n_coeff
+    size = os.path.getsize(path)
+    if size != count * width * 8:
+        raise ValueError(f"{path}: transfer cache holds {size} bytes, expected {count * width * 8}")
+    rows = np.fromfile(path, dtype="<f8").reshape(count, width)
+    try:
+        return TransferCache(positions=rows[:, 0:3].copy(), normals=rows[:, 3:6].copy(),
+                             coeffs=rows[:, 6:].copy(), degree=degree)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+
+
+def _sidecar(sidecar, scene):
+    """(degree, count) of a cache sidecar's JSON value, checked against scene if given."""
     if not isinstance(sidecar, dict):
         raise ValueError("transfer cache sidecar must be a JSON object")
     for key in ("degree", "count", "scene_hash"):
@@ -545,11 +559,4 @@ def load_transfer_cache(path, scene=None):
         raise ValueError("transfer cache sidecar scene_hash must be a string")
     if scene is not None and sidecar["scene_hash"] != field.scene_hash(scene):
         raise ValueError("transfer cache was baked for a different scene")
-    n_coeff = sh.num_coeffs(degree)
-    width = CACHE_RECORD_FLOATS + n_coeff
-    size = os.path.getsize(path)
-    if size != count * width * 8:
-        raise ValueError(f"transfer cache holds {size} bytes, expected {count * width * 8}")
-    rows = np.fromfile(path, dtype="<f8").reshape(count, width)
-    return TransferCache(positions=rows[:, 0:3].copy(), normals=rows[:, 3:6].copy(),
-                         coeffs=rows[:, 6:].copy(), degree=degree)
+    return degree, count

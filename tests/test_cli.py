@@ -192,7 +192,22 @@ class TestRender:
         path.write_text(json.dumps(data))
         out = workdir / "never_written.pfm"
         assert cli.main(["render", str(path), "--mode", "albedo", "-o", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: march.{key} must be a positive integer")
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: march.{key} must be a positive integer")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("radius", "1.0"), ("density_scale", True),
+                                            ("center", ["0", 0, 0])])
+    def test_non_number_scene_value_is_runtime_error(self, workdir, scene_file, capsys, key,
+                                                     value):
+        # These used to render with exit 0: float("1.0") and float(True) succeed.
+        data = json.loads(pathlib.Path(scene_file).read_text())
+        data["primitives"][0][key] = value
+        path = workdir / f"non_number_{key}.json"
+        path.write_text(json.dumps(data))
+        out = workdir / "never_written.pfm"
+        assert cli.main(["render", str(path), "--mode", "albedo", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: primitives[0].{key} must be")
         assert not out.exists()
 
     def test_camera_block_must_be_an_object(self, workdir, capsys):
@@ -233,8 +248,8 @@ class TestRender:
         code = cli.main(["render", str(stale), "--env", light_file,
                          "--cache", cache, "-o", str(workdir / "y.pfm")])
         assert code == 2
-        assert "error: transfer cache was baked for a different scene" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: {cache}.json: transfer cache was baked for a different scene\n"
 
     def test_cache_degree_mismatch(self, workdir, scene_file, light_file, capsys):
         # A degree-2 cache cannot shade under the degree-4 light, but the
@@ -270,12 +285,12 @@ class TestRender:
                          "--look-at", "0", "0", "0", "-o", str(workdir / "bad.pfm")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: primitives[0]") and "Traceback" not in err
+        assert err.startswith(f"error: {path}: primitives[0]") and "Traceback" not in err
         assert not (workdir / "bad.pfm").exists()
         for command in (["bake", str(path), "-o", str(workdir / "bad.bin")],
                         ["validate", str(path), "--env", light_file]):
             assert cli.main(command) == 2
-            assert capsys.readouterr().err.startswith("error: primitives[0]")
+            assert capsys.readouterr().err.startswith(f"error: {path}: primitives[0]")
 
 
     @pytest.mark.parametrize("broken", ["no_channels", "no_degree", "nan_coefficient",
@@ -298,7 +313,7 @@ class TestRender:
                         ["validate", scene_file, "--env", str(light), "-o", str(out)]):
             assert cli.main(command) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: ShLight") and "Traceback" not in err
+            assert err.startswith(f"error: {light}: ShLight") and "Traceback" not in err
             assert not out.exists()
 
     def test_sidecar_without_count_is_runtime_error(self, workdir, scene_file, light_file,
@@ -315,7 +330,7 @@ class TestRender:
         assert cli.main(["render", scene_file, "--env", light_file, "--cache", cache,
                          "-o", str(out)]) == 2
         assert capsys.readouterr().err == \
-            "error: transfer cache sidecar missing field 'count'\n"
+            f"error: {cache}.json: transfer cache sidecar missing field 'count'\n"
         assert not out.exists()
 
 
@@ -334,7 +349,7 @@ class TestRender:
         out = workdir / f"nan_{column}.pfm"
         assert cli.main(["render", scene_file, "--env", light_file, "--cache", cache,
                          "-o", str(out)]) == 2
-        assert capsys.readouterr().err == "error: transfer cache record 2 is not finite\n"
+        assert capsys.readouterr().err == f"error: {cache}: transfer cache record 2 is not finite\n"
         assert not out.exists()
 
     def test_light_above_max_degree_fails_on_load(self, workdir, scene_file, monkeypatch,
@@ -359,7 +374,7 @@ class TestRender:
         for command in ("render", "validate"):
             assert cli.main([command, scene_file, "--env", str(light), "-o", str(out)]) == 2
             assert capsys.readouterr().err == \
-                "error: ShLight degree must be an integer in [0, 8], got 9\n"
+                f"error: {light}: ShLight degree must be an integer in [0, 8], got 9\n"
         assert calls == [] and not out.exists()
 
 
@@ -458,6 +473,17 @@ class TestValidate:
                          "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --degree 4 ") and "degree 2" in err
+        assert not out.exists()
+
+    def test_truncated_json_names_its_file(self, workdir, scene_file, light_file, capsys):
+        # validate reads a scene and a light; the error says which one is broken.
+        broken = workdir / "truncated.json"
+        broken.write_text('{"bounds": ')
+        out = workdir / "never_written"
+        for argv in ([str(broken), "--env", light_file], [scene_file, "--env", str(broken)]):
+            assert cli.main(["validate", *argv, "-o", str(out)]) == 2
+            assert capsys.readouterr().err == \
+                f"error: {broken}: Expecting value: line 1 column 12 (char 11)\n"
         assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ class TestProjection:
         proj = envlight.project_to_sh(ref, degree=3)
         dirs = random_unit_dirs(200, seed=13)
         assert np.max(np.abs(proj.radiance(dirs) - ref.radiance(dirs))) < 1e-3
+
+    def test_degree_eight_peak_memory(self):
+        # The map is sampled before the 85 MiB degree-8 basis is built, so the
+        # 25 MiB of lookup temporaries are gone by then (the peak was 110 MiB).
+        env = envlight.EquirectLight(pixels=np.random.default_rng(0).random((256, 512, 3)))
+        sh.basis_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            envlight.project_to_sh(env, degree=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sh.basis_grid.cache_clear()
+        assert peak < 100 * 2**20
 
 
 class TestShLight:

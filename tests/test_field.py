@@ -1,3 +1,4 @@
+import json
 import math
 import pathlib
 
@@ -274,6 +275,36 @@ class TestSceneJson:
         assert field.density(scene, np.array([0.0, 0.0, 1.0])) > 0.0
 
 
+class TestSceneDict:
+    def test_example_scene_hash_is_pinned(self):
+        # Transfer caches store this hash; a change to the JSON form would orphan them.
+        path = pathlib.Path(__file__).resolve().parents[1] / "docs" / "example_scene.json"
+        assert field.scene_hash(field.load_scene(str(path))) == \
+            "b09199feb102d47ebe3940328afa32fa5da7a81cfdd90d98ea199af0098e984a"
+
+    @pytest.mark.parametrize("kind, given, geometry", [
+        ("sphere", {"center": [0, 0, 1], "radius": 2},
+         {"center": [0.0, 0.0, 1.0], "radius": 2.0}),
+        ("box", {"center": [1, 0, 0], "extent": [1, 2, 3]},
+         {"center": [1.0, 0.0, 0.0], "extent": [1.0, 2.0, 3.0]}),
+        ("slab", {"axis": [0, 0, 2], "thickness": 0.5},
+         {"axis": [0.0, 0.0, 1.0], "offset": 0.0, "thickness": 0.5})])
+    def test_to_dict_fills_in_defaults(self, kind, given, geometry):
+        scene = field.scene_from_dict({
+            "bounds": {"center": [0, 0, 0], "radius": 4},
+            "primitives": [{"type": kind, "density_scale": 3, "softness": 0.1, **given}]})
+        grey = {"albedo": [0.5, 0.5, 0.5], "tint": [0.0, 0.0, 0.0]}
+        want = {
+            "bounds": {"center": [0.0, 0.0, 0.0], "radius": 4.0},
+            "default_material": grey,
+            "march": {"primary_steps": 256, "secondary_steps": 64, "t_near": 0.0, "t_far": 10.0},
+            "primitives": [{"type": kind, **geometry, "density_scale": 3.0, "softness": 0.1,
+                            **grey}]}
+        # Compared as JSON text too, so 4 and 4.0 differ as they do in the hash.
+        assert scene.to_dict() == want
+        assert json.dumps(scene.to_dict(), sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
 def one_primitive_scene(kind):
     """The fixture scene holding a single primitive of the given kind."""
     d = sphere_scene_dict()
@@ -311,14 +342,15 @@ class TestMalformedPrimitives:
         with pytest.raises(ValueError, match=rf"primitives\[0\].{key} must be finite"):
             field.scene_from_dict(d)
 
-    @pytest.mark.parametrize("value", [["a", 1.0, 1.0], {"x": 1.0}, [10**400, 1.0, 1.0]])
+    @pytest.mark.parametrize("value", [["a", 1.0, 1.0], {"x": 1.0}, [10**400, 1.0, 1.0],
+                                       ["0", 0, 0], [True, 0, 0]])
     def test_non_number_vector(self, value):
         d = one_primitive_scene("box")
         d["primitives"][0]["extent"] = value
         with pytest.raises(ValueError, match=r"primitives\[0\].extent must be a 3-vector"):
             field.scene_from_dict(d)
 
-    @pytest.mark.parametrize("value", [None, "wide", [1.0], 10**400])
+    @pytest.mark.parametrize("value", [None, "wide", [1.0], 10**400, "1.0", True])
     def test_non_number_scalar(self, value):
         d = one_primitive_scene("sphere")
         d["primitives"][0]["radius"] = value

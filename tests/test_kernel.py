@@ -1,4 +1,4 @@
-"""The packed density kernel and the skipping marches against references.
+"""The compiled density kernel and the skipping marches against references.
 
 The references are written out here: the per-primitive density formulas
 that evaluated each primitive on (..., 3) points, the dense transmittance
