@@ -184,9 +184,9 @@ def _cmd_validate(args):
         resolution=tuple(args.grid), secondary_steps=args.secondary_steps,
         seed=args.seed, threads=args.threads)
     report = oracle.compare_prt_vs_mc(scene, light, config=config)
-    _warn_shortfall(len(report.entries), args.points)
+    _warn_shortfall(len(report["entries"]), args.points)
     print(oracle.format_table(report))
-    payload = json.dumps(report.to_dict(), indent=2)
+    payload = json.dumps(report, indent=2)
     if args.output:
         with open(args.output, "w") as f:
             f.write(payload)

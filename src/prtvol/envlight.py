@@ -22,8 +22,6 @@ class ConstantLight:
 
     color: np.ndarray
 
-    kind = "constant"
-
     def radiance(self, dirs):
         dirs = np.asarray(dirs, dtype=np.float64)
         out = np.empty(dirs.shape[:-1] + (3,), dtype=np.float64)
@@ -42,8 +40,6 @@ class LobeLight:
     sharpness: float
     color: np.ndarray
 
-    kind = "lobe"
-
     def radiance(self, dirs):
         dirs = np.asarray(dirs, dtype=np.float64)
         mu = dirs @ np.asarray(self.axis, dtype=np.float64)
@@ -56,8 +52,6 @@ class EquirectLight:
     """Pixel-backed environment, pixels (H, W, 3) linear radiance."""
 
     pixels: np.ndarray
-
-    kind = "equirect"
 
     def radiance(self, dirs):
         dirs = np.asarray(dirs, dtype=np.float64)
@@ -182,7 +176,7 @@ def project_to_sh(env, degree=4, resolution=None):
         ShLight with (degree+1)**2 coefficients per channel.
     """
     if resolution is None:
-        if (getattr(env, "kind", None) == "equirect" and env.pixels.shape[0] >= sh.MIN_GRID[0]
+        if (isinstance(env, EquirectLight) and env.pixels.shape[0] >= sh.MIN_GRID[0]
                 and env.pixels.shape[1] >= sh.MIN_GRID[1]):
             resolution = env.pixels.shape[:2]
         else:

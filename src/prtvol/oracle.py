@@ -15,12 +15,17 @@ All three take V * max(0, n . d) from transport.visibility_map; each
 point's map is marched once for its transfer and visibility_l2, and the
 transfer is the same bits as the point's row of a bake on the same grid.
 
-Per-point randomness derives from (seed, point index), so serial and
-parallel runs produce identical reports.
+compare_prt_vs_mc returns the report as the dict that `prtvol validate`
+writes as JSON: "config", then "entries" with one dict per point
+(position, nrt_residual_mean, visibility_l2 keyed by degree as a string,
+sh_diffuse, mc_diffuse, mc_stderr), then "aggregate" with the point count,
+the means of the residual and of each visibility_l2 degree, and
+sh_negative_rate. Key order fixes the JSON bytes, and the report holds no
+timing. Per-point randomness derives from (seed, point index), so serial
+and parallel runs produce identical reports.
 """
 
-import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,83 +109,14 @@ class ValidationConfig:
         return tuple(d for d in (2, 3, 4) if d <= self.degree) or (self.degree,)
 
 
-@dataclass(frozen=True)
-class PointReport:
-    position: np.ndarray
-    nrt_residual_mean: float
-    visibility_l2: dict
-    sh_diffuse: np.ndarray
-    mc_diffuse: np.ndarray
-    mc_stderr: np.ndarray
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    entries: tuple
-    config: ValidationConfig
-    runtime_seconds: float = dc_field(compare=False, default=0.0)
-
-    @property
-    def mean_nrt_residual(self):
-        return float(np.mean([e.nrt_residual_mean for e in self.entries]))
-
-    @property
-    def mean_visibility_l2(self):
-        degrees = self.config.degrees
-        return {d: float(np.mean([e.visibility_l2[d] for e in self.entries]))
-                for d in degrees}
-
-    @property
-    def sh_negative_rate(self):
-        """Fraction of SH diffuse channel values that ring below zero.
-
-        Shading keeps signed reconstructions and clamps only at image
-        export, so this is the place the ringing rate is surfaced.
-        """
-        values = np.array([e.sh_diffuse for e in self.entries])
-        return float(np.mean(values < 0.0))
-
-    def to_dict(self):
-        """JSON form; excludes runtime so identical seeds give identical bytes."""
-        return {
-            "config": {
-                "mc_samples": self.config.mc_samples,
-                "degree": self.config.degree,
-                "degrees": list(self.config.degrees),
-                "resolution": list(self.config.resolution),
-                "secondary_steps": self.config.secondary_steps,
-                "seed": self.config.seed,
-            },
-            "entries": [
-                {
-                    "position": e.position.tolist(),
-                    "nrt_residual_mean": e.nrt_residual_mean,
-                    "visibility_l2": {str(d): v for d, v in e.visibility_l2.items()},
-                    "sh_diffuse": e.sh_diffuse.tolist(),
-                    "mc_diffuse": e.mc_diffuse.tolist(),
-                    "mc_stderr": e.mc_stderr.tolist(),
-                }
-                for e in self.entries
-            ],
-            "aggregate": {
-                "points": len(self.entries),
-                "nrt_residual_mean": self.mean_nrt_residual,
-                "visibility_l2": {str(d): v for d, v in self.mean_visibility_l2.items()},
-                "sh_negative_rate": self.sh_negative_rate,
-            },
-        }
-
-
 def format_table(report):
-    """Human-readable per-point table plus the aggregate row."""
-    degrees = report.config.degrees
-    head = "point  nrt_residual  " + "  ".join(f"vis_l2(d={d})" for d in degrees)
-    lines = [head]
-    for i, e in enumerate(report.entries):
-        cells = "  ".join(f"{e.visibility_l2[d]:11.6f}" for d in degrees)
-        lines.append(f"{i:5d}  {e.nrt_residual_mean:12.6f}  {cells}")
-    cells = "  ".join(f"{report.mean_visibility_l2[d]:11.6f}" for d in degrees)
-    lines.append(f" mean  {report.mean_nrt_residual:12.6f}  {cells}")
+    """Human-readable per-point table plus the aggregate row of a report dict."""
+    degrees = report["config"]["degrees"]
+    lines = ["point  nrt_residual  " + "  ".join(f"vis_l2(d={d})" for d in degrees)]
+    rows = [(f"{i:5d}", e) for i, e in enumerate(report["entries"])]
+    for label, e in rows + [(" mean", report["aggregate"])]:
+        cells = "  ".join(f"{e['visibility_l2'][str(d)]:11.6f}" for d in degrees)
+        lines.append(f"{label}  {e['nrt_residual_mean']:12.6f}  {cells}")
     return "\n".join(lines)
 
 
@@ -193,7 +129,8 @@ def compare_prt_vs_mc(scene, light, surface=None, config=None):
     uses the light's coefficients (an analytic light is projected first,
     and an SH light truncated, before any point is sampled); the MC side
     integrates the light as given, so the two agree within sampling error
-    exactly when the light is band-limited.
+    exactly when the light is band-limited. Returns the report dict the
+    module docstring describes.
     """
     config = config or ValidationConfig()
     scene = field.with_steps(scene, secondary_steps=config.secondary_steps)
@@ -210,7 +147,6 @@ def compare_prt_vs_mc(scene, light, surface=None, config=None):
     if missing.size:
         raise ValueError(f"point {missing[0]} has no surface normal")
 
-    start = time.perf_counter()
     dirs, _, _ = sh.basis_grid(config.degree, config.resolution[0], config.resolution[1])
 
     def run(i, _end):
@@ -222,15 +158,34 @@ def compare_prt_vs_mc(scene, light, surface=None, config=None):
             scene, light, x, n, albedo[i], config.mc_samples, seed=(config.seed, i))
         residuals = transport.nrt_residuals(
             scene, x, n, transfer, transport.nrt_rays(n, views[i], seed=(config.seed, i)))
-        return PointReport(
-            position=x,
-            nrt_residual_mean=float(np.mean(residuals)),
-            visibility_l2=visibility_l2(vals[0], transfer, config.degrees, config.resolution),
-            sh_diffuse=shading.diffuse_radiance(albedo[i], transfer, sh_light),
-            mc_diffuse=mc,
-            mc_stderr=stderr)
+        l2 = visibility_l2(vals[0], transfer, config.degrees, config.resolution)
+        return {
+            "position": x.tolist(),
+            "nrt_residual_mean": float(np.mean(residuals)),
+            "visibility_l2": {str(d): v for d, v in l2.items()},
+            "sh_diffuse": shading.diffuse_radiance(albedo[i], transfer, sh_light).tolist(),
+            "mc_diffuse": mc.tolist(),
+            "mc_stderr": stderr.tolist(),
+        }
 
     entries = chunks.map_chunks(run, len(positions), 1, config.threads)
-    runtime = time.perf_counter() - start
-    return ValidationReport(entries=tuple(entries), config=config,
-                            runtime_seconds=runtime)
+    return {
+        "config": {
+            "mc_samples": config.mc_samples,
+            "degree": config.degree,
+            "degrees": list(config.degrees),
+            "resolution": list(config.resolution),
+            "secondary_steps": config.secondary_steps,
+            "seed": config.seed,
+        },
+        "entries": entries,
+        "aggregate": {
+            "points": len(entries),
+            "nrt_residual_mean": float(np.mean([e["nrt_residual_mean"] for e in entries])),
+            "visibility_l2": {str(d): float(np.mean([e["visibility_l2"][str(d)] for e in entries]))
+                              for d in config.degrees},
+            # Shading keeps signed reconstructions and clamps only at image
+            # export, so this is where SH ringing below zero is surfaced.
+            "sh_negative_rate": float(np.mean(np.array([e["sh_diffuse"] for e in entries]) < 0.0)),
+        },
+    }

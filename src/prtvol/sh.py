@@ -181,15 +181,14 @@ def basis_grid(degree, n_theta, n_phi):
     shared across callers; treat them as read-only.
     """
     key = (degree, n_theta, n_phi)
+    # Built under the lock, so threads that miss the same grid build it once.
     with _grid_lock:
         if key in _grids:
             _grids.move_to_end(key)
             return _grids[key]
-    dirs, weights = quadrature_nodes(n_theta, n_phi)
-    grid = dirs, weights, eval_basis(dirs, degree)
-    with _grid_lock:
+        dirs, weights = quadrature_nodes(n_theta, n_phi)
+        grid = dirs, weights, eval_basis(dirs, degree)
         _grids[key] = grid
-        _grids.move_to_end(key)
         while sum(a.nbytes for g in _grids.values() for a in g) > _GRID_CACHE_BYTES:
             _grids.popitem(last=False)
     return grid

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from prtvol import envlight, oracle, sh, shading, transport
-from conftest import constant_sh_light, field_surface_point, lobe_sh_light
+from prtvol import cli, envlight, oracle, sh, shading, transport
+from conftest import blocker_scene_dict, constant_sh_light, field_surface_point, lobe_sh_light
 
 
 class TestMcDiffuse:
@@ -81,11 +81,12 @@ class TestVisibilityL2:
                                  transport.BAKE_GRID)
 
 
+BLOCKER_CONFIG = oracle.ValidationConfig(count=8, mc_samples=20000, resolution=(48, 96), seed=5)
+
+
 @pytest.fixture(scope="module")
 def blocker_report(blocker_scene):
-    config = oracle.ValidationConfig(count=8, mc_samples=20000,
-                                     resolution=(48, 96), seed=5)
-    return oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), config=config)
+    return oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), config=BLOCKER_CONFIG)
 
 
 class TestCompare:
@@ -103,45 +104,48 @@ class TestCompare:
                                                              seed=config.seed)
         baked = transport.bake_transfer_batch(blocker_scene, pos, nrm,
                                               resolution=config.resolution)
-        assert len(used) == len(report.entries) == baked.shape[0]
-        for got, row, a, e in zip(used, baked, albedo, report.entries):
+        assert len(used) == len(report["entries"]) == baked.shape[0]
+        for got, row, a, e in zip(used, baked, albedo, report["entries"]):
             assert got[0].tobytes() == row.tobytes()
             want = shading.diffuse_radiance(a, row, sky_light)
-            assert e.sh_diffuse.tobytes() == want.tobytes()
+            assert np.array(e["sh_diffuse"]).tobytes() == want.tobytes()
 
     def test_band_limited_light_within_3_sigma(self, blocker_report):
-        for e in blocker_report.entries:
-            z = np.abs(e.sh_diffuse - e.mc_diffuse) / e.mc_stderr
+        for e in blocker_report["entries"]:
+            z = np.abs(np.subtract(e["sh_diffuse"], e["mc_diffuse"])) / e["mc_stderr"]
             assert np.max(z) < 3.0
 
     def test_degree_errors_monotone(self, blocker_report):
-        for e in blocker_report.entries:
-            assert e.visibility_l2[2] >= e.visibility_l2[3] - 1e-12
-            assert e.visibility_l2[3] >= e.visibility_l2[4] - 1e-12
+        for e in blocker_report["entries"]:
+            l2 = e["visibility_l2"]
+            assert l2["2"] >= l2["3"] - 1e-12
+            assert l2["3"] >= l2["4"] - 1e-12
 
     def test_aggregate_is_mean_of_entries(self, blocker_report):
-        want = np.mean([e.nrt_residual_mean for e in blocker_report.entries])
-        assert abs(blocker_report.mean_nrt_residual - want) < 1e-15
-        for d in (2, 3, 4):
-            want_d = np.mean([e.visibility_l2[d] for e in blocker_report.entries])
-            assert abs(blocker_report.mean_visibility_l2[d] - want_d) < 1e-15
+        entries, aggregate = blocker_report["entries"], blocker_report["aggregate"]
+        assert aggregate["points"] == len(entries)
+        want = np.mean([e["nrt_residual_mean"] for e in entries])
+        assert abs(aggregate["nrt_residual_mean"] - want) < 1e-15
+        for d in ("2", "3", "4"):
+            want_d = np.mean([e["visibility_l2"][d] for e in entries])
+            assert abs(aggregate["visibility_l2"][d] - want_d) < 1e-15
 
     def test_entries_match_standalone_bake_and_l2(self, blocker_scene, blocker_report):
         # compare_prt_vs_mc marches each point's map once and reuses it for
         # the transfer and the L2 scores; both must equal the standalone
         # routes bit for bit.
-        config = blocker_report.config
+        config = BLOCKER_CONFIG
         light = lobe_sh_light().truncated(config.degree)
         pos, nrm, albedo, _ = transport.sample_surface_points(blocker_scene, config.count,
                                                              seed=config.seed)
         dirs, _, _ = sh.basis_grid(0, *config.resolution)
-        for x, n, a, e in zip(pos, nrm, albedo, blocker_report.entries):
+        for x, n, a, e in zip(pos, nrm, albedo, blocker_report["entries"]):
             t = transport.bake_transfer_batch(blocker_scene, [x], [n], degree=config.degree,
                                               resolution=config.resolution)[0]
-            assert np.array_equal(e.sh_diffuse, shading.diffuse_radiance(a, t, light))
+            assert np.array_equal(e["sh_diffuse"], shading.diffuse_radiance(a, t, light))
             vals = transport.visibility_map(blocker_scene, [x], [n], dirs)[0]
-            assert e.visibility_l2 == oracle.visibility_l2(vals, t, config.degrees,
-                                                           config.resolution)
+            l2 = oracle.visibility_l2(vals, t, config.degrees, config.resolution)
+            assert e["visibility_l2"] == {str(d): v for d, v in l2.items()}
 
     def test_full_band_light_relative_rms(self, blocker_scene):
         # The MC side integrates the raw lobe; the SH side sees only its
@@ -153,8 +157,8 @@ class TestCompare:
         config = oracle.ValidationConfig(count=6, mc_samples=20000,
                                          resolution=(48, 96), seed=9)
         report = oracle.compare_prt_vs_mc(blocker_scene, lobe, config=config)
-        sh_vals = np.array([e.sh_diffuse for e in report.entries])
-        mc_vals = np.array([e.mc_diffuse for e in report.entries])
+        sh_vals = np.array([e["sh_diffuse"] for e in report["entries"]])
+        mc_vals = np.array([e["mc_diffuse"] for e in report["entries"]])
         rel = np.sqrt(np.mean((sh_vals - mc_vals) ** 2) / np.mean(mc_vals ** 2))
         assert rel <= 0.05
 
@@ -163,7 +167,7 @@ class TestCompare:
                                          resolution=(32, 64), seed=11)
         a = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), config=config)
         b = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), config=config)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert json.dumps(a) == json.dumps(b)
 
     def test_threads_do_not_change_report(self, blocker_scene):
         base = oracle.ValidationConfig(count=4, mc_samples=2000,
@@ -172,12 +176,12 @@ class TestCompare:
                                            resolution=(32, 64), seed=13, threads=3)
         a = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), config=base)
         b = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), config=threaded)
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert json.dumps(a) == json.dumps(b)
 
     def test_negative_rate_in_aggregate(self, blocker_report):
-        values = np.array([e.sh_diffuse for e in blocker_report.entries])
+        values = np.array([e["sh_diffuse"] for e in blocker_report["entries"]])
         want = float(np.mean(values < 0.0))
-        assert blocker_report.to_dict()["aggregate"]["sh_negative_rate"] == want
+        assert blocker_report["aggregate"]["sh_negative_rate"] == want
         assert 0.0 <= want <= 1.0
 
     def test_negative_rate_zero_under_dc_light(self, sphere_scene, white_light):
@@ -186,12 +190,32 @@ class TestCompare:
         config = oracle.ValidationConfig(count=3, mc_samples=100,
                                          resolution=(16, 32), seed=21)
         report = oracle.compare_prt_vs_mc(sphere_scene, white_light, config=config)
-        assert report.sh_negative_rate == 0.0
+        assert report["aggregate"]["sh_negative_rate"] == 0.0
 
-    def test_runtime_not_in_json(self, blocker_report):
-        assert blocker_report.runtime_seconds > 0.0
-        text = json.dumps(blocker_report.to_dict())
-        assert "runtime" not in text
+    def test_report_key_order_and_cli_file(self, blocker_report, tmp_path, capsys):
+        # json.dumps keeps insertion order, so these key lists fix the
+        # bytes of the report; none of the keys holds a timing.
+        assert list(blocker_report) == ["config", "entries", "aggregate"]
+        assert list(blocker_report["config"]) == [
+            "mc_samples", "degree", "degrees", "resolution", "secondary_steps", "seed"]
+        for e in blocker_report["entries"]:
+            assert list(e) == ["position", "nrt_residual_mean", "visibility_l2",
+                               "sh_diffuse", "mc_diffuse", "mc_stderr"]
+            assert list(e["visibility_l2"]) == ["2", "3", "4"]
+        aggregate = blocker_report["aggregate"]
+        assert list(aggregate) == ["points", "nrt_residual_mean", "visibility_l2",
+                                   "sh_negative_rate"]
+        assert list(aggregate["visibility_l2"]) == ["2", "3", "4"]
+        # The CLI writes the same dict: the scene and light go through
+        # their JSON files and the flags carry BLOCKER_CONFIG.
+        scene, light, out = tmp_path / "scene.json", tmp_path / "light.json", tmp_path / "r.json"
+        scene.write_text(json.dumps(blocker_scene_dict()))
+        envlight.save_sh_light(str(light), lobe_sh_light())
+        assert cli.main(["validate", str(scene), "--env", str(light), "--points", "8",
+                         "--mc-samples", "20000", "--grid", "48", "96", "--seed", "5",
+                         "--threads", "1", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text()) == blocker_report
 
     def test_views_must_pair_points(self, sphere_scene, white_light):
         pos, nrm, albedo, _ = transport.sample_surface_points(sphere_scene, 3, seed=1)
@@ -223,7 +247,7 @@ class TestCompare:
         text = oracle.format_table(blocker_report)
         lines = text.splitlines()
         assert "nrt_residual" in lines[0]
-        assert len(lines) == len(blocker_report.entries) + 2
+        assert len(lines) == len(blocker_report["entries"]) + 2
         assert lines[-1].strip().startswith("mean")
 
 

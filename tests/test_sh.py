@@ -205,6 +205,43 @@ class TestBasisGridCache:
         kept = sum(a.nbytes for g in sh._grids.values() for a in g)
         assert 0 < kept <= sh._GRID_CACHE_BYTES
 
+    def test_concurrent_misses_build_the_grid_once(self, monkeypatch):
+        # The first builder parks inside the build until a second thread
+        # starts building the same grid too, or 0.5 s pass; the second
+        # thread calls basis_grid only once the first is parked.
+        nodes, evaluate = sh.quadrature_nodes, sh.eval_basis
+        parked, other_built = threading.Event(), threading.Event()
+        builds = []
+
+        def parking_nodes(*args):
+            if parked.is_set():
+                other_built.set()
+            else:
+                parked.set()
+                other_built.wait(0.5)
+            return nodes(*args)
+
+        def counting_eval(*args):
+            builds.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(sh, "quadrature_nodes", parking_nodes)
+        monkeypatch.setattr(sh, "eval_basis", counting_eval)
+        grids = [None, None]
+
+        def call(slot):
+            grids[slot] = sh.basis_grid(2, 8, 16)
+
+        first = threading.Thread(target=call, args=(0,))
+        first.start()
+        assert parked.wait(10)
+        second = threading.Thread(target=call, args=(1,))
+        second.start()
+        first.join(10)
+        second.join(10)
+        assert len(builds) == 1
+        assert grids[0] is grids[1]
+
     def test_cache_clear_through_alias(self):
         a = sh.basis_grid(1, 8, 16)
         assert sh.basis_grid(1, 8, 16) is a
