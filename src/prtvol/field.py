@@ -10,10 +10,10 @@ Each scene is compiled once, when it is built, into one parameter row
 per primitive, in scene order. density and material evaluate that kernel
 on separate x, y and z arrays and sum the primitives in scene order,
 rounding exactly as the per-point formulas do; each point's value is
-independent of the other points in the batch. support_interval gives,
-per ray, the span outside which every sample's density is exactly 0.0,
-folding each primitive's support in scene order, so a march may skip
-those samples without changing a bit of its sum.
+independent of the other points in the batch. supports gives each
+ray's span outside which a primitive is exactly +0.0, and
+support_interval their hull, so a march may skip those samples without
+changing a bit of its sum.
 
 Surface normals come from the density gradient, n = -grad / |grad|,
 estimated by central differences with step h = min(softness) / 4. A
@@ -103,6 +103,14 @@ class Material:
 class Bounds:
     center: np.ndarray
     radius: float
+
+    def __post_init__(self):
+        # radius2 is squared once, as a float power: radius * radius rounds
+        # differently about once in a thousand.
+        try:
+            object.__setattr__(self, "radius2", self.radius**2)
+        except OverflowError:
+            raise ValueError(f"bounds.radius must have a finite square, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -377,24 +385,28 @@ def _columns(pts):
     return pts.reshape(-1, 3).T.copy()
 
 
-def _densities(scene, x, y, z):
-    """Each primitive's density at the points, in scene order."""
-    for distance, _, row, scale, w in scene._kernel:
-        d = distance(x, y, z, row.astype(x.dtype))
-        t = (d + 0.5 * w) / w
-        np.clip(t, 0.0, 1.0, out=t)
-        yield scale * (1.0 - t * t * (3.0 - 2.0 * t))
+def _primitive_density(scene, i, x, y, z):
+    """Primitive i's density at the points."""
+    distance, _, row, scale, w = scene._kernel[i]
+    d = distance(x, y, z, row.astype(x.dtype))
+    t = (d + 0.5 * w) / w
+    np.clip(t, 0.0, 1.0, out=t)
+    return scale * (1.0 - t * t * (3.0 - 2.0 * t))
+
+
+def _in_bounds(scene, x, y, z):
+    c = scene.bounds.center.astype(x.dtype)
+    return _squared_distance(x, y, z, c) <= x.dtype.type(scene.bounds.radius2)
 
 
 def _total_density(scene, x, y, z):
     """Summed density times the bounds mask; also returns each primitive's."""
-    weights = list(_densities(scene, x, y, z))
+    weights = [_primitive_density(scene, i, x, y, z) for i in range(len(scene._kernel))]
     total = np.zeros(x.shape, dtype=x.dtype)
     for w in weights:
         total += w
     if weights:
-        c = scene.bounds.center.astype(x.dtype)
-        total *= _squared_distance(x, y, z, c) <= x.dtype.type(scene.bounds.radius**2)
+        total *= _in_bounds(scene, x, y, z)
     return total, weights
 
 
@@ -434,36 +446,52 @@ def _slab_support(row, grow, o, d):
 _SUPPORT = {"sphere": _sphere_support, "box": _box_support, "slab": _slab_support}
 
 
-def support_interval(scene, origins, dirs, t_max):
-    """[lo, hi] along each ray outside which the density is exactly zero.
-
-    For rays origins + t * dirs ((R, 3) each) sampled at 0 <= t <= t_max
-    (R,), returns float64 (lo, hi) of shape (R,): a point whose t lies
-    outside [lo, hi] has density exactly 0.0 when computed in the dtype of
-    origins. A primitive is zero once its signed distance reaches
-    softness / 2 (a sphere of radius + softness / 2, a box grown by
-    softness / 2, a band of half thickness + softness / 2); each support
-    is grown further by 2**-12 times the magnitudes of the ray and the
-    primitive to cover rounding, and [lo, hi] spans the supports the ray
-    meets at t >= 0. lo > hi when it meets none. Where a ray's interval
-    cannot be computed (non-finite or zero-length input, a ray on a
-    support's edge) it spans all t.
-    """
+def _primitive_supports(scene, origins, dirs, t_max):
+    """Each primitive's raw float64 (lo, hi), and where the ray meets it at t >= 0."""
     o = np.asarray(origins, dtype=np.float64).T.copy()
     d = np.asarray(dirs, dtype=np.float64).T.copy()
     size = np.abs(o[0]) + np.abs(o[1]) + np.abs(o[2])
     size += (np.abs(d[0]) + np.abs(d[1]) + np.abs(d[2])) * t_max
-    lo = np.full(o.shape[1], np.inf)
-    hi = np.full(o.shape[1], -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _, support, row, _, softness in scene._kernel:
+    for _, support, row, _, softness in scene._kernel:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             own = np.sum(np.abs(row)) + softness
             grow = (0.5 * softness + _SUPPORT_PAD * own) + _SUPPORT_PAD * size
-            p_lo, p_hi = support(row, grow, o, d)
-            # NaN (unknown) passes both tests and the folds below.
-            meets = ~(p_hi < np.maximum(p_lo, 0.0))
-            lo = np.minimum(lo, np.where(meets, p_lo, np.inf))
-            hi = np.maximum(hi, np.where(meets, p_hi, -np.inf))
+            lo, hi = support(row, grow, o, d)
+            # NaN (unknown) passes this test, and each caller makes it span all t.
+            meets = ~(hi < np.maximum(lo, 0.0))
+        yield lo, hi, meets
+
+
+def supports(scene, origins, dirs, t_max):
+    """Each primitive's float64 (lo, hi) along each ray, yielded in scene order.
+
+    For rays origins + t * dirs ((R, 3) each) sampled at 0 <= t <= t_max
+    (scalar or (R,)), a point whose t lies outside [lo, hi] gets exactly
+    +0.0 from the primitive, computed in the dtype of origins. A primitive
+    is zero once its signed distance reaches softness / 2 (a sphere of
+    radius + softness / 2, a box grown by softness / 2, a band of half
+    thickness + softness / 2); each support is grown further by 2**-12
+    times the magnitudes of the ray and the primitive to cover rounding.
+    lo > hi when the ray meets the support at no t >= 0; where an interval
+    cannot be computed (non-finite or zero-length input, a ray on the
+    support's edge) it spans all t.
+    """
+    for lo, hi, meets in _primitive_supports(scene, origins, dirs, t_max):
+        yield (np.where(meets, np.fmax(lo, -np.inf), np.inf),
+               np.where(meets, np.fmin(hi, np.inf), -np.inf))
+
+
+def support_interval(scene, origins, dirs, t_max):
+    """[lo, hi] along each ray outside which the total density is exactly zero.
+
+    The hull of supports(scene, origins, dirs, t_max), folded in scene
+    order: float64 arrays of shape (R,), with lo > hi when the ray meets
+    no support.
+    """
+    lo, hi = np.full(len(origins), np.inf), np.full(len(origins), -np.inf)
+    for p_lo, p_hi, meets in _primitive_supports(scene, origins, dirs, t_max):
+        lo = np.minimum(lo, np.where(meets, p_lo, np.inf))
+        hi = np.maximum(hi, np.where(meets, p_hi, -np.inf))
     lo[np.isnan(lo)] = -np.inf
     hi[np.isnan(hi)] = np.inf
     return lo, hi

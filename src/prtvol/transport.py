@@ -6,9 +6,10 @@ midpoint steps from a small self-occlusion offset (twice the normal
 finite-difference step) out to the bounding sphere. primary_march
 marches the renderer's and the probes' rays in scene.march.primary_steps
 over [t_near, t_far], and _march_weights gives both T * density * dt.
-Both marches evaluate density only on the samples _live_samples gives,
-the run of steps inside each ray's field.support_interval; every skipped
-sample would be an exact 0.0, so both equal a dense march bit for bit.
+Both evaluate density only on runs of steps from _live_samples:
+transmittance on the hull of field.support_interval, primary_march
+primitive by primitive on field.supports; every skipped term is an
+exact +0.0, so both equal a dense march bit for bit.
 Primary samples are returned as distances, and primary_points forms a
 position only where one is needed, in the bits the march evaluated. The
 probes of up to PROBE_BLOCK tries are marched together, and their hits
@@ -52,7 +53,7 @@ def _cosine(n, d):
 def _exit_distance(scene, origins, dirs):
     """Per-ray [t0, t_exit] clipped to the bounding sphere, 0-length if missed."""
     c = scene.bounds.center.astype(origins.dtype, copy=False)
-    r2 = origins.dtype.type(scene.bounds.radius**2)
+    r2 = origins.dtype.type(scene.bounds.radius2)
     oc = origins - c
     b = np.sum(oc * dirs, axis=-1)
     disc = b * b - (np.sum(oc * oc, axis=-1) - r2)
@@ -63,54 +64,78 @@ def _exit_distance(scene, origins, dirs):
     return np.maximum(t_enter, 0.0), np.maximum(t_exit, 0.0)
 
 
-def _live_samples(scene, origins, dirs, t0, dt, steps, t_max):
-    """Blocks (ray, step, pts) of the march samples that may hold density.
+def _count_before(t0, dt, s, steps, before):
+    """How many of each ray's samples t0 + (k + 0.5) * dt, k < steps, lead with before(t, s).
+
+    t0 and dt are (N,) in the samples' dtype, dt >= 0 or NaN, so t never
+    decreases with k; before (np.less or np.less_equal) is false for NaN
+    t. Each pass tests one step per ray, as the march computes its t: the
+    guess ceil((s - t0) / dt - 0.5), then the step beside it, both over all
+    rays, then bisection over the few rays left, so any guess costs at most
+    2 + steps.bit_length() passes.
+    """
+    dtype = t0.dtype.type
+    # The guess is formed in one array: a chain of fresh temporaries here
+    # measurably raised the process's peak RSS.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = s - t0
+        g /= dt
+    g -= 0.5
+    np.ceil(g, out=g)
+    np.clip(np.nan_to_num(g, copy=False), 0, steps - 1, out=g)
+    k = g.astype(np.intp)
+    del g
+    # Each ray's count lies in [lo, hi]; k is the step it tests next.
+    yes = before(t0 + (k.astype(dtype) + dtype(0.5)) * dt, s)
+    lo, hi = np.where(yes, k + 1, 0), np.where(yes, steps, k)
+    k = np.where(yes, lo, hi - 1)
+    yes = before(t0 + (k.astype(dtype) + dtype(0.5)) * dt, s)
+    lo, hi = np.where(yes & (lo < hi), k + 1, lo), np.where(~yes & (lo < hi), k, hi)
+    rays = np.flatnonzero(lo < hi)
+    while rays.size:
+        k = (lo[rays] + hi[rays]) // 2
+        yes = before(t0[rays] + (k.astype(dtype) + dtype(0.5)) * dt[rays], s[rays])
+        lo[rays[yes]], hi[rays[~yes]] = k[yes] + 1, k[~yes]
+        rays = rays[lo[rays] < hi[rays]]
+    return lo
+
+
+def _live_samples(origins, dirs, t0, dt, steps, runs):
+    """Blocks (run, ray, step, pts) of the march samples inside each interval of runs.
 
     Sample k < steps of ray r lies at t = t0 + (k + 0.5) * dt (scalars or
     per-ray arrays), computed in the dtype of origins, so at the (B, 3)
-    positions dirs[r] * t + origins[r]. t never decreases with k (dt >= 0
-    and rounding is monotone), so the samples inside the ray's
-    field.support_interval for t <= t_max form one run of steps, whose ends
-    are counted bit by bit against t itself (NaN t counts as outside). The
-    runs are laid out ray after ray and cut into blocks of MARCH_BLOCK.
+    positions dirs[r] * t + origins[r]. For each per-ray float64 (lo, hi)
+    of runs, a ray's samples with lo <= t <= hi form one run of steps
+    (_count_before); these are laid out ray after ray and cut into blocks
+    of MARCH_BLOCK, and run is the index of the block's interval.
     """
     n = origins.shape[0]
     half = origins.dtype.type(0.5)
     t0 = np.broadcast_to(np.asarray(t0, dtype=origins.dtype), (n,))
     dt = np.broadcast_to(np.asarray(dt, dtype=origins.dtype), (n,))
-    s_lo, s_hi = field.support_interval(scene, origins, dirs, t_max)
-
-    def steps_before(before):
-        # Leading samples with before(t), from the highest power of two
-        # down. The sample at k - 1 may lie past the last step; t keeps
-        # growing there, so the count is only clipped at the end.
-        c = np.zeros(n, dtype=np.intp)
-        for p in reversed(range(int(steps).bit_length())):
-            k = c + (1 << p)
-            c = np.where(before(t0 + ((k - 1).astype(t0.dtype) + half) * dt), k, c)
-        return np.minimum(c, steps)
-
-    # Ray r's live steps are first[r] <= k < first[r] + count[r]; flat
-    # position i of ray r is step i - shift[r].
-    first = steps_before(lambda t: t < s_lo)
-    count = np.maximum(steps_before(lambda t: t <= s_hi) - first, 0)
-    end = np.cumsum(count)
-    shift = end - count - first
-    total = int(count.sum())
-    # One row per quantity (origin, direction, t0, dt), so a block's
-    # samples copy them with one repeat into contiguous rows.
-    rows = np.vstack([origins.T, dirs.T, t0, dt])
-    for b in range(0, total, MARCH_BLOCK):
-        e = min(b + MARCH_BLOCK, total)
-        r0, r1 = np.searchsorted(end, (b, e - 1), side="right")
-        rays = slice(r0, r1 + 1)
-        per = np.minimum(end[rays], e) - np.maximum(end[rays] - count[rays], b)
-        ray = np.repeat(rows[:, rays], per, axis=1)
-        k = np.arange(b, e) - np.repeat(shift[rays], per)
-        t = ray[6] + (k.astype(origins.dtype) + half) * ray[7]
-        pts = ray[3:6] * t
-        pts += ray[0:3]
-        yield np.repeat(np.arange(r0, r1 + 1), per), k, pts.T
+    for run, (s_lo, s_hi) in enumerate(runs):
+        # Ray r's live steps are first[r] <= k < first[r] + count[r]; flat
+        # position i of ray r is step i - shift[r].
+        first = _count_before(t0, dt, s_lo, steps, np.less)
+        count = np.maximum(_count_before(t0, dt, s_hi, steps, np.less_equal) - first, 0)
+        end = np.cumsum(count)
+        shift = end - count - first
+        total = int(count.sum())
+        # One row per quantity (origin, direction, t0, dt), so a block's
+        # samples copy them with one repeat into contiguous rows.
+        rows = np.vstack([origins.T, dirs.T, t0, dt])
+        for b in range(0, total, MARCH_BLOCK):
+            e = min(b + MARCH_BLOCK, total)
+            r0, r1 = np.searchsorted(end, (b, e - 1), side="right")
+            rays = slice(r0, r1 + 1)
+            per = np.minimum(end[rays], e) - np.maximum(end[rays] - count[rays], b)
+            ray = np.repeat(rows[:, rays], per, axis=1)
+            k = np.arange(b, e) - np.repeat(shift[rays], per)
+            t = ray[6] + (k.astype(origins.dtype) + half) * ray[7]
+            pts = ray[3:6] * t
+            pts += ray[0:3]
+            yield run, np.repeat(np.arange(r0, r1 + 1), per), k, pts.T
 
 
 def transmittance(scene, origins, dirs, *, offset=0.0):
@@ -141,7 +166,9 @@ def transmittance(scene, origins, dirs, *, offset=0.0):
         span = np.maximum(t_exit - t0, 0.0)
         dt = span / dtype(steps)
         tau = np.zeros(hi - lo, dtype=origins.dtype)
-        for ray, _, pts in _live_samples(scene, o, d, t0, dt, steps, t_exit):
+        # The hull is held by the generator alone, so it is freed with it.
+        for _, ray, _, pts in _live_samples(o, d, t0, dt, steps,
+                                            [field.support_interval(scene, o, d, t_exit)]):
             # add.at applies the additions in index order: step order per ray.
             np.add.at(tau, ray, field.density(scene, pts))
         out[lo:hi] = np.exp(-tau * dt)
@@ -247,16 +274,20 @@ def primary_march(scene, origins, dirs):
 
     origins and dirs are (R, 3). Returns (sigma (R, K), t (K,), dt) for
     K = scene.march.primary_steps; sample k of ray r lies at
-    primary_points(origins, dirs, t, r, k). Samples outside the live runs
-    (exact since t_near >= 0) hold the 0.0 field.density gives there.
+    primary_points(origins, dirs, t, r, k). Each primitive's term, times
+    the bounds mask, is added on its own run in scene order; skipped terms
+    are +0.0 (exact since t_near >= 0), as field.density would add them.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     steps, t0, t1 = scene.march.primary_steps, scene.march.t_near, scene.march.t_far
     dt = (t1 - t0) / steps
     sigma = np.zeros((origins.shape[0], steps))
-    for ray, step, pts in _live_samples(scene, origins, dirs, t0, dt, steps, t1):
-        sigma[ray, step] = field.density(scene, pts)
+    runs = field.supports(scene, origins, dirs, t1)
+    for i, ray, step, pts in _live_samples(origins, dirs, t0, dt, steps, runs):
+        # A (ray, step) occurs once per run, so += adds each term once.
+        sigma.reshape(-1)[ray * steps + step] += (field._primitive_density(scene, i, *pts.T)
+                                                  * field._in_bounds(scene, *pts.T))
     return sigma, t0 + (np.arange(steps) + 0.5) * dt, dt
 
 

@@ -292,6 +292,25 @@ class TestRender:
             assert cli.main(command) == 2
             assert capsys.readouterr().err.startswith(f"error: {path}: primitives[0]")
 
+    def test_bounds_radius_whose_square_overflows(self, workdir, light_file, capsys):
+        # The square used to be a Python float power, which raised
+        # OverflowError: a traceback and exit 1 in every mode and in bake.
+        data = sphere_scene_dict()
+        data["bounds"]["radius"] = 1e160
+        path = workdir / "huge_bounds.json"
+        path.write_text(json.dumps(data))
+        out = workdir / "never_written.pfm"
+        commands = [["render", str(path), "--env", light_file, "--mode", mode, "--width", "4",
+                     "--height", "4", "--camera-pos", "0", "-3", "0", "--look-at", "0", "0", "0",
+                     "-o", str(out)] for mode in render.MODES]
+        commands.append(["bake", str(path), "--points", "4", "-o", str(workdir / "bad.bin")])
+        for command in commands:
+            assert cli.main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: bounds.radius must have a finite square")
+            assert "Traceback" not in err
+        assert not out.exists() and not (workdir / "bad.bin").exists()
+
 
     @pytest.mark.parametrize("broken", ["no_channels", "no_degree", "nan_coefficient",
                                         "string_degree"])

@@ -1,20 +1,23 @@
 """The compiled density kernel and the skipping marches against references.
 
 The references are written out here: the per-primitive density formulas
-that evaluated each primitive on (..., 3) points, the dense transmittance
-and primary marches that evaluated every sample, and the surface-point
-sampler that marched one probe ray per try. The kernel, the skipping
+that evaluated each primitive on (..., 3) points, the bitwise search that
+counted a run's ends, the dense transmittance and primary marches that
+evaluated every sample, and the surface-point sampler that marched one
+probe ray per try. The kernel, the closed-form counts, the skipping
 marches and the batched sampler must reproduce them bit for bit.
 """
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from prtvol import field, transport
+from conftest import lobe_sh_light
+from prtvol import cli, envlight, field, render, transport
 
 DTYPES = (np.float32, np.float64)
 
@@ -166,6 +169,107 @@ class TestKernelMatchesReference:
             idx = np.sort(rng.choice(len(pts), size, replace=False))
             assert np.array_equal(field.density(scene, pts[idx]), full[idx])
         assert np.array_equal([field.density(scene, p) for p in pts[:9]], full[:9])
+
+
+# ------------------------------------------------- closed-form step counts
+
+def bitwise_count_before(t0, dt, s, steps, before):
+    """How many samples t0 + (k + 0.5) * dt, k < steps, lead with before(t, s).
+
+    A search from the highest power of two down, one pass per bit. The
+    sample at k - 1 may lie past the last step; t keeps growing there, so
+    the count is only clipped at the end.
+    """
+    half = t0.dtype.type(0.5)
+    c = np.zeros(t0.shape, dtype=np.intp)
+    for p in reversed(range(int(steps).bit_length())):
+        k = c + (1 << p)
+        c = np.where(before(t0 + ((k - 1).astype(t0.dtype) + half) * dt, s), k, c)
+    return np.minimum(c, steps)
+
+
+def counted_passes(t0, dt, s, steps, before):
+    """transport._count_before's counts, and the passes it made over the rays."""
+    passes = []
+
+    def test(t, bound):
+        passes.append(t.size)
+        return before(t, bound)
+
+    with np.errstate(all="ignore"):
+        return transport._count_before(t0, dt, s, steps, test), len(passes)
+
+
+EDGES = [0.0, -0.0, 5e-324, 1e-310, 1e-40, 1e300, np.inf, -np.inf, np.nan]
+edge = st.one_of(st.sampled_from(EDGES + [-x for x in EDGES[2:6]]), st.floats(-10.0, 10.0),
+                 st.floats(allow_nan=True, allow_infinity=True))
+# dt >= 0 in the marches; -0.0 and -inf give a t that is constant in k too.
+step_size = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0),
+                      st.floats(min_value=0.0, allow_infinity=True))
+
+
+@st.composite
+def count_cases(draw):
+    """(t0, dt, s, steps): some bounds are edge values, some sit on a sample's t or an ulp off."""
+    dtype = draw(st.sampled_from(DTYPES))
+    steps = draw(st.integers(1, 512))
+    n = draw(st.integers(1, 12))
+    with np.errstate(all="ignore"):
+        t0 = np.array(draw(st.lists(edge, min_size=n, max_size=n))).astype(dtype)
+        dt = np.array(draw(st.lists(step_size, min_size=n, max_size=n))).astype(dtype)
+        s = np.array(draw(st.lists(edge, min_size=n, max_size=n)))
+        for i in range(n):
+            if draw(st.booleans()):
+                k = draw(st.integers(-1, steps))
+                t = float(t0[i] + (dtype(k) + dtype(0.5)) * dt[i])
+                s[i] = np.nextafter(t, draw(st.sampled_from([-np.inf, t, np.inf])))
+    return t0, dt, s, steps
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=count_cases(), strict=st.booleans())
+def test_closed_form_counts_equal_the_bitwise_search(case, strict):
+    t0, dt, s, steps = case
+    before = np.less if strict else np.less_equal
+    with np.errstate(all="ignore"):
+        want = bitwise_count_before(t0, dt, s, steps, before)
+    got, passes = counted_passes(t0, dt, s, steps, before)
+    assert got.dtype == np.intp and got.tolist() == want.tolist()
+    assert passes <= 2 + steps.bit_length()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("before", [np.less, np.less_equal], ids=["strict", "non_strict"])
+def test_march_like_guesses_settle_in_two_passes(dtype, before):
+    # Unless a bound lies within rounding of a sample's t, the guess is
+    # the count, and it and the step beside it settle every ray.
+    rng = np.random.default_rng(23)
+    t0 = rng.uniform(0.0, 5.0, size=2000).astype(dtype)
+    dt = rng.uniform(0.001, 0.1, size=2000).astype(dtype)
+    s = rng.uniform(-1.0, 30.0, size=2000)
+    want = bitwise_count_before(t0, dt, s, 192, before)
+    got, passes = counted_passes(t0, dt, s, 192, before)
+    assert got.tolist() == want.tolist()
+    assert 0 < np.count_nonzero(got % 192) and passes == 2
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("before", [np.less, np.less_equal], ids=["strict", "non_strict"])
+def test_non_finite_guesses_settle_in_few_passes(dtype, before):
+    # Every guess below is NaN or infinite: dt = 0 with t0 == s (0 / 0),
+    # dt = 0 elsewhere, infinite t0, s or dt, and NaN. A walk of one step
+    # per pass from a clipped guess would take up to 512 passes on the
+    # first; the bisection after the first two passes takes at most 10.
+    t0 = np.array([1.5, 1.5, 1.5, np.inf, 0.25, -np.inf, 0.25, np.nan, 2.0], dtype=dtype)
+    dt = np.array([0.0, 0.0, 0.0, 0.5, np.inf, 0.5, 0.5, 0.5, np.nan], dtype=dtype)
+    s = np.array([1.5, 3.0, 0.5, np.inf, np.inf, -np.inf, np.inf, 1.0, 9.0])
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(np.ceil((s - t0) / dt - 0.5)).any()
+        want = bitwise_count_before(t0, dt, s, 512, before)
+    got, passes = counted_passes(t0, dt, s, 512, before)
+    assert got.tolist() == want.tolist()
+    assert passes <= 2 + (512).bit_length()
 
 
 # ------------------------------------------------------- skipping march
@@ -518,6 +622,54 @@ class TestPrimaryMarchCases:
             monkeypatch.setattr(transport, "MARCH_BLOCK", block)
             assert np.count_nonzero(assert_primary_matches_dense(MIXED, origins, dirs)) > 5
 
+    def test_samples_inside_several_supports(self):
+        # Three overlapping primitives with scales far apart: where a
+        # sample lies inside all three supports, the sum in scene order
+        # differs from the reverse order in its last bits.
+        scene = make_scene(dict(SPHERE, center=[0.0, 0.0, 0.0], radius=0.6, softness=0.8),
+                           dict(BOX, center=[0.2, 0.1, 0.0], density_scale=0.0123),
+                           dict(SLAB, offset=0.1, thickness=0.3, density_scale=7.3),
+                           march={"primary_steps": 64, "t_near": 0.5, "t_far": 5.5})
+        rng = np.random.default_rng(17)
+        origins = rng.normal(scale=0.2, size=(40, 3)) + [0.0, -3.0, 0.0]
+        dirs = unit(rng.normal(scale=0.1, size=(40, 3)) + [0.0, 1.0, 0.0])
+        assert_primary_matches_dense(scene, origins, dirs)
+        pts, _, _ = dense_primary_march(scene, origins, dirs, 64)
+        w = [reference_primitive_density(p, pts) for p in scene.primitives]
+        inside = (w[0] > 0.0) & (w[1] > 0.0) & (w[2] > 0.0)
+        assert np.count_nonzero(inside) > 100
+        assert np.any(((w[0] + w[1]) + w[2])[inside] != ((w[2] + w[1]) + w[0])[inside])
+
+    def test_gaps_between_supports(self):
+        # Rays along x cross a sphere, a box and a sphere with empty space
+        # between them: three runs of live samples per ray.
+        scene = make_scene(dict(SPHERE, center=[-1.5, 0.0, 0.0], radius=0.4, softness=0.1),
+                           dict(BOX, center=[0.0, 0.0, 0.0], extent=[0.5, 0.5, 0.5],
+                                softness=0.1),
+                           dict(SPHERE, center=[1.5, 0.0, 0.0], radius=0.4, softness=0.1),
+                           radius=3.0, march={"primary_steps": 120, "t_far": 6.0})
+        rng = np.random.default_rng(18)
+        origins = np.column_stack([np.full(20, -3.0), rng.uniform(-0.1, 0.1, size=(20, 2))])
+        sigma = assert_primary_matches_dense(scene, origins, np.tile([1.0, 0.0, 0.0], (20, 1)))
+        starts = np.diff((sigma > 0.0).astype(int), axis=1) == 1
+        assert np.all(np.count_nonzero(starts, axis=1) == 3)
+
+    def test_supports_met_only_outside_the_march_range(self):
+        # Rays along x from x = -3 march t in [2, 4]: the first sphere's
+        # support lies at t < 2 and the last one's at t > 4, so only the
+        # box between them holds live samples.
+        scene = make_scene(dict(SPHERE, center=[-2.0, 0.0, 0.0], radius=0.3, softness=0.1),
+                           dict(BOX, center=[0.0, 0.0, 0.0], extent=[0.5, 0.5, 0.5]),
+                           dict(SPHERE, center=[2.0, 0.0, 0.0], radius=0.3, softness=0.1),
+                           radius=3.0, march={"primary_steps": 40, "t_near": 2.0, "t_far": 4.0})
+        rng = np.random.default_rng(19)
+        origins = np.column_stack([np.full(12, -3.0), rng.uniform(-0.1, 0.1, size=(12, 2))])
+        dirs = np.tile([1.0, 0.0, 0.0], (12, 1))
+        (lo0, hi0), _, (lo2, hi2) = field.supports(scene, origins, dirs, 4.0)
+        assert np.all((lo0 <= hi0) & (hi0 < 2.0)) and np.all((lo2 <= hi2) & (lo2 > 4.0))
+        sigma = assert_primary_matches_dense(scene, origins, dirs)
+        assert np.all(np.any(sigma > 0.0, axis=1))
+
     def test_empty_scene(self):
         rng = np.random.default_rng(15)
         sigma = assert_primary_matches_dense(make_scene(), rng.uniform(-1.0, 1.0, (6, 3)),
@@ -534,6 +686,46 @@ def test_primary_march_equals_dense_density(case, steps, t_near, length):
     scene = dataclasses.replace(scene, march=field.MarchParams(
         primary_steps=steps, t_near=t_near, t_far=t_near + length))
     assert_primary_matches_dense(scene, origins, dirs)
+
+
+def dense_march(scene, origins, dirs):
+    """transport.primary_march's (sigma, t, dt), from dense_primary_march."""
+    steps = scene.march.primary_steps
+    _, sigma, dt = dense_primary_march(scene, origins, dirs, steps)
+    return sigma, scene.march.t_near + (np.arange(steps) + 0.5) * dt, dt
+
+
+EXAMPLE_SCENE = pathlib.Path(__file__).resolve().parents[1] / "docs" / "example_scene.json"
+
+
+@pytest.fixture(scope="module")
+def light_and_cache(tmp_path_factory):
+    d = tmp_path_factory.mktemp("dense_render")
+    light, cache = d / "light.json", d / "cache.bin"
+    envlight.save_sh_light(str(light), lobe_sh_light())
+    assert cli.main(["bake", str(EXAMPLE_SCENE), "--points", "24", "--resolution", "8", "16",
+                     "-o", str(cache)]) == 0
+    return str(light), str(cache)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_render_equals_dense_primary_march(light_and_cache, cached, threads, tmp_path,
+                                           monkeypatch):
+    # The example scene's sphere and box rest on its slab, so their soft
+    # shells overlap, and most rays cross gaps between supports.
+    light, cache = light_and_cache
+    for mode in render.MODES:
+        outputs = []
+        for march in (transport.primary_march, dense_march):
+            monkeypatch.setattr(transport, "primary_march", march)
+            pfm, alpha = tmp_path / f"{mode}.pfm", tmp_path / f"{mode}_alpha.ppm"
+            argv = ["render", str(EXAMPLE_SCENE), "--env", light, "--mode", mode,
+                    "--width", "10", "--height", "8", "--transfer-grid", "8", "16",
+                    "--threads", threads, "-o", str(pfm), "--alpha", str(alpha)]
+            assert cli.main(argv + (["--cache", cache] if cached else [])) == 0
+            outputs.append((pfm.read_bytes(), alpha.read_bytes()))
+        assert outputs[0] == outputs[1], mode
 
 
 # ------------------------------------------------------ surface sampler
