@@ -110,6 +110,8 @@ def _cmd_project_env(args):
     env = envlight.load_envmap(args.envmap, exposure=args.exposure)
     resolution = tuple(args.resolution) if args.resolution else None
     light = envlight.project_to_sh(env, degree=args.degree, resolution=resolution)
+    if not np.isfinite(light.coeffs).all():
+        raise ValueError("the projected light is not finite: the map times --exposure overflows")
     envlight.save_sh_light(args.output, light)
     print(f"wrote {args.output}: degree {light.degree}, "
           f"{light.coeffs.shape[0]} coefficients per channel")
@@ -162,6 +164,8 @@ def _cmd_render(args):
         transfer_cache=cache)
     img = render.render_image(field.with_steps(scene, args.steps, args.secondary_steps), light,
                               camera, mode=args.mode, settings=settings, threads=args.threads)
+    if not (np.isfinite(img.pixels).all() and np.isfinite(img.alpha).all()):
+        raise ValueError("the rendered image is not finite: a value of the scene overflows")
     if args.output:
         imageio.write_pfm(args.output, img.pixels)
         print(f"wrote {args.output}")

@@ -4,19 +4,19 @@ A primary ray marches [t_near, t_far] in fixed steps; the pixel value is
 sum_k T_k * density_k * value_k * dt with T_k the transmittance of all
 strictly earlier samples, accumulated in log space so alpha telescopes to
 1 - exp(-total optical depth) exactly. transport.primary_march evaluates
-density only where a dense march could find any, and sample positions are
-formed (transport.primary_points) only where a channel shades them.
+density only where a dense march could find any; every mode composites a
+chunk on its live window (transport._march_weights), outside which each
+weight is exactly 0, and forms positions only where a channel shades them.
 
 Shaded modes (lit, diffuse, specular, irradiance) are amortized: each
 ray bakes transfer only at its top weighted samples (or looks them up
 in a cache) and the pixel is the weight-normalized average of those
-anchor radiances, scaled by the ray's alpha. Anchors inside a flat
-stretch of the medium have no recoverable surface normal and are
-dropped from the average; a ray with no usable anchor shades black.
-Debug channels that need no transfer follow suit: albedo and visibility
-composite every nonzero sample exactly, while the normal channel
-averages the encoded normal over the samples that have one, scaled by
-alpha, so a decoder can divide the alpha back out.
+anchor radiances, scaled by the ray's alpha. Anchors with no recoverable
+surface normal (a flat stretch of the medium) are dropped from the
+average; a ray with no usable anchor shades black. Debug channels that
+need no transfer follow suit: albedo and visibility composite every
+nonzero sample exactly, and the normal channel averages the encoded
+normal over the samples that have one, scaled by alpha for decoding.
 """
 
 import math
@@ -144,25 +144,33 @@ def render_image(scene, light, camera, mode="lit", settings=None, threads=1):
 def _trace_batch(scene, light, origins, dirs, mode, settings):
     n_rays = origins.shape[0]
     sigma, t, dt = transport.primary_march(scene, origins, dirs)
-    depth, trans, weight = transport._march_weights(sigma, dt)
-    alpha = 1.0 - np.exp(-np.sum(depth, axis=1))
+    tau, live, c0, trans, weight = transport._march_weights(sigma, dt, settings.anchors_per_ray)
+    alpha = 1.0 - np.exp(-tau)
 
-    rgb = np.zeros((n_rays, 3), dtype=np.float64)
-    active = sigma > 0.0
-    if not np.any(active):
-        return rgb, alpha
+    if not np.any(live):
+        return np.zeros((n_rays, 3)), alpha
 
     if mode == "visibility":
-        rgb = np.sum((weight * trans)[:, :, None], axis=1) * np.ones((1, 3))
-        return rgb, alpha
+        dense = np.zeros_like(sigma)  # zero-padded, so the sum groups terms as before
+        dense[:, c0:c0 + weight.shape[1]] = weight * trans
+        return np.sum(dense[:, :, None], axis=1) * np.ones((1, 3)), alpha
 
+    # (ray, window column, weight) to shade: all live samples, or each ray's top m.
     if mode in ("albedo", "normal"):
-        ray_idx, k_idx = np.nonzero(active)
-        pts = transport.primary_points(origins, dirs, t, ray_idx, k_idx)
-        w = weight[ray_idx, k_idx]
-        if mode == "albedo":
-            value, _ = field.material(scene, pts)
-            return _splat(ray_idx, w[:, None] * value, n_rays), alpha
+        ray_idx, col = np.nonzero(live)
+        w = weight[ray_idx, col]
+    else:
+        m = min(settings.anchors_per_ray, weight.shape[1])
+        col = np.sort(np.argpartition(weight, -m, axis=1)[:, -m:], axis=1)
+        w = np.take_along_axis(weight, col, axis=1).ravel()
+        ray_idx, col = np.repeat(np.arange(n_rays), m), col.ravel()
+    del sigma, live, trans, weight  # free the march's arrays: shading reads only these
+    pts = transport.primary_points(origins, dirs, t, ray_idx, col + c0)
+
+    if mode == "albedo":
+        value, _ = field.material(scene, pts)
+        return _splat(ray_idx, w[:, None] * value, n_rays), alpha
+    if mode == "normal":
         # Encoded normals exist only where the gradient does, so the pixel
         # is their weight-normalized average scaled by alpha; dividing by
         # alpha on decode then recovers 0.5 * (n + 1) directly.
@@ -172,14 +180,8 @@ def _trace_batch(scene, light, origins, dirs, mode, settings):
         scale = np.divide(alpha, den, out=np.zeros_like(den), where=den > 0.0)
         return _splat(ray_idx, w[:, None] * 0.5 * (nrm + 1.0), n_rays) * scale[:, None], alpha
 
-    k = weight.shape[1] - min(settings.anchors_per_ray, weight.shape[1])
-    anchors = np.sort(np.argpartition(weight, k, axis=1)[:, k:], axis=1)  # (R, M) steps
-    m = anchors.shape[1]
-    aw = np.take_along_axis(weight, anchors, axis=1).ravel()
-    apos = transport.primary_points(origins, dirs, t, np.repeat(np.arange(n_rays), m),
-                                    anchors.ravel())
-    avalid, anrm, coeffs = _anchor_transfers(scene, light, apos, aw, settings)
-    aw = (aw * avalid).reshape(n_rays, m)
+    avalid, anrm, coeffs = _anchor_transfers(scene, light, pts, w, settings)
+    aw = (w * avalid).reshape(n_rays, m)
     coeffs = coeffs.reshape(n_rays, m, -1)
     wsum = np.sum(aw, axis=1)
     scale = np.divide(alpha, wsum, out=np.zeros_like(wsum), where=wsum > 0.0)
@@ -189,8 +191,8 @@ def _trace_batch(scene, light, origins, dirs, mode, settings):
     else:
         # Only valid anchors carry weight; the rest keep a zero material.
         ok = np.flatnonzero(avalid)
-        albedo, tint = np.zeros_like(apos), np.zeros_like(apos)
-        albedo[ok], tint[ok] = field.material(scene, apos[ok])
+        albedo, tint = np.zeros_like(pts), np.zeros_like(pts)
+        albedo[ok], tint[ok] = field.material(scene, pts[ok])
         diffuse = shading.diffuse_radiance(albedo.reshape(n_rays, m, 3), coeffs,
                                            light).reshape(-1, 3)
         if mode != "diffuse" and np.any(tint > 0.0):

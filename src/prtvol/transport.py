@@ -5,7 +5,7 @@ secondary ray, marched by transmittance in scene.march.secondary_steps
 midpoint steps from a small self-occlusion offset (twice the normal
 finite-difference step) out to the bounding sphere. primary_march
 marches the renderer's and the probes' rays in scene.march.primary_steps
-over [t_near, t_far], and _march_weights gives both T * density * dt.
+over [t_near, t_far]; _march_weights composites both on the live window.
 Both evaluate density only on runs of steps from _live_samples:
 transmittance on the hull of field.support_interval, primary_march
 primitive by primitive on field.supports; every skipped term is an
@@ -296,31 +296,44 @@ def primary_points(origins, dirs, t, ray, step):
     return origins[ray] + t[step, None] * dirs[ray]
 
 
-def _march_weights(sigma, dt):
-    """(depth, T, T * depth) of primary_march densities, each (R, K).
+def _march_weights(sigma, dt, width):
+    """(tau, live, c0, T, T * depth) of primary_march densities sigma (R, K).
 
-    depth is sigma * dt and T the transmittance of all strictly earlier
-    samples, exp(-(cumsum(depth) - depth)).
+    depth = sigma * dt is written over sigma, and tau (R,) is its dense row
+    sum. live (sigma > 0), T = exp(-(cumsum(depth) - depth)) and T * depth
+    are taken on columns [c0, c1), the first to the last where any ray has
+    sigma > 0, widened to min(width, K): depth is +0.0 outside them, so the
+    cumsum has the dense bits there and every other weight is 0.
     """
-    depth = sigma * dt
-    trans = np.exp(-(np.cumsum(depth, axis=1) - depth))
-    return depth, trans, trans * depth
+    live = sigma > 0.0
+    cols = np.flatnonzero(live.any(axis=0))
+    lo, hi = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
+    c1 = min(max(hi, lo + width), sigma.shape[1])
+    c0 = max(min(lo, c1 - width), 0)
+    depth = np.multiply(sigma, dt, out=sigma)
+    win = depth[:, c0:c1]
+    trans = np.cumsum(win, axis=1)
+    trans -= win
+    np.exp(np.negative(trans, out=trans), out=trans)
+    return np.sum(depth, axis=1), live[:, c0:c1], c0, trans, trans * win
 
 
 def _probe(scene, origins, dirs):
     """Dominant surface points of the probe rays, (rows, positions, normals, albedo).
 
     The dominant sample has the largest volume rendering weight
-    T * density * dt. rows are the indices of the rays whose dominant
+    T * density * dt, the first on ties and step 0 if all are zero, as on
+    the dense row. rows are the indices of the rays whose dominant
     sample has a gradient normal facing the probe's origin, in ray order;
     a ray crossing only empty space, or whose dominant sample has no normal
     or one facing away (a grazing probe past a soft shell's tangent point),
     gives no row.
     """
     sigma, t, dt = primary_march(scene, origins, dirs)
-    _, _, weight = _march_weights(sigma, dt)
-    rows = np.flatnonzero(np.any(sigma > 0.0, axis=1))
-    x = primary_points(origins, dirs, t, rows, np.argmax(weight[rows], axis=1))
+    _, live, c0, _, weight = _march_weights(sigma, dt, 1)
+    rows = np.flatnonzero(live.any(axis=1))
+    w = weight[rows]
+    x = primary_points(origins, dirs, t, rows, np.argmax(w, axis=1) + c0 * w.any(axis=1))
     nrm, valid = field.normals(scene, x)
     keep = valid & (_cosine(nrm, dirs[rows]) < 0.0)
     albedo, _ = field.material(scene, x[keep])

@@ -66,6 +66,19 @@ class TestProjectEnv:
         assert code == 1
         assert "file not found" in capsys.readouterr().err
 
+    # numpy warns as the values overflow on the way; the test pins what
+    # the command then does with them.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_exposure_writes_nothing(self, workdir, envmap_file, capsys):
+        # The map times 1e308 overflows, and the light used to be written
+        # with an Infinity coefficient that load_sh_light then rejects.
+        out = workdir / "inf_sh.json"
+        code = cli.main(["project-env", envmap_file, "--degree", "2", "--exposure", "1e308",
+                         "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: the projected light is not finite")
+        assert not out.exists()
+
 
 class TestBake:
     def test_cache_loads_back(self, workdir, scene_file, capsys):
@@ -310,6 +323,30 @@ class TestRender:
             assert err.startswith(f"error: {path}: bounds.radius must have a finite square")
             assert "Traceback" not in err
         assert not out.exists() and not (workdir / "bad.bin").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as for project-env above
+    @pytest.mark.parametrize("edit, width, height", [
+        (("primitives", 0, "density_scale", 1e300), 24, 18),  # optical depth overflows
+        (("bounds", "radius", 1e150), 16, 12),  # radius2 overflows float32 in the bake
+    ], ids=["density_scale", "bounds_radius"])
+    def test_non_finite_image_writes_nothing(self, workdir, light_file, capsys, edit, width,
+                                             height):
+        # Both used to exit 0 with a PFM of non-finite floats that read_pfm
+        # rejects.
+        data = json.loads(EXAMPLE_SCENE.read_text())
+        node = data
+        for key in edit[:-2]:
+            node = node[key]
+        node[edit[-2]] = edit[-1]
+        path = workdir / f"overflow_{edit[-2]}.json"
+        path.write_text(json.dumps(data))
+        outs = [workdir / name for name in ("overflow.pfm", "overflow.ppm", "overflow_a.ppm")]
+        code = cli.main(["render", str(path), "--env", light_file, "--mode", "lit",
+                         "--width", str(width), "--height", str(height), "--threads", "1",
+                         "-o", str(outs[0]), "--srgb", str(outs[1]), "--alpha", str(outs[2])])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: the rendered image is not finite")
+        assert not any(out.exists() for out in outs)
 
 
     @pytest.mark.parametrize("broken", ["no_channels", "no_degree", "nan_coefficient",

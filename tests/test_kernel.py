@@ -3,9 +3,12 @@
 The references are written out here: the per-primitive density formulas
 that evaluated each primitive on (..., 3) points, the bitwise search that
 counted a run's ends, the dense transmittance and primary marches that
-evaluated every sample, and the surface-point sampler that marched one
-probe ray per try. The kernel, the closed-form counts, the skipping
-marches and the batched sampler must reproduce them bit for bit.
+evaluated every sample, the compositing weights over every column of a
+primary march, the normals taken with one density call per tap, and the
+surface-point sampler that marched one probe ray per try. The kernel, the
+closed-form counts, the skipping marches, the compositing window, the
+stacked normal taps and the batched sampler must reproduce them bit for
+bit.
 """
 
 import dataclasses
@@ -708,17 +711,14 @@ def light_and_cache(tmp_path_factory):
     return str(light), str(cache)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
-def test_render_equals_dense_primary_march(light_and_cache, cached, threads, tmp_path,
-                                           monkeypatch):
-    # The example scene's sphere and box rest on its slab, so their soft
-    # shells overlap, and most rays cross gaps between supports.
+def assert_render_equals_reference(light_and_cache, cached, threads, tmp_path, monkeypatch,
+                                   name, reference):
+    """Every mode's PFM and alpha bytes are equal with transport.<name> replaced by reference."""
     light, cache = light_and_cache
     for mode in render.MODES:
         outputs = []
-        for march in (transport.primary_march, dense_march):
-            monkeypatch.setattr(transport, "primary_march", march)
+        for function in (getattr(transport, name), reference):
+            monkeypatch.setattr(transport, name, function)
             pfm, alpha = tmp_path / f"{mode}.pfm", tmp_path / f"{mode}_alpha.ppm"
             argv = ["render", str(EXAMPLE_SCENE), "--env", light, "--mode", mode,
                     "--width", "10", "--height", "8", "--transfer-grid", "8", "16",
@@ -726,6 +726,209 @@ def test_render_equals_dense_primary_march(light_and_cache, cached, threads, tmp
             assert cli.main(argv + (["--cache", cache] if cached else [])) == 0
             outputs.append((pfm.read_bytes(), alpha.read_bytes()))
         assert outputs[0] == outputs[1], mode
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_render_equals_dense_primary_march(light_and_cache, cached, threads, tmp_path,
+                                           monkeypatch):
+    # The example scene's sphere and box rest on its slab, so their soft
+    # shells overlap, and most rays cross gaps between supports.
+    assert_render_equals_reference(light_and_cache, cached, threads, tmp_path, monkeypatch,
+                                   "primary_march", dense_march)
+
+
+# ---------------------------------------------------- compositing window
+
+def dense_march_weights(sigma, dt, width):
+    """transport._march_weights over every column, as the renderer and the
+    probe composited before the window: (tau, live, 0, T, T * depth)."""
+    depth = sigma * dt
+    trans = np.exp(-(np.cumsum(depth, axis=1) - depth))
+    return np.sum(depth, axis=1), sigma > 0.0, 0, trans, trans * depth
+
+
+def assert_window_matches_dense(sigma, dt, width):
+    """The window's outputs are the dense ones over [c0, c1); returns (c0, weight)."""
+    want_tau, want_live, _, want_trans, want_weight = dense_march_weights(sigma, dt, width)
+    tau, live, c0, trans, weight = transport._march_weights(sigma.copy(), dt, width)
+    c1 = c0 + weight.shape[1]
+    assert 0 <= c0 and c1 <= sigma.shape[1] and c1 - c0 >= min(width, sigma.shape[1])
+    assert tau.tobytes() == want_tau.tobytes()
+    assert np.array_equal(live, want_live[:, c0:c1])
+    assert not want_live[:, :c0].any() and not want_live[:, c1:].any()
+    assert trans.tobytes() == want_trans[:, c0:c1].tobytes()
+    assert weight.tobytes() == want_weight[:, c0:c1].tobytes()
+    assert not want_weight[:, :c0].any() and not want_weight[:, c1:].any()
+    return c0, weight
+
+
+def window_case(name, rays=6, steps=24):
+    """(sigma, dt) of one edge case of the live window."""
+    sigma = np.zeros((rays, steps))
+    dt = 0.25
+    if name == "first_columns":
+        sigma[[0, 3], 0] = [2.0, 0.5]
+        sigma[4, 1] = 1.0
+    elif name == "last_columns":
+        sigma[[1, 4], steps - 1] = [2.0, 0.5]
+        sigma[2, steps - 2] = 1.0
+    elif name == "few_positive_weights":
+        sigma[0, 9] = 3.0
+        sigma[1, [9, 15]] = [0.2, 0.7]
+        sigma[2, 12:15] = 1.5
+    elif name == "all_zero_weights":
+        # 5e-324 * 0.25 rounds to a zero depth: sigma > 0 on row 2, yet all
+        # its weights are 0, and the dense argmax is step 0.
+        sigma[0, 10:14] = 1.0
+        sigma[2, 12:16] = 5e-324
+    elif name == "ties":
+        # exp(-(cumsum - depth)) rounds to 1.0, so every weight is equal.
+        sigma[:, 5:15] = 1e-30
+        sigma[3, 8] = 2e-30
+    return sigma, dt
+
+
+def centered_t(sigma, dt):
+    """Sample distances that put the live steps about 3 from the ray origin,
+    where rays from 3 away toward the origin cross MIXED."""
+    live = np.flatnonzero(np.any(sigma > 0.0, axis=0))
+    return 3.0 + (np.arange(sigma.shape[1]) - (live.mean() if live.size else 0.0)) * dt
+
+
+WINDOW_CASES = ["no_live_column", "first_columns", "last_columns", "few_positive_weights",
+                "all_zero_weights", "ties"]
+
+
+@pytest.mark.parametrize("width", [1, 4, 30])
+@pytest.mark.parametrize("name", WINDOW_CASES)
+def test_window_equals_dense_weights(name, width):
+    sigma, dt = window_case(name)
+    c0, weight = assert_window_matches_dense(sigma, dt, width)
+    steps = sigma.shape[1]
+    if name == "no_live_column":
+        assert c0 == 0 and weight.shape[1] == min(width, steps)
+    if name == "first_columns" and width == 4:
+        assert c0 == 0 and weight.shape[1] == 4
+    if name == "last_columns" and width == 4:
+        assert c0 == steps - 4 and weight.shape[1] == 4
+    if name == "all_zero_weights":
+        assert not weight[2].any() and np.any(sigma[2] > 0.0)
+    # Each ray's top weights on the window are the dense ones. Their steps
+    # can differ only where equal positive weights tie at the cut:
+    # argpartition's pick among them depends on the array it is given.
+    want = dense_march_weights(sigma, dt, width)[4]
+    m = min(width, steps)
+    got = np.sort(np.partition(weight, weight.shape[1] - m, axis=1)[:, -m:], axis=1)
+    assert got.tobytes() == np.sort(np.partition(want, steps - m, axis=1)[:, -m:],
+                                     axis=1).tobytes()
+
+
+@st.composite
+def sigma_rows(draw):
+    rays, steps = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    lo = draw(st.integers(0, steps - 1))
+    hi = draw(st.integers(lo, steps))
+    values = st.sampled_from([0.0, 5e-324, 1e-300, 1e-30, 0.3, 2.0, 7.5, 1e300, np.inf])
+    sigma = np.zeros((rays, steps))
+    sigma[:, lo:hi] = np.array(draw(st.lists(values, min_size=rays * (hi - lo),
+                                             max_size=rays * (hi - lo)))).reshape(rays, -1)
+    return sigma
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sigma=sigma_rows(), dt=st.sampled_from([1e-3, 0.25, 1.0, 40.0]),
+       width=st.integers(1, 8))
+def test_window_equals_dense_weights_on_any_row(sigma, dt, width):
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert_window_matches_dense(sigma, dt, width)
+
+
+@pytest.mark.parametrize("name", WINDOW_CASES)
+def test_probe_steps_equal_dense_argmax(name, monkeypatch):
+    sigma, dt = window_case(name)
+    rng = np.random.default_rng(20)
+    origins = rng.uniform(-0.5, 0.5, size=(sigma.shape[0], 3)) + [0.0, -3.0, 0.0]
+    dirs = unit(rng.normal(scale=0.1, size=(sigma.shape[0], 3)) + [0.0, 1.0, 0.0])
+    t = centered_t(sigma, dt)
+    monkeypatch.setattr(transport, "primary_march", lambda *_: (sigma.copy(), t, dt))
+    steps = []
+    points = transport.primary_points
+
+    def spy(o, d, t, ray, step):
+        steps.append((ray, step))
+        return points(o, d, t, ray, step)
+
+    monkeypatch.setattr(transport, "primary_points", spy)
+    outputs = []
+    for weights in (transport._march_weights, dense_march_weights):
+        monkeypatch.setattr(transport, "_march_weights", weights)
+        outputs.append(transport._probe(MIXED, origins, dirs))
+    (ray, step), (want_ray, want_step) = steps
+    assert np.array_equal(ray, want_ray) and np.array_equal(step, want_step)
+    for got, want in zip(*outputs):
+        assert got.tobytes() == want.tobytes()
+    if name == "all_zero_weights":
+        assert step[list(ray).index(2)] == 0
+    if name == "ties":
+        assert np.array_equal(step, np.where(ray == 3, 3, 0) + 5)
+
+
+@pytest.mark.parametrize("mode", render.MODES)
+@pytest.mark.parametrize("name", [n for n in WINDOW_CASES if n != "ties"])
+def test_trace_equals_dense_weights_on_edge_cases(name, mode, monkeypatch):
+    # Every case but ties, where argpartition may pick another of the
+    # tied anchors (test_window_equals_dense_weights checks their weights).
+    sigma, dt = window_case(name)
+    camera = render.Camera(position=[0.0, -3.0, 0.6], look_at=[0.0, 0.0, 0.0], width=3,
+                           height=2)
+    origins, dirs = (a.reshape(-1, 3) for a in camera.rays())
+    t = centered_t(sigma, dt)
+    monkeypatch.setattr(transport, "primary_march", lambda *_: (sigma.copy(), t, dt))
+    settings = render.RenderSettings(transfer_grid=(8, 16))
+    outputs = []
+    for weights in (transport._march_weights, dense_march_weights):
+        monkeypatch.setattr(transport, "_march_weights", weights)
+        rgb, alpha = render._trace_batch(MIXED, lobe_sh_light(), origins, dirs, mode, settings)
+        outputs.append((rgb.tobytes(), alpha.tobytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_render_equals_dense_march_weights(light_and_cache, cached, threads, tmp_path,
+                                           monkeypatch):
+    assert_render_equals_reference(light_and_cache, cached, threads, tmp_path, monkeypatch,
+                                   "_march_weights", dense_march_weights)
+
+
+def reference_normals(scene, pts):
+    """field.normals with one density call per tap, x + offset and x - offset."""
+    flat = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    h = scene.fd_step
+    grad = np.empty_like(flat)
+    offset = np.zeros_like(flat)
+    for axis in range(3):
+        offset[...] = 0.0
+        offset[:, axis] = h
+        grad[:, axis] = (field.density(scene, flat + offset)
+                         - field.density(scene, flat - offset)) / (2.0 * h)
+    mag = np.linalg.norm(grad, axis=-1)
+    valid = mag >= field.EPS_GRAD
+    n = -grad / np.where(valid, mag, 1.0)[:, None]
+    n[~valid] = 0.0
+    return n, valid
+
+
+def test_stacked_normal_taps_equal_one_call_per_tap():
+    # Over several blocks of the stacked call, signed zeros among the points.
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(-1.5, 1.5, size=(5000, 3))
+    pts[::7, 0], pts[1::7, 1], pts[2::7, 2] = -0.0, 0.0, -0.0
+    got, want = field.normals(MIXED, pts), reference_normals(MIXED, pts)
+    assert np.count_nonzero(want[1]) > 1000
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 # ------------------------------------------------------ surface sampler

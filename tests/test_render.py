@@ -1,10 +1,15 @@
+import json
 import math
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from prtvol import field, render, shading, transport
-from conftest import SLAB_SIGMA, SLAB_THICKNESS, WALL_ALBEDO, constant_sh_light
+from prtvol import cli, field, render, shading, transport
+from conftest import SLAB_SIGMA, SLAB_THICKNESS, WALL_ALBEDO, constant_sh_light, lobe_sh_light
+
+EXAMPLE_SCENE = pathlib.Path(__file__).resolve().parents[1] / "docs" / "example_scene.json"
 
 
 def wall_camera(width=16, height=16):
@@ -274,6 +279,41 @@ class TestCacheRender:
         with pytest.raises(ValueError, match="cache degree"):
             render.render_image(field.with_steps(sphere_scene, 32), light, cam, "lit",
                                 render.RenderSettings(transfer_cache=cache))
+
+
+class TestPeakMemory:
+    @pytest.fixture(scope="class")
+    def example(self, tmp_path_factory):
+        """The example scene, its embedded camera at 128x128, and a small cache of it."""
+        cache = str(tmp_path_factory.mktemp("peak") / "cache.bin")
+        assert cli.main(["bake", str(EXAMPLE_SCENE), "--points", "64", "--resolution", "8",
+                         "16", "-o", cache]) == 0
+        scene = field.load_scene(str(EXAMPLE_SCENE))
+        camera = json.loads(EXAMPLE_SCENE.read_text())["camera"]
+        return scene, camera, transport.load_transfer_cache(cache, scene=scene)
+
+    # Peaks before the compositing window: lit 19.2 MiB, normal 40.8 MiB and
+    # visibility 15.3 MiB. Normal and visibility may not rise by more than
+    # 5%; lit falls below 12 MiB (about 9 MiB here).
+    @pytest.mark.parametrize("mode, limit", [("lit", 12.0), ("normal", 40.8 * 1.05),
+                                             ("visibility", 15.3 * 1.05)],
+                             ids=["lit", "normal", "visibility"])
+    def test_cached_render_on_two_threads(self, example, mode, limit):
+        scene, camera, cache = example
+        settings = render.RenderSettings(transfer_cache=cache)
+        light = lobe_sh_light()
+        # A small render first, so lazily built state is not counted.
+        render.render_image(scene, light, render.Camera(**dict(camera, width=4, height=4)),
+                            mode, settings, threads=2)
+        tracemalloc.start()
+        try:
+            render.render_image(scene, light, render.Camera(**dict(camera, width=128,
+                                                                   height=128)),
+                                mode, settings, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20, peak / 2**20
 
 
 class TestSrgb:
