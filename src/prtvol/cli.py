@@ -293,15 +293,18 @@ def build_parser():
     p.add_argument("scene", help="scene JSON")
     p.add_argument("--env", required=True,
                    help="SH light JSON, or a PFM map projected at --degree")
-    p.add_argument("--points", type=_positive_int, default=100, help="surface points to validate")
-    p.add_argument("--mc-samples", type=_positive_int, default=10000,
+    config = oracle.ValidationConfig
+    p.add_argument("--points", type=_positive_int, default=config.count,
+                   help="surface points to validate")
+    p.add_argument("--mc-samples", type=_positive_int, default=config.mc_samples,
                    help="Monte Carlo directions per point")
-    p.add_argument("--degree", type=_degree, default=4, help="SH truncation degree")
-    p.add_argument("--grid", type=_positive_int, nargs=2, metavar=("H", "W"), default=[64, 128],
-                   action=_Grid, help="bake and visibility-map grid")
+    p.add_argument("--degree", type=_degree, default=config.degree, help="SH truncation degree")
+    p.add_argument("--grid", type=_positive_int, nargs=2, metavar=("H", "W"),
+                   default=list(config.resolution), action=_Grid,
+                   help="bake and visibility-map grid")
     p.add_argument("--secondary-steps", type=_positive_int, default=None,
                    help="visibility march steps; scene value if omitted")
-    p.add_argument("--seed", type=_non_negative_int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=_non_negative_int, default=config.seed, help="RNG seed")
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
                    help="worker threads")
     p.add_argument("-o", "--output", default=None,

@@ -119,37 +119,17 @@ class ShLight:
     @classmethod
     def from_dict(cls, d):
         """ShLight from its JSON form; malformed input raises ValueError."""
-        if not isinstance(d, dict):
-            raise ValueError("ShLight JSON must be an object")
-        for key in ("degree", "channels"):
-            if key not in d:
-                raise ValueError(f"ShLight JSON missing field '{key}'")
-        degree = d["degree"]
-        if type(degree) is not int or not 0 <= degree <= sh.MAX_DEGREE:
-            raise ValueError(
-                f"ShLight degree must be an integer in [0, {sh.MAX_DEGREE}], got {degree!r}")
+        field._object(d, "ShLight", ("degree", "channels"))
+        n = sh.num_coeffs(sh.checked_degree(d["degree"], "ShLight degree"))
         channels = d["channels"]
         if not isinstance(channels, list) or len(channels) != 3:
-            raise ValueError("ShLight JSON must carry exactly 3 channels")
+            raise ValueError("ShLight must carry exactly 3 channels")
         for c, channel in enumerate(channels):
-            if not isinstance(channel, list):
-                raise ValueError(f"ShLight channel {c} must be a list of numbers")
-            for v in channel:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ValueError(f"ShLight channel {c} holds a non-numeric value {v!r}")
-                try:
-                    finite = math.isfinite(v)
-                except OverflowError:  # an integer beyond the float range
-                    finite = False
-                if not finite:
-                    raise ValueError(f"ShLight channel {c} holds a non-finite value {v}")
-        lengths = {len(channel) for channel in channels}
-        if len(lengths) != 1:
-            raise ValueError("ShLight channels must have equal lengths")
-        n = lengths.pop()
-        if n != sh.num_coeffs(degree):
-            raise ValueError(f"channel length {n} does not match degree {degree}")
-        return cls(coeffs=np.asarray(channels, dtype=np.float64).T)
+            if not isinstance(channel, list) or len(channel) != n:
+                raise ValueError(f"ShLight channel {c} must be a list of {n} numbers for "
+                                 f"degree {d['degree']}")
+        return cls(coeffs=np.array([[field._finite(v, f"ShLight channel {c}") for v in channel]
+                                    for c, channel in enumerate(channels)]).T)
 
 
 def save_sh_light(path, light):

@@ -60,9 +60,13 @@ def _count(v, name):
     return v
 
 
-def _object(v, name):
+def _object(v, name, keys=()):
+    """v itself if it is a JSON object holding every key of keys."""
     if not isinstance(v, dict):
         raise ValueError(f"{name} must be a JSON object")
+    for key in keys:
+        if key not in v:
+            raise ValueError(f"{name} missing field '{key}'")
     return v
 
 
@@ -197,8 +201,8 @@ def scene_hash(scene):
 
 
 def _primitive(p, name, albedo, tint):
-    """One primitive from its dict; a missing key raises KeyError."""
-    kind = p.get("type")
+    """One primitive from its JSON object."""
+    kind = _object(p, name, ("density_scale", "softness")).get("type")
     scale = _finite(p["density_scale"], f"{name}.density_scale")
     softness = _finite(p["softness"], f"{name}.softness")
     common = dict(
@@ -210,18 +214,21 @@ def _primitive(p, name, albedo, tint):
     if softness <= 0.0:
         raise ValueError(f"{name}.softness must be positive")
     if kind == "sphere":
+        _object(p, name, ("radius", "center"))
         radius = _finite(p["radius"], f"{name}.radius")
         if radius <= 0.0:
             raise ValueError(f"{name}.radius must be positive")
         return SpherePrimitive(center=_as_vec3(p["center"], f"{name}.center"), radius=radius,
                                **common)
     if kind == "box":
+        _object(p, name, ("extent", "center"))
         extent = _as_vec3(p["extent"], f"{name}.extent")
         if np.any(extent <= 0.0):
             raise ValueError(f"{name}.extent must be positive")
         return BoxPrimitive(center=_as_vec3(p["center"], f"{name}.center"), extent=extent,
                             **common)
     if kind == "slab":
+        _object(p, name, ("axis", "thickness"))
         axis = _as_vec3(p["axis"], f"{name}.axis")
         n = np.linalg.norm(axis)
         if n < 1e-12:
@@ -235,13 +242,9 @@ def _primitive(p, name, albedo, tint):
 
 
 def scene_from_dict(d):
-    _object(d, "scene")
-    try:
-        b = _object(d["bounds"], "bounds")
-        bounds = Bounds(center=_as_vec3(b["center"], "bounds.center"),
-                        radius=_finite(b["radius"], "bounds.radius"))
-    except KeyError as e:
-        raise ValueError(f"scene missing bounds field: {e}") from e
+    b = _object(_object(d, "scene", ("bounds",))["bounds"], "bounds", ("center", "radius"))
+    bounds = Bounds(center=_as_vec3(b["center"], "bounds.center"),
+                    radius=_finite(b["radius"], "bounds.radius"))
     if bounds.radius <= 0.0:
         raise ValueError("bounds.radius must be positive")
 
@@ -268,10 +271,7 @@ def scene_from_dict(d):
     prims = []
     for i, p in enumerate(entries):
         name = f"primitives[{i}]"
-        try:
-            prims.append(_primitive(_object(p, name), name, dm["albedo"], dm["tint"]))
-        except KeyError as e:
-            raise ValueError(f"{name} missing field {e}") from e
+        prims.append(_primitive(p, name, dm["albedo"], dm["tint"]))
 
     return VolumeScene(bounds=bounds, default_material=default_material,
                        march=march, primitives=tuple(prims))

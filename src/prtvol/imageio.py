@@ -51,13 +51,11 @@ def _read_raster(f, path, kind, width, height, channels, itemsize):
     return f.read(need)
 
 
-def read_pfm(path, require_finite=True):
+def read_pfm(path):
     """Read a PFM file into a float64 array, shape (H, W, 3) or (H, W).
 
-    Args:
-        path: file to read.
-        require_finite: reject NaN or infinite samples, reporting the
-            image coordinates of the first offender.
+    NaN or infinite samples are rejected with the image coordinates of
+    the first offender.
     """
     with open(path, "rb") as f:
         magic = _read_token(f)
@@ -79,7 +77,7 @@ def read_pfm(path, require_finite=True):
     else:
         img = data.reshape(height, width)
     img = img[::-1].copy()
-    if require_finite and not np.all(np.isfinite(img)):
+    if not np.all(np.isfinite(img)):
         bad = np.argwhere(~np.isfinite(img))
         y, x = int(bad[0][0]), int(bad[0][1])
         raise PfmError(f"{path}: non-finite sample at pixel (x={x}, y={y})")

@@ -4,12 +4,12 @@ mc_diffuse_radiance integrates the diffuse shading integral directly:
 uniform directions over the full sphere, each carrying environment
 radiance times ray-traced visibility times the clamped cosine, with
 the (albedo / pi) * (4 pi / S) estimator. compare_prt_vs_mc takes
-surface points as the (P, 3) arrays transport.sample_surface_points
-returns, probing them itself by default, and scores baked transfer three
-ways per point: the coefficient dot product against the MC estimate, the
-mean squared 10-ray reconstruction residual, and visibility_l2, the L2
-gap between reconstructed and ray-traced visibility maps at the
-truncation degrees 2, 3 and 4 up to the configured degree.
+the (P, 3) surface points transport.sample_surface_points probes and
+scores baked transfer three ways per point: the coefficient dot product
+against the MC estimate, the mean squared 10-ray reconstruction
+residual, and visibility_l2, the L2 gap between reconstructed and
+ray-traced visibility maps at the truncation degrees 2, 3 and 4 up to
+the configured degree.
 
 All three take V * max(0, n . d) from transport.visibility_map; each
 point's map is marched once for its transfer and visibility_l2, and the
@@ -95,7 +95,7 @@ def visibility_l2(vals, transfer, degrees, resolution):
 
 @dataclass(frozen=True)
 class ValidationConfig:
-    count: int = 50                    # probe points when none are supplied
+    count: int = 100                   # surface points probed
     mc_samples: int = 10000
     degree: int = 4
     resolution: tuple = (64, 128)      # bake and visibility-map grid
@@ -120,32 +120,24 @@ def format_table(report):
     return "\n".join(lines)
 
 
-def compare_prt_vs_mc(scene, light, surface=None, config=None):
+def compare_prt_vs_mc(scene, light, config):
     """Validate baked transfer against the Monte Carlo oracle.
 
-    surface is (positions, normals, albedo, views), (P, 3) rows as
-    transport.sample_surface_points returns them, which it defaults to;
-    a zero normal marks a point without one and is rejected. The SH side
-    uses the light's coefficients (an analytic light is projected first,
-    and an SH light truncated, before any point is sampled); the MC side
-    integrates the light as given, so the two agree within sampling error
-    exactly when the light is band-limited. Returns the report dict the
-    module docstring describes.
+    The points are config.count probes of transport.sample_surface_points,
+    each with a valid normal facing its probe. The SH side uses the
+    light's coefficients (an analytic light is projected first, and an SH
+    light truncated, before any point is sampled); the MC side integrates
+    the light as given, so the two agree within sampling error exactly
+    when the light is band-limited. Returns the report dict the module
+    docstring describes.
     """
-    config = config or ValidationConfig()
     scene = field.with_steps(scene, secondary_steps=config.secondary_steps)
     if isinstance(light, envlight.ShLight):
         sh_light = light.truncated(config.degree)
     else:
         sh_light = envlight.project_to_sh(light, degree=config.degree)
-    if surface is None:
-        surface = transport.sample_surface_points(scene, config.count, seed=config.seed)
-    positions, normals, albedo, views = (np.asarray(a, dtype=np.float64) for a in surface)
-    if not len(positions) == len(normals) == len(albedo) == len(views):
-        raise ValueError("normals, albedo and views must pair one row with each point")
-    missing = np.flatnonzero(~normals.any(axis=1))
-    if missing.size:
-        raise ValueError(f"point {missing[0]} has no surface normal")
+    positions, normals, albedo, views = transport.sample_surface_points(
+        scene, config.count, seed=config.seed)
 
     dirs, _, _ = sh.basis_grid(config.degree, config.resolution[0], config.resolution[1])
 

@@ -42,35 +42,37 @@ class Camera:
     height: int = DEFAULT_RESOLUTION
 
     def __post_init__(self):
-        """Reject what would render an empty, blank or mirrored image."""
+        """Reject what would render an empty, blank or mirrored image; fix the view basis."""
         for name in ("width", "height"):
             field._count(getattr(self, name), f"camera {name}")
         fov = field._finite(self.fov_y_deg, "camera fov_y_deg")
         if not 0.0 < fov < 180.0:
             raise ValueError(f"camera fov_y_deg must lie in (0, 180), got {fov}")
-        for name in ("position", "look_at", "up"):
-            field._as_vec3(getattr(self, name), f"camera {name}")
-
-    def rays(self):
-        """Pixel-center primary rays, origins and unit directions (H, W, 3)."""
-        pos = np.asarray(self.position, dtype=np.float64)
-        fwd = sh.normalize(np.asarray(self.look_at, dtype=np.float64) - pos)
-        up_hint = np.asarray(self.up, dtype=np.float64)
-        right = np.cross(fwd, up_hint)
+        pos, look_at, up = (field._as_vec3(getattr(self, name), f"camera {name}")
+                            for name in ("position", "look_at", "up"))
+        if np.linalg.norm(look_at - pos) < 1e-12:
+            raise ValueError("camera look_at must differ from its position")
+        fwd = sh.normalize(look_at - pos)
+        right = np.cross(fwd, up)
         if np.linalg.norm(right) < 1e-9:
             raise ValueError("camera up vector is parallel to the view direction")
         right = sh.normalize(right)
-        upv = np.cross(right, fwd)
+        object.__setattr__(self, "_basis", (pos, fwd, right, np.cross(right, fwd)))
+
+    def rays(self, lo, hi):
+        """Origins and unit directions (hi - lo, 3) through the centers of pixels [lo, hi).
+
+        Pixels are numbered row-major from the top left; the origins are a
+        read-only broadcast of the position.
+        """
+        pos, fwd, right, upv = self._basis
+        row, col = np.divmod(np.arange(lo, hi), self.width)
         tan_half = math.tan(math.radians(self.fov_y_deg) * 0.5)
-        aspect = self.width / self.height
-        xs = ((np.arange(self.width) + 0.5) / self.width * 2.0 - 1.0) * tan_half * aspect
-        ys = (1.0 - (np.arange(self.height) + 0.5) / self.height * 2.0) * tan_half
-        d = (fwd[None, None, :]
-             + xs[None, :, None] * right[None, None, :]
-             + ys[:, None, None] * upv[None, None, :])
+        xs = ((col + 0.5) / self.width * 2.0 - 1.0) * tan_half * (self.width / self.height)
+        ys = (1.0 - (row + 0.5) / self.height * 2.0) * tan_half
+        d = fwd + xs[:, None] * right + ys[:, None] * upv
         d = d / np.linalg.norm(d, axis=-1, keepdims=True)
-        origins = np.broadcast_to(pos, d.shape).copy()
-        return origins, d
+        return np.broadcast_to(pos, d.shape), d
 
 
 @dataclass(frozen=True)
@@ -125,16 +127,13 @@ def render_image(scene, light, camera, mode="lit", settings=None, threads=1):
         if cache is not None and cache.degree != light.degree:
             raise ValueError(f"transfer cache degree {cache.degree} does not match light "
                              f"degree {light.degree}")
-    origins, dirs = camera.rays()
-    flat_o = origins.reshape(-1, 3)
-    flat_d = dirs.reshape(-1, 3)
-    n = flat_o.shape[0]
+    n = camera.width * camera.height
     rgb = np.zeros((n, 3), dtype=np.float64)
     alpha = np.zeros(n, dtype=np.float64)
 
     def run(lo, hi):
-        rgb[lo:hi], alpha[lo:hi] = _trace_batch(scene, light, flat_o[lo:hi], flat_d[lo:hi],
-                                                mode, settings)
+        rgb[lo:hi], alpha[lo:hi] = _trace_batch(scene, light, *camera.rays(lo, hi), mode,
+                                                settings)
 
     chunks.map_chunks(run, n, RAY_CHUNK, threads)
     return LinearImage(pixels=rgb.reshape(camera.height, camera.width, 3),

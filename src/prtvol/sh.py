@@ -49,6 +49,13 @@ def degree_for(count):
     return degree
 
 
+def checked_degree(value, name):
+    """value itself if it is an int in [0, MAX_DEGREE] (bools are not); a file's degree."""
+    if type(value) is not int or not 0 <= value <= MAX_DEGREE:
+        raise ValueError(f"{name} must be an integer in [0, {MAX_DEGREE}], got {value!r}")
+    return value
+
+
 def sh_index(l, m):
     """0-based array index of band l, order m."""
     if abs(m) > l:

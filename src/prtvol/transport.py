@@ -114,6 +114,9 @@ def _live_samples(origins, dirs, t0, dt, steps, runs):
     half = origins.dtype.type(0.5)
     t0 = np.broadcast_to(np.asarray(t0, dtype=origins.dtype), (n,))
     dt = np.broadcast_to(np.asarray(dt, dtype=origins.dtype), (n,))
+    # One row per quantity (origin, direction, t0, dt), so a block's
+    # samples copy them with one repeat into contiguous rows.
+    rows = np.vstack([origins.T, dirs.T, t0, dt])
     for run, (s_lo, s_hi) in enumerate(runs):
         # Ray r's live steps are first[r] <= k < first[r] + count[r]; flat
         # position i of ray r is step i - shift[r].
@@ -122,9 +125,6 @@ def _live_samples(origins, dirs, t0, dt, steps, runs):
         end = np.cumsum(count)
         shift = end - count - first
         total = int(count.sum())
-        # One row per quantity (origin, direction, t0, dt), so a block's
-        # samples copy them with one repeat into contiguous rows.
-        rows = np.vstack([origins.T, dirs.T, t0, dt])
         for b in range(0, total, MARCH_BLOCK):
             e = min(b + MARCH_BLOCK, total)
             r0, r1 = np.searchsorted(end, (b, e - 1), side="right")
@@ -490,10 +490,14 @@ class TransferCache:
     positions: np.ndarray
     normals: np.ndarray
     coeffs: np.ndarray
-    degree: int
+
+    @property
+    def degree(self):
+        return sh.degree_for(self.coeffs.shape[1])
 
     def __post_init__(self):
-        """Reject non-finite records; size the lookup grid once, for all threads."""
+        """Reject a non-square coefficient width or non-finite records; size the grid once."""
+        self.degree
         finite = np.isfinite(self.positions).all(axis=1)
         for part in (self.normals, self.coeffs):
             finite &= np.isfinite(part).all(axis=1)
@@ -581,24 +585,16 @@ def load_transfer_cache(path, scene=None):
     rows = np.fromfile(path, dtype="<f8").reshape(count, width)
     try:
         return TransferCache(positions=rows[:, 0:3].copy(), normals=rows[:, 3:6].copy(),
-                             coeffs=rows[:, 6:].copy(), degree=degree)
+                             coeffs=rows[:, 6:].copy())
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
 
 def _sidecar(sidecar, scene):
     """(degree, count) of a cache sidecar's JSON value, checked against scene if given."""
-    if not isinstance(sidecar, dict):
-        raise ValueError("transfer cache sidecar must be a JSON object")
-    for key in ("degree", "count", "scene_hash"):
-        if key not in sidecar:
-            raise ValueError(f"transfer cache sidecar missing field '{key}'")
-    degree, count = sidecar["degree"], sidecar["count"]
-    if type(degree) is not int or not 0 <= degree <= sh.MAX_DEGREE:
-        raise ValueError(
-            f"transfer cache degree must be an integer in [0, {sh.MAX_DEGREE}], got {degree!r}")
-    if type(count) is not int or count < 1:
-        raise ValueError(f"transfer cache count must be a positive integer, got {count!r}")
+    field._object(sidecar, "transfer cache sidecar", ("degree", "count", "scene_hash"))
+    degree = sh.checked_degree(sidecar["degree"], "transfer cache degree")
+    count = field._count(sidecar["count"], "transfer cache count")
     if not isinstance(sidecar["scene_hash"], str):
         raise ValueError("transfer cache sidecar scene_hash must be a string")
     if scene is not None and sidecar["scene_hash"] != field.scene_hash(scene):

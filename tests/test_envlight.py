@@ -168,11 +168,12 @@ class TestShLight:
         assert "convention" in d
 
     def test_from_dict_requires_three_channels(self):
-        with pytest.raises(ValueError, match="3 channels"):
+        with pytest.raises(ValueError, match="ShLight must carry exactly 3 channels"):
             envlight.ShLight.from_dict({"degree": 0, "channels": [[1.0], [1.0]]})
 
     def test_from_dict_checks_length_against_degree(self):
-        with pytest.raises(ValueError, match="does not match degree"):
+        with pytest.raises(ValueError,
+                           match="ShLight channel 0 must be a list of 9 numbers for degree 2"):
             envlight.ShLight.from_dict(
                 {"degree": 2, "channels": [[1.0] * 4, [1.0] * 4, [1.0] * 4]}
             )
@@ -213,5 +214,5 @@ class TestShLight:
 
     @pytest.mark.parametrize("payload", [[], "light", 3.0, None])
     def test_from_dict_rejects_non_object(self, payload):
-        with pytest.raises(ValueError, match="must be an object"):
+        with pytest.raises(ValueError, match="ShLight must be a JSON object"):
             envlight.ShLight.from_dict(payload)

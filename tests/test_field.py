@@ -224,7 +224,7 @@ class TestSceneJson:
         assert len(scene.primitives) == 1
 
     def test_missing_bounds(self):
-        with pytest.raises(ValueError, match="missing bounds"):
+        with pytest.raises(ValueError, match="scene missing field 'bounds'"):
             field.scene_from_dict({"primitives": []})
 
     def test_bad_bounds_radius(self):
@@ -259,6 +259,13 @@ class TestSceneJson:
         d = sphere_scene_dict()
         d["primitives"][0]["type"] = "torus"
         with pytest.raises(ValueError, match="sphere, box, or slab"):
+            field.scene_from_dict(d)
+
+    @pytest.mark.parametrize("kind", [None, [], {}, ["sphere"]])
+    def test_non_string_primitive_type(self, kind):
+        d = sphere_scene_dict()
+        d["primitives"][0]["type"] = kind
+        with pytest.raises(ValueError, match=r"primitives\[0\]\.type must be sphere, box, or slab"):
             field.scene_from_dict(d)
 
     def test_missing_primitive_field(self):

@@ -89,8 +89,6 @@ def test_nonfinite_sample_reports_coordinates(tmp_path):
     imageio.write_pfm(path, img)
     with pytest.raises(imageio.PfmError, match=r"x=2, y=1"):
         imageio.read_pfm(path)
-    back = imageio.read_pfm(path, require_finite=False)
-    assert np.isnan(back[1, 2])
 
 
 def test_write_rejects_bad_shape(tmp_path):
@@ -119,12 +117,14 @@ def test_ppm_rejects_float_input(tmp_path):
 
 
 @pytest.mark.parametrize("scale", [b"-inf", b"inf", b"nan", b"-nan"])
-@pytest.mark.parametrize("require_finite", [True, False])
-def test_non_finite_scale_names_the_header(tmp_path, scale, require_finite):
+@pytest.mark.parametrize("finite_sample", [True, False])
+def test_non_finite_scale_names_the_header(tmp_path, scale, finite_sample):
+    # The header is checked first, whether or not the raster is finite.
+    sample = b"\x00\x00\x80\x3f" if finite_sample else b"\x00\x00\xc0\x7f"
     path = tmp_path / "s.pfm"
-    path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + b"\x00\x00\x80\x3f")
+    path.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + sample)
     with pytest.raises(imageio.PfmError, match="scale"):
-        imageio.read_pfm(path, require_finite=require_finite)
+        imageio.read_pfm(path)
 
 
 def test_declared_size_is_checked_before_reading(tmp_path):
@@ -188,13 +188,13 @@ def image_files(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(case=image_files(), require_finite=st.booleans())
-def test_fuzzed_headers_give_an_image_or_value_error(tmp_path_factory, case, require_finite):
+@given(case=image_files())
+def test_fuzzed_headers_give_an_image_or_value_error(tmp_path_factory, case):
     pfm, (magic, width, height, last), data = case
     path = tmp_path_factory.mktemp("fuzz") / "f.img"
     path.write_bytes(data)
     try:
-        img = imageio.read_pfm(path, require_finite) if pfm else imageio.read_ppm(path)
+        img = imageio.read_pfm(path) if pfm else imageio.read_ppm(path)
     except ValueError:
         return
     # A result means every header field was valid and the raster complete.
@@ -204,6 +204,6 @@ def test_fuzzed_headers_give_an_image_or_value_error(tmp_path_factory, case, req
     assert img.dtype == (np.float64 if pfm else np.uint8)
     if pfm:
         assert math.isfinite(float(last)) and float(last) != 0.0
-        assert not require_finite or np.all(np.isfinite(img))
+        assert np.all(np.isfinite(img))
     else:
         assert last == b"255"

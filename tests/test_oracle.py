@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prtvol import cli, envlight, oracle, sh, shading, transport
-from conftest import blocker_scene_dict, constant_sh_light, field_surface_point, lobe_sh_light
+from conftest import blocker_scene_dict, constant_sh_light, lobe_sh_light
 
 
 class TestMcDiffuse:
@@ -216,19 +216,6 @@ class TestCompare:
                          "--threads", "1", "-o", str(out)]) == 0
         capsys.readouterr()
         assert json.loads(out.read_text()) == blocker_report
-
-    def test_views_must_pair_points(self, sphere_scene, white_light):
-        pos, nrm, albedo, _ = transport.sample_surface_points(sphere_scene, 3, seed=1)
-        with pytest.raises(ValueError, match="pair"):
-            oracle.compare_prt_vs_mc(sphere_scene, white_light,
-                                     surface=(pos, nrm, albedo, [[0.0, 0.0, 1.0]]))
-
-    def test_invalid_normal_rejected(self, sphere_scene, white_light):
-        x, n, albedo = field_surface_point(sphere_scene, [0.0, 0.0, 0.0])
-        assert not n.any()
-        with pytest.raises(ValueError, match="point 0 has no surface normal"):
-            oracle.compare_prt_vs_mc(sphere_scene, white_light,
-                                     surface=([x], [n], [albedo], [[0.0, 0.0, 1.0]]))
 
     def test_light_degree_checked_before_sampling(self, sphere_scene, monkeypatch):
         def never(*args, **kwargs):

@@ -36,19 +36,32 @@ def sphere_camera(width=12, height=12):
 class TestCamera:
     def test_rays_are_unit_and_centered(self):
         cam = wall_camera(9, 9)
-        origins, dirs = cam.rays()
-        assert origins.shape == (9, 9, 3)
+        origins, dirs = cam.rays(0, 81)
+        assert origins.shape == dirs.shape == (81, 3)
+        assert np.array_equal(origins, np.broadcast_to(cam.position, (81, 3)))
         assert np.max(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0)) < 1e-12
-        center = dirs[4, 4]
+        center = dirs[4 * 9 + 4]
         want = np.array([0.0, 0.0, -1.0])
         assert np.allclose(center, want, atol=1e-9)
 
+    def test_any_pixel_range_gives_the_same_bits(self):
+        cam = sphere_camera(7, 5)
+        _, whole = cam.rays(0, 35)
+        for lo, hi in [(0, 1), (3, 17), (20, 35), (34, 35)]:
+            origins, dirs = cam.rays(lo, hi)
+            assert origins.shape == (hi - lo, 3) and not origins.flags.writeable
+            assert dirs.tobytes() == whole[lo:hi].tobytes()
+
     def test_parallel_up_rejected(self):
-        cam = render.Camera(position=np.array([0.0, 0.0, 3.0]),
-                            look_at=np.array([0.0, 0.0, 0.0]),
-                            up=np.array([0.0, 0.0, 1.0]))
-        with pytest.raises(ValueError, match="parallel"):
-            cam.rays()
+        # On construction, before any ray is formed.
+        with pytest.raises(ValueError, match="up vector is parallel to the view direction"):
+            render.Camera(position=np.array([0.0, 0.0, 3.0]),
+                          look_at=np.array([0.0, 0.0, 0.0]),
+                          up=np.array([0.0, 0.0, 1.0]))
+
+    def test_position_at_look_at_rejected(self):
+        with pytest.raises(ValueError, match="camera look_at must differ from its position"):
+            render.Camera(position=np.array([0.0, 0.0, 3.0]), look_at=np.array([0.0, 0.0, 3.0]))
 
 
 def trace_one(scene, light, origin, direction, mode="lit", settings=None):
@@ -145,8 +158,7 @@ class TestImages:
         spy(transport.TransferCache, "nearest")
         pos = np.random.default_rng(2).normal(size=(40, 3))
         cache = transport.TransferCache(positions=pos, normals=np.zeros_like(pos),
-                                        coeffs=np.ones((40, sky_light.coeffs.shape[0])),
-                                        degree=sky_light.degree)
+                                        coeffs=np.ones((40, sky_light.coeffs.shape[0])))
         calls.clear()
         render.render_image(scene, sky_light, sphere_camera(6, 6), "specular",
                             render.RenderSettings(transfer_cache=cache))
@@ -314,6 +326,29 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak < limit * 2**20, peak / 2**20
+
+    def test_cached_peak_grows_only_by_the_image(self, example):
+        # Camera rays are formed per chunk, so beside the image's own 32
+        # bytes per pixel (rgb and alpha in float64) the peak does not grow
+        # (full-image rays added 2.25 MiB from 128^2 to 256^2). One thread:
+        # on two, how the threads' chunk peaks overlap moves the peak by
+        # up to about 1 MiB from run to run.
+        scene, camera, cache = example
+        settings = render.RenderSettings(transfer_cache=cache)
+        light = lobe_sh_light()
+        render.render_image(scene, light, render.Camera(**dict(camera, width=4, height=4)),
+                            "lit", settings)
+        rest = []
+        for size in (128, 256):
+            tracemalloc.start()
+            try:
+                render.render_image(scene, light, render.Camera(**dict(camera, width=size,
+                                                                       height=size)),
+                                    "lit", settings)
+                rest.append(tracemalloc.get_traced_memory()[1] - 32 * size * size)
+            finally:
+                tracemalloc.stop()
+        assert rest[1] - rest[0] < 2**18, [r / 2**20 for r in rest]
 
 
 class TestSrgb:

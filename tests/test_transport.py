@@ -347,7 +347,7 @@ def brute_nearest(pos, query):
 
 def cache_of(pos):
     return transport.TransferCache(positions=pos, normals=np.zeros_like(pos),
-                                   coeffs=np.zeros((pos.shape[0], 1)), degree=0)
+                                   coeffs=np.zeros((pos.shape[0], 1)))
 
 
 def surface_cloud(rng, n):
@@ -389,6 +389,11 @@ class TestTransferCache:
         with pytest.raises(ValueError, match=r"transfer cache needs|not \(degree\+1\)\^2"):
             transport.save_transfer_cache(str(path), sphere_scene, **arrays)
         assert not path.exists()
+
+    def test_rejects_non_square_coefficient_width(self):
+        with pytest.raises(ValueError, match=r"coefficient count 10 is not \(degree\+1\)\^2"):
+            transport.TransferCache(positions=np.zeros((2, 3)), normals=np.zeros((2, 3)),
+                                    coeffs=np.zeros((2, 10)))
 
     def test_nearest_lookup(self, sphere_scene, tmp_path):
         samples = self._bake_samples(sphere_scene, 6, seed=31)
