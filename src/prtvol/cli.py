@@ -8,8 +8,8 @@ byte-identical outputs regardless of thread count.
 
 import argparse
 import json
-import math
 import os
+import reprlib
 import sys
 
 import numpy as np
@@ -28,58 +28,44 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_in(text, low, high, what):
-    """An integer low <= value <= high (high None for no bound), else ArgumentTypeError."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < low or (high is not None and value > high):
-        raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+def _flag(parse, check):
+    """argparse type: check(parse(text), "value"), any ValueError becoming a usage error."""
+    def convert(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {parse.__name__} value: {reprlib.repr(text)}") from None
+        try:
+            return check(value, "value")
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return convert
+
+
+def _seed(value, name):
+    """An RNG seed, the one rule no file field shares: an integer of at least 0."""
+    if value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {reprlib.repr(value)}")
     return value
 
 
-def _positive_int(text):
-    """argparse type for counts and sizes: an integer of at least 1."""
-    return _int_in(text, 1, None, "a positive integer")
-
-
-def _non_negative_int(text):
-    """argparse type for RNG seeds: an integer of at least 0."""
-    return _int_in(text, 0, None, "a non-negative integer")
-
-
-def _degree(text):
-    """argparse type for SH degrees: an integer the basis supports."""
-    return _int_in(text, 0, sh.MAX_DEGREE, f"an integer in [0, {sh.MAX_DEGREE}]")
-
-
-def _finite_float(text):
-    """argparse type for multipliers: a finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
-
-
-def _positive_float(text):
-    """argparse type for scales: a finite float above 0."""
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+_COUNT = _flag(int, field._count)
+_DEGREE = _flag(int, sh.checked_degree)
+_FINITE = _flag(float, field._finite)
 
 
 class _Grid(argparse.Action):
-    """Action of H W grid flags: at least the sh.MIN_GRID quadrature, checked on parse."""
+    """The H W grid flags: two counts that pass sh.checked_grid, the quadrature's own minimum."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, type=_COUNT, nargs=2, metavar=("H", "W"), **kwargs)
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if values[0] < sh.MIN_GRID[0] or values[1] < sh.MIN_GRID[1]:
-            raise argparse.ArgumentError(self, "grid {}x{} below minimum {}x{}".format(
-                *values, *sh.MIN_GRID))
+        try:
+            sh.checked_grid(*values)
+        except ValueError as e:
+            raise argparse.ArgumentError(self, str(e)) from None
         setattr(namespace, self.dest, values)
 
 
@@ -98,16 +84,13 @@ def _warn_shortfall(found, requested):
 
 def _load_light(path, degree):
     """ShLight from a coefficient JSON, or project a PFM environment map."""
-    _require_file(path)
-    if path.endswith(".json"):
+    if _require_file(path).endswith(".json"):
         return envlight.load_sh_light(path)
-    env = envlight.load_envmap(path)
-    return envlight.project_to_sh(env, degree=degree)
+    return envlight.project_to_sh(envlight.load_envmap(path), degree=degree)
 
 
 def _cmd_project_env(args):
-    _require_file(args.envmap)
-    env = envlight.load_envmap(args.envmap, exposure=args.exposure)
+    env = envlight.load_envmap(_require_file(args.envmap), exposure=args.exposure)
     resolution = tuple(args.resolution) if args.resolution else None
     light = envlight.project_to_sh(env, degree=args.degree, resolution=resolution)
     if not np.isfinite(light.coeffs).all():
@@ -190,24 +173,18 @@ def _cmd_validate(args):
     report = oracle.compare_prt_vs_mc(scene, light, config=config)
     _warn_shortfall(len(report["entries"]), args.points)
     print(oracle.format_table(report))
-    payload = json.dumps(report, indent=2)
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(payload)
-            f.write("\n")
+        field.write_json(args.output, report)
         print(f"wrote {args.output}")
     else:
-        print(payload)
+        print(json.dumps(report, indent=2))
 
 
 def _cmd_metrics(args):
-    a = metrics.load_normal_map(_require_file(args.map_a),
-                                _require_file(args.mask_a) if args.mask_a else None)
-    b = metrics.load_normal_map(_require_file(args.map_b),
-                                _require_file(args.mask_b) if args.mask_b else None)
+    a, b = (metrics.load_normal_map(_require_file(path), _require_file(mask) if mask else None)
+            for path, mask in ((args.map_a, args.mask_a), (args.map_b, args.mask_b)))
     if args.crop:
-        a = metrics.face_crop(a, args.crop, size=args.resize)
-        b = metrics.face_crop(b, args.crop, size=args.resize)
+        a, b = (metrics.face_crop(m, args.crop, size=args.resize) for m in (a, b))
     result = {
         "cosine_similarity": metrics.normal_cosine_similarity(
             a, b, mask_normalized=args.mask_normalized),
@@ -224,53 +201,51 @@ def build_parser():
     parser = _Parser(prog="prtvol",
                      description="SH radiance-transfer lighting for density fields")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    marching = argparse.ArgumentParser(add_help=False)  # flags of bake, render and validate
+    marching.add_argument("--secondary-steps", type=_COUNT, default=None,
+                          help="visibility march steps; scene value if omitted")
+    marching.add_argument("--threads", type=_COUNT, default=os.cpu_count() or 1,
+                          help="worker threads")
 
     p = sub.add_parser("project-env", formatter_class=fmt,
                        help="project an environment map onto SH coefficients")
     p.add_argument("envmap", help="equirectangular PFM environment map")
-    p.add_argument("--degree", type=_degree, default=4, help="SH truncation degree")
-    p.add_argument("--exposure", type=_finite_float, default=1.0,
+    p.add_argument("--degree", type=_DEGREE, default=4, help="SH truncation degree")
+    p.add_argument("--exposure", type=_FINITE, default=1.0,
                    help="linear multiplier applied on load")
-    p.add_argument("--resolution", type=_positive_int, nargs=2, metavar=("H", "W"), default=None,
-                   action=_Grid, help="projection grid; defaults to the map's own texel grid")
+    p.add_argument("--resolution", action=_Grid, default=None,
+                   help="projection grid; defaults to the map's own texel grid")
     p.add_argument("-o", "--output", required=True, help="output coefficient JSON")
     p.set_defaults(func=_cmd_project_env)
 
-    p = sub.add_parser("bake", formatter_class=fmt,
+    p = sub.add_parser("bake", parents=[marching], formatter_class=fmt,
                        help="bake a transfer cache at sampled surface points")
     p.add_argument("scene", help="scene JSON")
-    p.add_argument("--points", type=_positive_int, default=500, help="surface points to bake")
-    p.add_argument("--degree", type=_degree, default=4, help="SH truncation degree")
-    p.add_argument("--seed", type=_non_negative_int, default=0, help="probe-ray RNG seed")
-    p.add_argument("--resolution", type=_positive_int, nargs=2, metavar=("H", "W"),
-                   default=list(transport.BAKE_GRID), action=_Grid, help="bake direction grid")
-    p.add_argument("--secondary-steps", type=_positive_int, default=None,
-                   help="visibility march steps; scene value if omitted")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                   help="worker threads")
+    p.add_argument("--points", type=_COUNT, default=500, help="surface points to bake")
+    p.add_argument("--degree", type=_DEGREE, default=4, help="SH truncation degree")
+    p.add_argument("--seed", type=_flag(int, _seed), default=0, help="probe-ray RNG seed")
+    p.add_argument("--resolution", action=_Grid, default=list(transport.BAKE_GRID),
+                   help="bake direction grid")
     p.add_argument("-o", "--output", required=True, help="output cache file")
     p.set_defaults(func=_cmd_bake)
 
-    p = sub.add_parser("render", formatter_class=fmt,
+    p = sub.add_parser("render", parents=[marching], formatter_class=fmt,
                        help="render a scene to PFM/PPM images")
     p.add_argument("scene", help="scene JSON, camera block optional")
     p.add_argument("--env", default=None,
                    help="SH light JSON, or a PFM map projected at --degree")
-    p.add_argument("--degree", type=_degree, default=4,
+    p.add_argument("--degree", type=_DEGREE, default=4,
                    help="projection degree when --env is a PFM map")
     p.add_argument("--mode", choices=render.MODES, default="lit", help="output channel")
-    p.add_argument("--steps", type=_positive_int, default=None,
+    p.add_argument("--steps", type=_COUNT, default=None,
                    help="primary march steps; scene value if omitted")
-    p.add_argument("--secondary-steps", type=_positive_int, default=None,
-                   help="visibility march steps; scene value if omitted")
-    p.add_argument("--transfer-grid", type=_positive_int, nargs=2, metavar=("H", "W"),
-                   default=list(render.RenderSettings.transfer_grid), action=_Grid,
-                   help="per-anchor bake grid")
-    p.add_argument("--anchors", type=_positive_int, default=render.RenderSettings.anchors_per_ray,
+    p.add_argument("--transfer-grid", action=_Grid,
+                   default=list(render.RenderSettings.transfer_grid), help="per-anchor bake grid")
+    p.add_argument("--anchors", type=_COUNT, default=render.RenderSettings.anchors_per_ray,
                    help="transfer anchors per primary ray")
     p.add_argument("--cache", default=None,
                    help="transfer cache file; anchors look up instead of baking")
-    p.add_argument("--exposure", type=_finite_float, default=1.0,
+    p.add_argument("--exposure", type=_FINITE, default=1.0,
                    help="linear multiplier before sRGB")
     p.add_argument("--camera-pos", type=float, nargs=3, metavar=("X", "Y", "Z"),
                    default=None, help="camera position override")
@@ -279,34 +254,27 @@ def build_parser():
     p.add_argument("--up", type=float, nargs=3, metavar=("X", "Y", "Z"),
                    default=None, help="camera up override")
     p.add_argument("--fov", type=float, default=None, help="vertical field of view")
-    p.add_argument("--width", type=_positive_int, default=None, help="image width")
-    p.add_argument("--height", type=_positive_int, default=None, help="image height")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                   help="worker threads")
+    p.add_argument("--width", type=_COUNT, default=None, help="image width")
+    p.add_argument("--height", type=_COUNT, default=None, help="image height")
     p.add_argument("-o", "--output", default=None, help="linear PFM output")
     p.add_argument("--srgb", default=None, help="8-bit sRGB PPM output")
     p.add_argument("--alpha", default=None, help="grayscale alpha PPM output")
     p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("validate", formatter_class=fmt,
+    p = sub.add_parser("validate", parents=[marching], formatter_class=fmt,
                        help="score baked transfer against the Monte Carlo oracle")
     p.add_argument("scene", help="scene JSON")
     p.add_argument("--env", required=True,
                    help="SH light JSON, or a PFM map projected at --degree")
     config = oracle.ValidationConfig
-    p.add_argument("--points", type=_positive_int, default=config.count,
+    p.add_argument("--points", type=_COUNT, default=config.count,
                    help="surface points to validate")
-    p.add_argument("--mc-samples", type=_positive_int, default=config.mc_samples,
+    p.add_argument("--mc-samples", type=_COUNT, default=config.mc_samples,
                    help="Monte Carlo directions per point")
-    p.add_argument("--degree", type=_degree, default=config.degree, help="SH truncation degree")
-    p.add_argument("--grid", type=_positive_int, nargs=2, metavar=("H", "W"),
-                   default=list(config.resolution), action=_Grid,
+    p.add_argument("--degree", type=_DEGREE, default=config.degree, help="SH truncation degree")
+    p.add_argument("--grid", action=_Grid, default=list(config.resolution),
                    help="bake and visibility-map grid")
-    p.add_argument("--secondary-steps", type=_positive_int, default=None,
-                   help="visibility march steps; scene value if omitted")
-    p.add_argument("--seed", type=_non_negative_int, default=config.seed, help="RNG seed")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                   help="worker threads")
+    p.add_argument("--seed", type=_flag(int, _seed), default=config.seed, help="RNG seed")
     p.add_argument("-o", "--output", default=None,
                    help="report JSON path; printed to stdout if omitted")
     p.set_defaults(func=_cmd_validate)
@@ -317,14 +285,13 @@ def build_parser():
     p.add_argument("map_b", help="second normal map PFM")
     p.add_argument("--mask-a", default=None, help="grayscale mask for map_a")
     p.add_argument("--mask-b", default=None, help="grayscale mask for map_b")
-    p.add_argument("--sigma", type=_positive_float, default=metrics.DEFAULT_BLUR_SIGMA,
-                   help="Gaussian blur sigma for the Laplacian")
+    p.add_argument("--sigma", type=_flag(float, metrics.checked_sigma),
+                   default=metrics.DEFAULT_BLUR_SIGMA, help="Gaussian blur sigma for the Laplacian")
     p.add_argument("--mask-normalized", action="store_true",
                    help="divide by mask mass instead of pixel count")
     p.add_argument("--crop", type=int, nargs=4, metavar=("X0", "Y0", "X1", "Y1"),
                    default=None, help="crop box applied to both maps")
-    p.add_argument("--resize", type=_positive_int, default=256,
-                   help="square output size after --crop")
+    p.add_argument("--resize", type=_COUNT, default=256, help="square output size after --crop")
     p.set_defaults(func=_cmd_metrics)
     return parser
 

@@ -5,7 +5,6 @@ Equirectangular maps use the convention row 0 = theta 0 (straight up,
 toward +y. Radiance lookups are bilinear with longitude wrap-around.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -133,9 +132,7 @@ class ShLight:
 
 
 def save_sh_light(path, light):
-    with open(path, "w") as f:
-        json.dump(light.to_dict(), f, indent=2)
-        f.write("\n")
+    field.write_json(path, light.to_dict())
 
 
 def load_sh_light(path):

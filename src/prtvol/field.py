@@ -24,6 +24,7 @@ the normal invalid; invalid is a value, not an error.
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -45,19 +46,24 @@ def _finite(v, name):
             raise TypeError
         x = float(v)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{name} must be a number, got {v!r}") from None
+        raise ValueError(f"{name} must be a number, got {reprlib.repr(v)}") from None
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x}")
     return x
 
 
+# Largest count (march steps, image sizes, cache records, count flags): the marches'
+# int64 indices ray * steps + step and lo + width cannot overflow below 2**31.
+MAX_COUNT = 2**31 - 1
+
+
 def _count(v, name):
-    """v itself if it is an integer of at least 1 (bools and floats are not)."""
-    if not isinstance(v, bool):
-        _finite(v, name)
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-        raise ValueError(f"{name} must be a positive integer, got {v!r}")
-    return v
+    """v itself if it is an integer in [1, MAX_COUNT] (bools and floats are not)."""
+    if not isinstance(v, (bool, int, np.integer)):
+        _finite(v, name)  # names a non-number or a non-finite value as such
+    elif not isinstance(v, bool) and 1 <= v <= MAX_COUNT:
+        return v
+    raise ValueError(f"{name} must be a positive integer up to {MAX_COUNT}, got {reprlib.repr(v)}")
 
 
 def _object(v, name, keys=()):
@@ -287,6 +293,12 @@ def read_json(path, parse):
             return parse(json.load(f))
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from e
+
+
+def write_json(path, value):
+    """Write value to path as JSON indented by 2, with a trailing newline."""
+    with open(path, "w") as f:
+        f.write(json.dumps(value, indent=2) + "\n")
 
 
 def load_scene(path):

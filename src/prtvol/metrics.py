@@ -110,10 +110,16 @@ def normal_cosine_similarity(a, b, mask_normalized=False):
     return float(np.sum(dots) / denom)
 
 
+def checked_sigma(sigma, name="sigma"):
+    """sigma itself if it is a positive finite number: the blur's rule."""
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {sigma}")
+    return sigma
+
+
 def gaussian_blur(img, sigma=DEFAULT_BLUR_SIGMA):
     """Separable Gaussian blur with reflect padding, radius ceil(3 sigma)."""
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    checked_sigma(sigma)
     img = np.asarray(img, dtype=np.float64)
     radius = int(math.ceil(3.0 * sigma))
     k = np.arange(-radius, radius + 1, dtype=np.float64)

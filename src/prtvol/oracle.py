@@ -51,8 +51,7 @@ def mc_diffuse_radiance(scene, light, x, n, albedo, samples, seed=0):
     scene.march.secondary_steps steps. Returns (rgb (3,), stderr (3,));
     stderr is the empirical standard error of the estimator per channel.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    field._count(samples, "samples")
     albedo = np.asarray(albedo, dtype=np.float64)
     rng = np.random.default_rng(seed)
     dirs = _uniform_sphere(rng, samples)

@@ -20,6 +20,7 @@ quadrature grids up to a byte bound.
 """
 
 import math
+import reprlib
 import threading
 from collections import OrderedDict
 
@@ -52,8 +53,16 @@ def degree_for(count):
 def checked_degree(value, name):
     """value itself if it is an int in [0, MAX_DEGREE] (bools are not); a file's degree."""
     if type(value) is not int or not 0 <= value <= MAX_DEGREE:
-        raise ValueError(f"{name} must be an integer in [0, {MAX_DEGREE}], got {value!r}")
+        raise ValueError(f"{name} must be an integer in [0, {MAX_DEGREE}], "
+                         f"got {reprlib.repr(value)}")
     return value
+
+
+def checked_grid(n_theta, n_phi):
+    """Raise unless an n_theta x n_phi grid is at least the MIN_GRID quadrature."""
+    if n_theta < MIN_GRID[0] or n_phi < MIN_GRID[1]:
+        raise ValueError(f"quadrature grid {n_theta}x{n_phi} below minimum "
+                         f"{MIN_GRID[0]}x{MIN_GRID[1]}")
 
 
 def sh_index(l, m):
@@ -94,8 +103,7 @@ def eval_basis(dirs, degree=DEFAULT_DEGREE):
     Returns:
         C-contiguous float64 array (..., (degree+1)**2) of basis values.
     """
-    if not 0 <= degree <= MAX_DEGREE:
-        raise ValueError(f"degree {degree} outside supported range [0, {MAX_DEGREE}]")
+    checked_degree(degree, "degree")
     dirs = np.asarray(dirs, dtype=np.float64)
     if dirs.shape[-1] != 3:
         raise ValueError("directions must have a trailing dimension of 3")
@@ -155,9 +163,7 @@ def quadrature_nodes(n_theta=128, n_phi=256):
         (dirs, weights) with dirs (n_theta*n_phi, 3) and weights summing
         to 4 pi up to quadrature error.
     """
-    if n_theta < MIN_GRID[0] or n_phi < MIN_GRID[1]:
-        raise ValueError("quadrature grid {}x{} below minimum {}x{}".format(
-            n_theta, n_phi, *MIN_GRID))
+    checked_grid(n_theta, n_phi)
     d_theta = math.pi / n_theta
     d_phi = 2.0 * math.pi / n_phi
     theta = (np.arange(n_theta) + 0.5) * d_theta

@@ -30,7 +30,6 @@ grid cell of queries only against the points that can be nearest to it,
 with temporaries bounded whatever the cache size.
 """
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -409,10 +408,8 @@ def save_transfer_cache(path, scene, positions, normals, coeffs):
     rows = np.concatenate([positions, normals, coeffs], axis=1, dtype="<f8")
     with open(path, "wb") as f:
         f.write(rows.tobytes())
-    sidecar = {"degree": degree, "count": count, "scene_hash": field.scene_hash(scene)}
-    with open(path + ".json", "w") as f:
-        json.dump(sidecar, f, indent=2)
-        f.write("\n")
+    field.write_json(path + ".json",
+                     {"degree": degree, "count": count, "scene_hash": field.scene_hash(scene)})
 
 
 def _query_grid(positions):

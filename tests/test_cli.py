@@ -1,8 +1,11 @@
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prtvol import cli, envlight, field, imageio, render, transport
 from conftest import lobe_sh_light, sphere_scene_dict
@@ -796,3 +799,115 @@ class TestTopLevel:
                 min(int(v) for v in flags[1:3]) > 0:
             assert f"grid {flags[1]}x{flags[2]} below minimum 8x16" in err
         assert not out.exists()
+
+
+class TestHugeValues:
+    """Counts past field.MAX_COUNT, and values too long to print, end in one short line."""
+
+    @staticmethod
+    def assert_one_short_line(capsys, prefix, bound):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1 and len(err) < 200
+        assert bound in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, digits", [("--anchors", 21), ("--secondary-steps", 23),
+                                              ("--steps", 400)])
+    def test_huge_count_flag_is_usage_error(self, workdir, scene_file, light_file, capsys,
+                                            flag, digits):
+        # These ended in an OverflowError traceback with exit 1.
+        out = workdir / "never_written.pfm"
+        assert cli.main(["render", scene_file, "--env", light_file, flag, "9" * digits,
+                         "-o", str(out)]) == 1
+        self.assert_one_short_line(capsys, f"usage error: argument {flag}: ", "up to 2147483647")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("secondary_steps", 10**23),
+                                            ("primary_steps", 10**400)],
+                             ids=["secondary_steps_1e23", "primary_steps_1e400"])
+    def test_huge_march_steps_is_runtime_error(self, workdir, scene_file, light_file, capsys,
+                                               key, value):
+        data = json.loads(pathlib.Path(scene_file).read_text())
+        data["march"][key] = value
+        path = workdir / f"huge_{key}.json"
+        path.write_text(json.dumps(data))
+        out = workdir / "never_written.pfm"
+        assert cli.main(["render", str(path), "--env", light_file, "-o", str(out)]) == 2
+        self.assert_one_short_line(capsys, f"error: {path}: march.{key} must be",
+                                   "up to 2147483647")
+        assert not out.exists()
+
+    def test_huge_cache_count_is_runtime_error(self, workdir, scene_file, light_file, capsys):
+        cache = workdir / "huge_count.bin"
+        cache.write_bytes(b"")
+        pathlib.Path(f"{cache}.json").write_text(json.dumps(
+            {"degree": 4, "count": 10**400, "scene_hash": "0" * 64}))
+        out = workdir / "never_written.pfm"
+        assert cli.main(["render", scene_file, "--env", light_file, "--cache", str(cache),
+                         "-o", str(out)]) == 2
+        self.assert_one_short_line(capsys, f"error: {cache}.json: transfer cache count ",
+                                   "up to 2147483647")
+        assert not out.exists()
+
+
+# Flag text and the value a JSON file holds for it.
+RULE_VALUES = [("0", 0), ("-1", -1), ("1", 1), ("8", 8), ("9", 9), (str(2**31 - 1), 2**31 - 1),
+               (str(2**31), 2**31), (str(10**400), 10**400), ("2.7", 2.7), ("3.0", 3.0),
+               ("-0.5", -0.5), ("1e300", 1e300), ("true", True), ("nan", math.nan),
+               ("inf", math.inf), ("-inf", -math.inf), ("wide", "wide")]
+
+# Each rule shared by a flag and a file field: the flag's argv (its text
+# goes in at {}), its parsed attribute, and the value the file reader takes
+# from a field holding v. --sigma and the grid flags have no file field.
+SHARED_RULES = {
+    "count: march steps": (
+        ["render", "S", "--steps={}"], "steps",
+        lambda v: field.scene_from_dict(
+            {**sphere_scene_dict(), "march": {"primary_steps": v}}).march.primary_steps),
+    "count: cache count": (
+        ["render", "S", "--anchors={}"], "anchors",
+        lambda v: transport._sidecar({"degree": 0, "count": v, "scene_hash": ""}, None)[1]),
+    "count: camera width": (
+        ["render", "S", "--width={}"], "width",
+        lambda v: render.Camera(position=(0.0, -3.0, 0.0), look_at=(0.0, 0.0, 0.0),
+                                width=v).width),
+    "degree: cache degree": (
+        ["bake", "S", "-o", "C", "--degree={}"], "degree",
+        lambda v: transport._sidecar({"degree": v, "count": 1, "scene_hash": ""}, None)[0]),
+    "finite: light channel": (
+        ["project-env", "E", "-o", "L", "--exposure={}"], "exposure",
+        lambda v: envlight.ShLight.from_dict({"degree": 0, "channels": [[v]] * 3}).coeffs[0, 0]),
+}
+
+PARSER = cli.build_parser()
+
+
+@st.composite
+def flag_values(draw):
+    """(flag text, file value) pairs: the fixed cases, integers and floats."""
+    kind = draw(st.sampled_from(["fixed", "int", "float"]))
+    if kind == "fixed":
+        return draw(st.sampled_from(RULE_VALUES))
+    if kind == "int":
+        v = draw(st.integers(-2**40, 2**40) | st.integers(2**31 - 3, 2**31 + 3))
+        return str(v), v
+    v = draw(st.floats())
+    return repr(v), v
+
+
+@pytest.mark.parametrize("rule", sorted(SHARED_RULES))
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(pair=flag_values())
+def test_flag_accepts_what_the_file_field_accepts(rule, pair):
+    # Parsing alone; the flag text goes in as --flag=text so that argparse
+    # takes "-1e-05" for a value rather than an option.
+    argv, attr, read = SHARED_RULES[rule]
+    text, value = pair
+    try:
+        flag = getattr(PARSER.parse_args([a.format(text) for a in argv]), attr)
+    except cli._UsageError:
+        flag = None
+    try:
+        from_file = read(value)
+    except ValueError:
+        from_file = None
+    assert flag == from_file

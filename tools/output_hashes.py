@@ -1,14 +1,22 @@
-"""Run a fixed prtvol CLI matrix and print the sha256 of every output file.
+"""Run a fixed prtvol CLI matrix; print each output's sha256 and each bad input's exit.
 
 Usage: python tools/output_hashes.py OUTDIR
 
 The matrix runs on docs/example_scene.json and a 32x64 sky PFM that this
 script writes itself: project-env at degree 4 and 8, then for --threads 1
 and 2 a bake, all render modes with and without the baked cache, and a
-validate. Outputs land in OUTDIR; the JSON printed on stdout maps each
-output's name to its sha256. The prtvol under test is whichever the
+validate. A fixed bad-input matrix follows: one bad value per flag rule
+and command, count flags and scene or cache counts far past the count
+bound, and a scene and a cache sidecar holding 10**400. It leaves out
+values that would start many threads or probe at length (a huge
+--threads or --points).
+
+Outputs land in OUTDIR. The JSON printed on stdout maps each output's
+name to its sha256, and each bad input's key ("exit:render --anchors 0")
+to its exit code and the first token of its stderr ("1 usage error:",
+"2 error:" or "1 Traceback"). The prtvol under test is whichever the
 interpreter imports (set PYTHONPATH to a checkout's src to pick one), so
-two checkouts' outputs compare by diffing the two JSON files.
+two checkouts compare by diffing the two JSON files.
 """
 
 import hashlib
@@ -62,6 +70,52 @@ def commands(out):
     return runs
 
 
+def label(value):
+    """value as a key shows it: digits past 30 are counted, not spelled out."""
+    text = str(value)
+    return text if len(text) <= 30 else f"{text[:3]}...({len(text)} digits)"
+
+
+def bad_inputs(out):
+    """(key, argv) of the bad-input matrix; it reads files that the good matrix writes."""
+    sky, light, cache = out / "sky.pfm", out / "light4.json", out / "t1_cache.bin"
+    base = {"project-env": [sky, "-o", out / "bad.json"],
+            "bake": [SCENE, "-o", out / "bad.bin"],
+            "render": [SCENE, "--env", light, "-o", out / "bad.pfm"],
+            "validate": [SCENE, "--env", light, "-o", out / "bad.json"],
+            "metrics": [sky, sky]}
+    flags = {"project-env": [["--degree", 9], ["--exposure", "nan"], ["--resolution", 7, 16]],
+             "bake": [["--points", 0], ["--degree", -1], ["--seed", -1],
+                      ["--resolution", 8, 15], ["--secondary-steps", 2.7], ["--threads", 0]],
+             "render": [["--steps", 0], ["--degree", 9], ["--exposure", "inf"],
+                        ["--transfer-grid", 4, 4], ["--width", 0], ["--anchors", 0],
+                        ["--anchors", "9" * 21], ["--secondary-steps", "9" * 23],
+                        ["--steps", "9" * 400]],
+             "validate": [["--mc-samples", 0], ["--degree", 9], ["--seed", -3],
+                          ["--grid", 0, 8], ["--threads", -2]],
+             "metrics": [["--sigma", 0], ["--resize", 0]]}
+    runs = [(f"exit:{command} {' '.join(map(label, flag))}", [command, *base[command], *flag])
+            for command in flags for flag in flags[command]]
+    # Files holding counts past the bound: two scenes and a cache sidecar.
+    scene = json.loads(SCENE.read_text())
+    for key, value, text in (("secondary_steps", 10**23, "10**23"),
+                             ("primary_steps", 10**400, "10**400")):
+        path = out / f"bad_{key}.json"
+        path.write_text(json.dumps({**scene, "march": {**scene["march"], key: value}}))
+        runs.append((f"exit:render march.{key} {text}", ["render", path, *base["render"][1:]]))
+    huge = out / "bad_count.bin"
+    huge.write_bytes(cache.read_bytes())
+    sidecar = json.loads(pathlib.Path(f"{cache}.json").read_text())
+    pathlib.Path(f"{huge}.json").write_text(json.dumps({**sidecar, "count": 10**400}))
+    runs.append(("exit:render cache count 10**400", ["render", *base["render"], "--cache", huge]))
+    return runs
+
+
+def run(args):
+    return subprocess.run([sys.executable, "-m", "prtvol.cli", *map(str, args)],
+                          capture_output=True, text=True)
+
+
 def main(argv):
     if len(argv) != 1:
         sys.exit(__doc__)
@@ -70,12 +124,16 @@ def main(argv):
     write_sky(out / "sky.pfm")
     hashes = {}
     for args, files in commands(out):
-        cmd = [sys.executable, "-m", "prtvol.cli", *map(str, args)]
-        done = subprocess.run(cmd, capture_output=True, text=True)
+        done = run(args)
         if done.returncode != 0:
-            sys.exit(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
+            sys.exit(f"prtvol {' '.join(map(str, args))} exited {done.returncode}:\n{done.stderr}")
         for path in files:
             hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    for key, args in bad_inputs(out):
+        done = run(args)
+        token = next((t for t in ("usage error:", "error:", "Traceback")
+                      if done.stderr.startswith(t)), done.stderr[:20])
+        hashes[key] = f"{done.returncode} {token}"
     print(json.dumps(hashes, indent=2))
 
 
