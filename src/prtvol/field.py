@@ -11,9 +11,9 @@ per primitive, in scene order. density and material evaluate that kernel
 on separate x, y and z arrays and sum the primitives in scene order,
 rounding exactly as the per-point formulas do; each point's value is
 independent of the other points in the batch. supports gives each
-ray's span outside which a primitive is exactly +0.0, and
-support_interval their hull, so a march may skip those samples without
-changing a bit of its sum.
+ray's span outside which a primitive is exactly +0.0, so a march may
+evaluate each primitive only inside its span, without changing a bit of
+its sum.
 
 Surface normals come from the density gradient, n = -grad / |grad|,
 estimated by central differences with step h = min(softness) / 4. A
@@ -319,7 +319,7 @@ def with_steps(scene, primary_steps=None, secondary_steps=None):
 # row to the dtype of the points and sums densities in scene order, so
 # every formula rounds exactly as the per-point expression it spells out.
 
-# Relative margin added to each primitive's support by support_interval.
+# Relative margin added to each primitive's support by supports.
 # Sample positions and the kernel round to a few units of the dtype's
 # epsilon (2**-23 for float32) times the magnitudes involved; this is
 # 2**11 times that.
@@ -458,22 +458,6 @@ def _slab_support(row, grow, o, d):
 _SUPPORT = {"sphere": _sphere_support, "box": _box_support, "slab": _slab_support}
 
 
-def _primitive_supports(scene, origins, dirs, t_max):
-    """Each primitive's raw float64 (lo, hi), and where the ray meets it at t >= 0."""
-    o = np.asarray(origins, dtype=np.float64).T.copy()
-    d = np.asarray(dirs, dtype=np.float64).T.copy()
-    size = np.abs(o[0]) + np.abs(o[1]) + np.abs(o[2])
-    size += (np.abs(d[0]) + np.abs(d[1]) + np.abs(d[2])) * t_max
-    for _, support, row, _, softness in scene._kernel:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            own = np.sum(np.abs(row)) + softness
-            grow = (0.5 * softness + _SUPPORT_PAD * own) + _SUPPORT_PAD * size
-            lo, hi = support(row, grow, o, d)
-            # NaN (unknown) passes this test, and each caller makes it span all t.
-            meets = ~(hi < np.maximum(lo, 0.0))
-        yield lo, hi, meets
-
-
 def supports(scene, origins, dirs, t_max):
     """Each primitive's float64 (lo, hi) along each ray, yielded in scene order.
 
@@ -488,25 +472,19 @@ def supports(scene, origins, dirs, t_max):
     cannot be computed (non-finite or zero-length input, a ray on the
     support's edge) it spans all t.
     """
-    for lo, hi, meets in _primitive_supports(scene, origins, dirs, t_max):
+    o = np.asarray(origins, dtype=np.float64).T.copy()
+    d = np.asarray(dirs, dtype=np.float64).T.copy()
+    size = np.abs(o[0]) + np.abs(o[1]) + np.abs(o[2])
+    size += (np.abs(d[0]) + np.abs(d[1]) + np.abs(d[2])) * t_max
+    for _, support, row, _, softness in scene._kernel:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            own = np.sum(np.abs(row)) + softness
+            grow = (0.5 * softness + _SUPPORT_PAD * own) + _SUPPORT_PAD * size
+            lo, hi = support(row, grow, o, d)
+            # NaN (unknown) passes this test, and then spans all t.
+            meets = ~(hi < np.maximum(lo, 0.0))
         yield (np.where(meets, np.fmax(lo, -np.inf), np.inf),
                np.where(meets, np.fmin(hi, np.inf), -np.inf))
-
-
-def support_interval(scene, origins, dirs, t_max):
-    """[lo, hi] along each ray outside which the total density is exactly zero.
-
-    The hull of supports(scene, origins, dirs, t_max), folded in scene
-    order: float64 arrays of shape (R,), with lo > hi when the ray meets
-    no support.
-    """
-    lo, hi = np.full(len(origins), np.inf), np.full(len(origins), -np.inf)
-    for p_lo, p_hi, meets in _primitive_supports(scene, origins, dirs, t_max):
-        lo = np.minimum(lo, np.where(meets, p_lo, np.inf))
-        hi = np.maximum(hi, np.where(meets, p_hi, -np.inf))
-    lo[np.isnan(lo)] = -np.inf
-    hi[np.isnan(hi)] = np.inf
-    return lo, hi
 
 
 def density(scene, pts):

@@ -6,10 +6,12 @@ midpoint steps from a small self-occlusion offset (twice the normal
 finite-difference step) out to the bounding sphere. primary_march
 marches the renderer's and the probes' rays in scene.march.primary_steps
 over [t_near, t_far]; _march_weights composites both on the live window.
-Both evaluate density only on runs of steps from _live_samples:
-transmittance on the hull of field.support_interval, primary_march
-primitive by primitive on field.supports; every skipped term is an
-exact +0.0, so both equal a dense march bit for bit.
+Both evaluate each primitive of field.supports only on its own run of
+steps (_runs, _live_samples), and only on rays that meet its support,
+adding the terms in scene order; every skipped term is an exact +0.0, so
+both equal a dense march bit for bit. transmittance lays each ray's
+steps from its first live one to its last in one buffer, and sums it in
+step order.
 Primary samples are returned as distances, and primary_points forms a
 position only where one is needed, in the bits the march evaluated. The
 probes of up to PROBE_BLOCK tries are marched together, and their hits
@@ -40,8 +42,8 @@ from . import field, sh
 BAKE_GRID = (32, 64)
 MAP_POINTS = 256  # points whose visibility maps are marched together
 PROBE_BLOCK = 256  # probe rays of sample_surface_points marched together
-MARCH_CHUNK = 65536  # rays per internal batch of transmittance
-MARCH_BLOCK = 1 << 13  # samples per field.density call of either march
+MARCH_CHUNK = 16384  # rays per internal batch of transmittance
+MARCH_BLOCK = 1 << 13  # samples per primitive kernel call of either march
 
 
 def _cosine(n, d):
@@ -99,28 +101,38 @@ def _count_before(t0, dt, s, steps, before):
     return lo
 
 
-def _live_samples(origins, dirs, t0, dt, steps, runs):
-    """Blocks (run, ray, step, pts) of the march samples inside each interval of runs.
+def _runs(t0, dt, steps, supports):
+    """Each support's per-ray run of steps, as (first, count) arrays of shape (P, N).
 
-    Sample k < steps of ray r lies at t = t0 + (k + 0.5) * dt (scalars or
-    per-ray arrays), computed in the dtype of origins, so at the (B, 3)
-    positions dirs[r] * t + origins[r]. For each per-ray float64 (lo, hi)
-    of runs, a ray's samples with lo <= t <= hi form one run of steps
-    (_count_before); these are laid out ray after ray and cut into blocks
-    of MARCH_BLOCK, and run is the index of the block's interval.
+    Sample k < steps of ray r lies at t0[r] + (k + 0.5) * dt[r] ((N,)
+    arrays in the samples' dtype); for each float64 (lo, hi) of supports,
+    its samples with lo <= t <= hi are its steps first <= k < first + count
+    (_count_before). Rays where lo > hi are not counted and get count 0.
     """
-    n = origins.shape[0]
+    lo, hi = np.reshape(list(supports), (-1, 2, t0.shape[0])).transpose(1, 0, 2)
+    first, count = np.zeros((2,) + lo.shape, dtype=np.intp)
+    run, ray = np.nonzero(lo <= hi)
+    a, b = t0[ray], dt[ray]
+    first[run, ray] = _count_before(a, b, lo[run, ray], steps, np.less)
+    count[run, ray] = np.maximum(
+        _count_before(a, b, hi[run, ray], steps, np.less_equal) - first[run, ray], 0)
+    return first, count
+
+
+def _live_samples(origins, dirs, t0, dt, runs):
+    """Blocks (run, ray, step, pts) of the march samples on each (first, count) of runs.
+
+    Sample k of ray r lies at t = t0[r] + (k + 0.5) * dt[r], computed in
+    the dtype of origins, so at dirs[r] * t + origins[r], given as (3, B)
+    x, y and z rows. Each run's steps are laid out ray after ray and cut
+    into blocks of MARCH_BLOCK, and run is the index of the block's run.
+    """
     half = origins.dtype.type(0.5)
-    t0 = np.broadcast_to(np.asarray(t0, dtype=origins.dtype), (n,))
-    dt = np.broadcast_to(np.asarray(dt, dtype=origins.dtype), (n,))
     # One row per quantity (origin, direction, t0, dt), so a block's
     # samples copy them with one repeat into contiguous rows.
     rows = np.vstack([origins.T, dirs.T, t0, dt])
-    for run, (s_lo, s_hi) in enumerate(runs):
-        # Ray r's live steps are first[r] <= k < first[r] + count[r]; flat
-        # position i of ray r is step i - shift[r].
-        first = _count_before(t0, dt, s_lo, steps, np.less)
-        count = np.maximum(_count_before(t0, dt, s_hi, steps, np.less_equal) - first, 0)
+    for run, (first, count) in enumerate(runs):
+        # Flat position i of ray r is step i - shift[r].
         end = np.cumsum(count)
         shift = end - count - first
         total = int(count.sum())
@@ -134,7 +146,7 @@ def _live_samples(origins, dirs, t0, dt, steps, runs):
             t = ray[6] + (k.astype(origins.dtype) + half) * ray[7]
             pts = ray[3:6] * t
             pts += ray[0:3]
-            yield run, np.repeat(np.arange(r0, r1 + 1), per), k, pts.T
+            yield run, np.repeat(np.arange(r0, r1 + 1), per), k, pts
 
 
 def transmittance(scene, origins, dirs, *, offset=0.0):
@@ -158,18 +170,27 @@ def transmittance(scene, origins, dirs, *, offset=0.0):
     out = np.empty(n, dtype=origins.dtype)
     for lo in range(0, n, MARCH_CHUNK):
         hi = min(lo + MARCH_CHUNK, n)
-        o = origins[lo:hi]
-        d = dirs[lo:hi]
+        o, d = origins[lo:hi], dirs[lo:hi]
         t_enter, t_exit = _exit_distance(scene, o, d)
         t0 = np.maximum(t_enter, dtype(offset))
-        span = np.maximum(t_exit - t0, 0.0)
-        dt = span / dtype(steps)
+        dt = np.maximum(t_exit - t0, 0.0) / dtype(steps)
+        first, count = _runs(t0, dt, steps, field.supports(scene, o, d, t_exit))
+        # Each ray's steps from its first live one to its last lie ray after
+        # ray in one zeroed buffer; step k of ray r is at base[r] + k.
+        live = count > 0
+        start = np.min(np.where(live, first, steps), axis=0, initial=steps)
+        size = np.max(np.where(live, first + count, 0), axis=0, initial=0) - start
+        np.maximum(size, 0, out=size)
+        base = np.cumsum(size) - size - start
+        terms = np.zeros(int(size.sum()), dtype=origins.dtype)
+        for i, ray, step, pts in _live_samples(o, d, t0, dt, zip(first, count)):
+            # A (ray, step) occurs once per run, so += adds each term once.
+            terms[base[ray] + step] += (field._primitive_density(scene, i, *pts)
+                                        * field._in_bounds(scene, *pts))
+        # add.at adds in index order, so each ray sums its steps in step
+        # order, as a dense march does; the +0.0 between runs adds exactly.
         tau = np.zeros(hi - lo, dtype=origins.dtype)
-        # The hull is held by the generator alone, so it is freed with it.
-        for _, ray, _, pts in _live_samples(o, d, t0, dt, steps,
-                                            [field.support_interval(scene, o, d, t_exit)]):
-            # add.at applies the additions in index order: step order per ray.
-            np.add.at(tau, ray, field.density(scene, pts))
+        np.add.at(tau, np.repeat(np.arange(hi - lo), size), terms)
         out[lo:hi] = np.exp(-tau * dt)
     return out
 
@@ -282,11 +303,12 @@ def primary_march(scene, origins, dirs):
     steps, t0, t1 = scene.march.primary_steps, scene.march.t_near, scene.march.t_far
     dt = (t1 - t0) / steps
     sigma = np.zeros((origins.shape[0], steps))
-    runs = field.supports(scene, origins, dirs, t1)
-    for i, ray, step, pts in _live_samples(origins, dirs, t0, dt, steps, runs):
+    t0s, dts = np.full(origins.shape[0], t0), np.full(origins.shape[0], dt)
+    first, count = _runs(t0s, dts, steps, field.supports(scene, origins, dirs, t1))
+    for i, ray, step, pts in _live_samples(origins, dirs, t0s, dts, zip(first, count)):
         # A (ray, step) occurs once per run, so += adds each term once.
-        sigma.reshape(-1)[ray * steps + step] += (field._primitive_density(scene, i, *pts.T)
-                                                  * field._in_bounds(scene, *pts.T))
+        sigma.reshape(-1)[ray * steps + step] += (field._primitive_density(scene, i, *pts)
+                                                  * field._in_bounds(scene, *pts))
     return sigma, t0 + (np.arange(steps) + 0.5) * dt, dt
 
 

@@ -115,6 +115,10 @@ def make_scene(*prims, radius=2.5, march=None):
 
 
 MIXED = make_scene(SPHERE, BOX, SLAB, dict(SPHERE, center=[-0.4, 0.1, -0.3], radius=0.5))
+# Three overlapping primitives whose density scales lie far apart.
+SEVERAL = (dict(SPHERE, center=[0.0, 0.0, 0.0], radius=0.6, softness=0.8),
+           dict(BOX, center=[0.2, 0.1, 0.0], density_scale=0.0123),
+           dict(SLAB, offset=0.1, thickness=0.3, density_scale=7.3))
 
 
 def sample_points(shape, dtype, seed=0):
@@ -353,6 +357,23 @@ class TestSkippingMarchCases:
             want = dense_transmittance(MIXED, o, d, 6, 0.0)
         np.testing.assert_array_equal(got, want)
 
+    def test_samples_inside_several_supports(self, dtype):
+        # Three overlapping primitives with scales far apart: where a
+        # sample lies inside all three supports, the sum in scene order
+        # differs from the reverse order in its last bits.
+        scene = make_scene(*SEVERAL, radius=3.0)
+        rng = np.random.default_rng(24)
+        origins = rng.normal(scale=0.2, size=(40, 3)) + [0.0, -2.5, 0.0]
+        dirs = unit(rng.normal(scale=0.1, size=(40, 3)) + [0.0, 1.0, 0.0])
+        assert_march_matches_dense(scene, origins, dirs, dtype, steps=64, offset=0.0)
+        o, d = origins.astype(dtype), dirs.astype(dtype)
+        t = sample_t(scene, o, d, 64, 0.0, np.arange(64)[:, None]).astype(dtype)
+        pts = o + t[..., None] * d
+        w = [reference_primitive_density(p, pts) for p in scene.primitives]
+        inside = (w[0] > 0.0) & (w[1] > 0.0) & (w[2] > 0.0)
+        assert np.count_nonzero(inside) > 100
+        assert np.any(((w[0] + w[1]) + w[2])[inside] != ((w[2] + w[1]) + w[0])[inside])
+
     def test_no_primitives(self, dtype):
         rng = np.random.default_rng(9)
         origins = rng.uniform(-1.0, 1.0, size=(12, 3))
@@ -395,7 +416,7 @@ class TestLiveSpanMarch:
 
     @pytest.mark.parametrize("nudge", [-1, 0, 1], ids=["below", "on", "above"])
     def test_support_edge_on_a_sample(self, dtype, nudge, monkeypatch):
-        # The support test is replaced by bounds that sit exactly on a
+        # FILLED's one support is replaced by bounds that sit exactly on a
         # sample's t (or one float64 ulp off it), so a sample on the edge
         # must be counted and one just outside must not.
         rng = np.random.default_rng(20)
@@ -408,7 +429,7 @@ class TestLiveSpanMarch:
         hi = sample_t(FILLED, o, d, steps, offset, b)
         if nudge:
             lo, hi = np.nextafter(lo, nudge * np.inf), np.nextafter(hi, nudge * np.inf)
-        monkeypatch.setattr(field, "support_interval", lambda *args: (lo, hi))
+        monkeypatch.setattr(field, "supports", lambda *args: iter([(lo, hi)]))
         got = transport.transmittance(field.with_steps(FILLED, secondary_steps=steps), o, d,
                                       offset=offset)
         want = dense_transmittance(FILLED, o, d, steps, offset, window=(lo, hi))
@@ -434,6 +455,29 @@ class TestLiveSpanMarch:
         o, d = rng.uniform(-1.5, 1.5, size=(40, 3)), unit(rng.normal(size=(40, 3)))
         for scene in (MIXED, FILLED):
             assert_march_matches_dense(scene, o, d, dtype, steps=steps, chunk=65536)
+
+    def test_each_primitive_is_evaluated_on_its_own_run(self, dtype, monkeypatch):
+        # The kernel sees each primitive exactly at the samples whose t lies
+        # in its support, on the rays that meet it, and nowhere else.
+        o, d = mixed_rays(60, 25)
+        o, d = o[:60].astype(dtype), d[:60].astype(dtype)
+        steps, offset = 24, 0.05
+        scene = field.with_steps(MIXED, secondary_steps=steps)
+        seen = np.zeros(len(MIXED.primitives), dtype=int)
+        density = field._primitive_density
+
+        def spy(scene, i, x, y, z):
+            seen[i] += x.size
+            return density(scene, i, x, y, z)
+
+        monkeypatch.setattr(field, "_primitive_density", spy)
+        transport.transmittance(scene, o, d, offset=offset)
+        _, t_exit = transport._exit_distance(MIXED, o, d)
+        t = sample_t(MIXED, o, d, steps, offset, np.arange(steps)[:, None])
+        want = [np.count_nonzero((lo <= t) & (t <= hi))
+                for lo, hi in field.supports(MIXED, o, d, t_exit)]
+        assert seen.tolist() == want
+        assert 0 < sum(want) < 0.5 * len(MIXED.primitives) * steps * len(o)
 
     def test_chunks_and_blocks_give_the_same_bits(self, dtype, monkeypatch):
         o, d = mixed_rays(50, 22)
@@ -529,7 +573,7 @@ def exact_support_entry(prim, o, d):
 def test_support_interval_covers_rounding_at_the_edge(prim, dtype):
     # With a thin shell the smoothstep leaves no dead band near the edge,
     # so samples a few ulps outside the exact support can round to a
-    # nonzero density; the padded interval must still contain them.
+    # nonzero density; the primitive's padded support must still contain them.
     scene = make_scene(prim, radius=6.0)
     rng = np.random.default_rng(11)
     o = rng.uniform(-3.0, 3.0, size=(4000, 3))
@@ -538,7 +582,7 @@ def test_support_interval_covers_rounding_at_the_edge(prim, dtype):
         t_edge = exact_support_entry(prim, o, d)
     keep = np.isfinite(t_edge) & (t_edge > 0.1) & (t_edge < 5.0)
     o, d, t_edge = o[keep].astype(dtype), d[keep].astype(dtype), t_edge[keep]
-    lo, hi = field.support_interval(scene, o, d, np.full(len(o), 6.0, dtype=dtype))
+    (lo, hi), = field.supports(scene, o, d, np.full(len(o), 6.0, dtype=dtype))
     nonzero = 0
     for j in range(-40, 41):
         t = (t_edge * (1.0 + j * 2e-8)).astype(dtype)
@@ -549,16 +593,21 @@ def test_support_interval_covers_rounding_at_the_edge(prim, dtype):
 
 
 def test_support_interval_brackets_every_nonzero_sample():
+    # Each primitive's support brackets every sample where its own term is
+    # nonzero.
     rng = np.random.default_rng(10)
     origins = rng.uniform(-2.0, 2.0, size=(200, 3))
     dirs = unit(rng.normal(size=(200, 3)))
     t = np.linspace(0.0, 5.0, 801)
-    lo, hi = field.support_interval(MIXED, origins, dirs, np.full(200, 5.0))
-    sigma = field.density(MIXED, origins[:, None, :] + t[None, :, None] * dirs[:, None, :])
-    outside = (t[None, :] < lo[:, None]) | (t[None, :] > hi[:, None])
-    assert np.all(sigma[outside] == 0.0)
-    assert np.count_nonzero(outside) > 0.5 * outside.size
-    assert np.count_nonzero(sigma) > 0
+    pts = origins[:, None, :] + t[None, :, None] * dirs[:, None, :]
+    supports = list(field.supports(MIXED, origins, dirs, np.full(200, 5.0)))
+    assert len(supports) == len(MIXED.primitives)
+    for p, (lo, hi) in zip(MIXED.primitives, supports):
+        w = reference_primitive_density(p, pts, per_axis)
+        outside = (t[None, :] < lo[:, None]) | (t[None, :] > hi[:, None])
+        assert np.all(w[outside] == 0.0)
+        assert np.count_nonzero(outside) > 0.5 * outside.size
+        assert np.count_nonzero(w) > 0
 
 
 # --------------------------------------------------------- primary march
@@ -629,10 +678,7 @@ class TestPrimaryMarchCases:
         # Three overlapping primitives with scales far apart: where a
         # sample lies inside all three supports, the sum in scene order
         # differs from the reverse order in its last bits.
-        scene = make_scene(dict(SPHERE, center=[0.0, 0.0, 0.0], radius=0.6, softness=0.8),
-                           dict(BOX, center=[0.2, 0.1, 0.0], density_scale=0.0123),
-                           dict(SLAB, offset=0.1, thickness=0.3, density_scale=7.3),
-                           march={"primary_steps": 64, "t_near": 0.5, "t_far": 5.5})
+        scene = make_scene(*SEVERAL, march={"primary_steps": 64, "t_near": 0.5, "t_far": 5.5})
         rng = np.random.default_rng(17)
         origins = rng.normal(scale=0.2, size=(40, 3)) + [0.0, -3.0, 0.0]
         dirs = unit(rng.normal(scale=0.1, size=(40, 3)) + [0.0, 1.0, 0.0])
