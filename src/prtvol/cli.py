@@ -9,6 +9,7 @@ byte-identical outputs regardless of thread count.
 import argparse
 import json
 import os
+import re
 import reprlib
 import sys
 
@@ -24,6 +25,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-05" for an option; no prtvol flag looks like a
+        # number, so every negative number, exponent form included, is a value.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
 

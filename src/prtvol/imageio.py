@@ -77,22 +77,33 @@ def read_pfm(path):
     else:
         img = data.reshape(height, width)
     img = img[::-1].copy()
-    if not np.all(np.isfinite(img)):
-        bad = np.argwhere(~np.isfinite(img))
-        y, x = int(bad[0][0]), int(bad[0][1])
-        raise PfmError(f"{path}: non-finite sample at pixel (x={x}, y={y})")
+    _require_finite(img, f"{path}: non-finite sample")
     return img
 
 
+def _require_finite(img, message):
+    """Raise PfmError(message + the first non-finite pixel of img, row 0 at the top)."""
+    if not np.all(np.isfinite(img)):
+        bad = np.argwhere(~np.isfinite(img))
+        y, x = int(bad[0][0]), int(bad[0][1])
+        raise PfmError(f"{message} at pixel (x={x}, y={y})")
+
+
 def write_pfm(path, img):
-    """Write a (H, W, 3) or (H, W) float array as little-endian PFM."""
-    img = np.asarray(img, dtype=np.float32)
+    """Write a (H, W, 3) or (H, W) float array as little-endian PFM.
+
+    The float32 values it writes must be finite: a value past float32's
+    range raises PfmError before the file is opened.
+    """
+    with np.errstate(over="ignore"):
+        img = np.asarray(img, dtype=np.float32)
     if img.ndim == 3 and img.shape[2] == 3:
         magic = b"PF"
     elif img.ndim == 2:
         magic = b"Pf"
     else:
         raise ValueError(f"expected (H, W, 3) or (H, W) array, got {img.shape}")
+    _require_finite(img, f"{path}: cannot write a sample that is not finite in float32")
     height, width = img.shape[0], img.shape[1]
     with open(path, "wb") as f:
         f.write(magic + b"\n")

@@ -187,3 +187,13 @@ def random_unit_dirs(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def write_raw_pfm(path, img):
+    """img as a little-endian PFM, non-finite samples included, which
+    imageio.write_pfm refuses to write."""
+    img = np.asarray(img, dtype="<f4")
+    with open(path, "wb") as f:
+        f.write(f"{'PF' if img.ndim == 3 else 'Pf'}\n{img.shape[1]} {img.shape[0]}\n-1.0\n"
+                .encode("ascii"))
+        f.write(np.ascontiguousarray(img[::-1]).tobytes())

@@ -352,6 +352,24 @@ class TestRender:
         assert not any(out.exists() for out in outs)
 
 
+    @pytest.mark.parametrize("mode", ["albedo", "visibility"])
+    def test_image_past_float32_writes_nothing(self, workdir, light_file, capsys, mode):
+        # density_scale 1e300 gives a finite float64 image whose values lie
+        # past float32's range: the PFM used to hold inf, with exit 0 and
+        # numpy's cast warning (an error under this suite's warning filter).
+        data = json.loads(EXAMPLE_SCENE.read_text())
+        data["primitives"][0]["density_scale"] = 1e300
+        path = workdir / "huge_density_scale.json"
+        path.write_text(json.dumps(data))
+        out = workdir / f"huge_{mode}.pfm"
+        assert cli.main(["render", str(path), "--env", light_file, "--mode", mode,
+                         "--width", "16", "--height", "12", "--threads", "1",
+                         "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: cannot write a sample that is not finite in float32")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("broken", ["no_channels", "no_degree", "nan_coefficient",
                                         "string_degree"])
     def test_malformed_light_is_runtime_error(self, workdir, scene_file, light_file, capsys,
@@ -676,6 +694,17 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         assert cli.main(["polish"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, attr, want", [
+        (["--exposure", "-1e-05"], "exposure", -1e-05),
+        (["--exposure=-1e-05"], "exposure", -1e-05),
+        (["--exposure", "-2.5E+3"], "exposure", -2500.0),
+        (["--camera-pos", "0", "-1e-3", "2"], "camera_pos", [0.0, -1e-3, 2.0]),
+        (["--camera-pos", "-1E1", "-.5", "-2."], "camera_pos", [-10.0, -0.5, -2.0]),
+    ], ids=["exposure", "exposure_equals", "exposure_upper_e", "camera_pos", "camera_pos_forms"])
+    def test_negative_numbers_in_exponent_form_are_values(self, flags, attr, want):
+        # argparse used to take "-1e-05" for an option: "expected one argument".
+        assert getattr(cli.build_parser().parse_args(["render", "S", *flags]), attr) == want
 
     def test_bad_mode_choice_is_usage_error(self, scene_file, capsys):
         code = cli.main(["render", scene_file, "--mode", "sparkle", "-o", "x.pfm"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prtvol import envlight, imageio, sh
-from conftest import random_unit_dirs
+from conftest import random_unit_dirs, write_raw_pfm
 
 
 def make_equirect(tmp_path, pixels, name="env.pfm"):
@@ -76,7 +76,8 @@ class TestEquirect:
     def test_nan_map_rejected(self, tmp_path):
         pix = np.ones((4, 8, 3), dtype=np.float32)
         pix[2, 3, 1] = np.nan
-        path = make_equirect(tmp_path, pix)
+        path = tmp_path / "env.pfm"
+        write_raw_pfm(path, pix)
         with pytest.raises(imageio.PfmError, match=r"x=3, y=2"):
             envlight.load_envmap(path)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prtvol import imageio
+from conftest import write_raw_pfm
 
 
 def test_color_roundtrip_bit_exact(tmp_path):
@@ -86,9 +87,22 @@ def test_nonfinite_sample_reports_coordinates(tmp_path):
     img = np.zeros((2, 3), dtype=np.float32)
     img[1, 2] = np.nan
     path = tmp_path / "nan.pfm"
-    imageio.write_pfm(path, img)
+    write_raw_pfm(path, img)
     with pytest.raises(imageio.PfmError, match=r"x=2, y=1"):
         imageio.read_pfm(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, 1e300, -3.5e38],
+                         ids=["nan", "-inf", "1e300", "-3.5e38"])
+def test_write_refuses_samples_not_finite_in_float32(tmp_path, value):
+    # A finite float64 past float32's range used to be written as inf, with
+    # numpy's cast warning (an error under this suite's warning filter).
+    img = np.ones((2, 3, 3))
+    img[1, 2, 0] = value
+    path = tmp_path / "bad.pfm"
+    with pytest.raises(imageio.PfmError, match=r"not finite in float32 at pixel \(x=2, y=1\)"):
+        imageio.write_pfm(path, img)
+    assert not path.exists()
 
 
 def test_write_rejects_bad_shape(tmp_path):

@@ -7,9 +7,10 @@ script writes itself: project-env at degree 4 and 8, then for --threads 1
 and 2 a bake, all render modes with and without the baked cache, and a
 validate. A fixed bad-input matrix follows: one bad value per flag rule
 and command, count flags and scene or cache counts far past the count
-bound, and a scene and a cache sidecar holding 10**400. It leaves out
-values that would start many threads or probe at length (a huge
---threads or --points).
+bound, a scene and a cache sidecar holding 10**400, and albedo and
+visibility renders of a scene whose density_scale of 1e300 gives values
+past float32's range. It leaves out values that would start many threads
+or probe at length (a huge --threads or --points).
 
 Outputs land in OUTDIR. The JSON printed on stdout maps each output's
 name to its sha256, and each bad input's key ("exit:render --anchors 0")
@@ -108,6 +109,14 @@ def bad_inputs(out):
     sidecar = json.loads(pathlib.Path(f"{cache}.json").read_text())
     pathlib.Path(f"{huge}.json").write_text(json.dumps({**sidecar, "count": 10**400}))
     runs.append(("exit:render cache count 10**400", ["render", *base["render"], "--cache", huge]))
+    # A density_scale whose finite float64 image lies past float32's range.
+    path = out / "bad_density_scale.json"
+    first = {**scene["primitives"][0], "density_scale": 1e300}
+    path.write_text(json.dumps({**scene, "primitives": [first, *scene["primitives"][1:]]}))
+    for mode in ("albedo", "visibility"):
+        runs.append((f"exit:render primitives[0].density_scale 1e300 --mode {mode}",
+                     ["render", path, "--env", light, "--mode", mode, "--width", 16,
+                      "--height", 12, "--threads", 1, "-o", out / "bad.pfm"]))
     return runs
 
 
