@@ -92,8 +92,8 @@ def _require_finite(img, message):
 def write_pfm(path, img):
     """Write a (H, W, 3) or (H, W) float array as little-endian PFM.
 
-    The float32 values it writes must be finite: a value past float32's
-    range raises PfmError before the file is opened.
+    The float32 values it writes must be finite: NaN, an infinity or a
+    value past float32's range raises PfmError before the file is opened.
     """
     with np.errstate(over="ignore"):
         img = np.asarray(img, dtype=np.float32)

@@ -459,8 +459,9 @@ class TestLiveSpanMarch:
     def test_each_primitive_is_evaluated_on_its_own_run(self, dtype, monkeypatch):
         # The kernel sees each primitive exactly at the samples whose t lies
         # in its support, on the rays that meet it, and nowhere else.
-        o, d = mixed_rays(60, 25)
-        o, d = o[:60].astype(dtype), d[:60].astype(dtype)
+        rng = np.random.default_rng(25)
+        o = rng.uniform(-1.5, 1.5, size=(60, 3)).astype(dtype)
+        d = unit(rng.normal(size=(60, 3))).astype(dtype)
         steps, offset = 24, 0.05
         scene = field.with_steps(MIXED, secondary_steps=steps)
         seen = np.zeros(len(MIXED.primitives), dtype=int)
