@@ -472,8 +472,8 @@ def supports(scene, origins, dirs, t_max):
     cannot be computed (non-finite or zero-length input, a ray on the
     support's edge) it spans all t.
     """
-    o = np.asarray(origins, dtype=np.float64).T.copy()
-    d = np.asarray(dirs, dtype=np.float64).T.copy()
+    o = np.ascontiguousarray(np.asarray(origins).T, dtype=np.float64)
+    d = np.ascontiguousarray(np.asarray(dirs).T, dtype=np.float64)
     size = np.abs(o[0]) + np.abs(o[1]) + np.abs(o[2])
     size += (np.abs(d[0]) + np.abs(d[1]) + np.abs(d[2])) * t_max
     for _, support, row, _, softness in scene._kernel:

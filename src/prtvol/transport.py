@@ -12,6 +12,13 @@ adding the terms in scene order; every skipped term is an exact +0.0, so
 both equal a dense march bit for bit. transmittance lays each ray's
 steps from its first live one to its last in one buffer, and sums it in
 step order.
+transmittance is point-major: it marches the rays (origins[p], dirs[q])
+of index pairs into a table of points and a table of directions, so
+visibility_map hands it each point once and the directions in front of
+its normal as pairs. A chunk's rays are held as (3, N) columns, and the
+per-ray setup works on flat indices. Each expression keeps the bits of
+the row-major formula it replaced: a length-3 dot product is summed as
+((0.0 + p0) + p1) + p2, which is np.sum's order over a row of three.
 Primary samples are returned as distances, and primary_points forms a
 position only where one is needed, in the bits the march evaluated. The
 probes of up to PROBE_BLOCK tries are marched together, and their hits
@@ -51,13 +58,24 @@ def _cosine(n, d):
     return n[..., 0] * d[..., 0] + n[..., 1] * d[..., 1] + n[..., 2] * d[..., 2]
 
 
-def _exit_distance(scene, origins, dirs):
-    """Per-ray [t0, t_exit] clipped to the bounding sphere, 0-length if missed."""
-    c = scene.bounds.center.astype(origins.dtype, copy=False)
-    r2 = origins.dtype.type(scene.bounds.radius2)
-    oc = origins - c
-    b = np.sum(oc * dirs, axis=-1)
-    disc = b * b - (np.sum(oc * oc, axis=-1) - r2)
+def _sum3(a, b):
+    """((0.0 + a0*b0) + a1*b1) + a2*b2 of (3, N) columns: np.sum's bits over rows of 3."""
+    s = 0.0 + a[0] * b[0]
+    s += a[1] * b[1]
+    s += a[2] * b[2]
+    return s
+
+
+def _exit_distance(scene, o, d):
+    """Per-ray [t0, t_exit] clipped to the bounding sphere, 0-length if missed.
+
+    o and d are (3, N) columns of origins and directions.
+    """
+    c = scene.bounds.center.astype(o.dtype, copy=False)
+    r2 = o.dtype.type(scene.bounds.radius2)
+    oc = o - c[:, None]
+    b = _sum3(oc, d)
+    disc = b * b - (_sum3(oc, oc) - r2)
     hit = disc > 0.0
     root = np.sqrt(np.maximum(disc, 0.0))
     t_enter = np.where(hit, -b - root, 0.0)
@@ -102,91 +120,128 @@ def _count_before(t0, dt, s, steps, before):
 
 
 def _runs(t0, dt, steps, supports):
-    """Each support's per-ray run of steps, as (first, count) arrays of shape (P, N).
+    """The non-empty per-ray runs of steps of every support, as (ends, ray, first, count).
 
     Sample k < steps of ray r lies at t0[r] + (k + 0.5) * dt[r] ((N,)
     arrays in the samples' dtype); for each float64 (lo, hi) of supports,
     its samples with lo <= t <= hi are its steps first <= k < first + count
-    (_count_before). Rays where lo > hi are not counted and get count 0.
+    (_count_before), counted only on the rays where lo <= hi. The runs
+    with count > 0 are listed support after support, each with the flat
+    index of its ray; those of support i are [ends[i - 1], ends[i]).
     """
-    lo, hi = np.reshape(list(supports), (-1, 2, t0.shape[0])).transpose(1, 0, 2)
-    first, count = np.zeros((2,) + lo.shape, dtype=np.intp)
-    run, ray = np.nonzero(lo <= hi)
+    n, supports = t0.shape[0], list(supports)
+    lo = np.concatenate([lo for lo, _ in supports] + [np.zeros(0)])
+    hi = np.concatenate([hi for _, hi in supports] + [np.zeros(0)])
+    # Pair i * n + r is support i on ray r, so the pairs of support i are
+    # [cut[i], cut[i + 1]), support after support.
+    ray = np.flatnonzero(lo <= hi)
+    lo, hi = lo[ray], hi[ray]
+    cut = np.searchsorted(ray, np.arange(len(supports) + 1) * n)
+    for i in range(1, len(supports)):
+        ray[cut[i]:cut[i + 1]] -= i * n
     a, b = t0[ray], dt[ray]
-    first[run, ray] = _count_before(a, b, lo[run, ray], steps, np.less)
-    count[run, ray] = np.maximum(
-        _count_before(a, b, hi[run, ray], steps, np.less_equal) - first[run, ray], 0)
-    return first, count
+    first = _count_before(a, b, lo, steps, np.less)
+    count = _count_before(a, b, hi, steps, np.less_equal)
+    count -= first
+    keep = np.flatnonzero(count > 0)
+    return np.searchsorted(keep, cut[1:]), ray[keep], first[keep], count[keep]
 
 
-def _live_samples(origins, dirs, t0, dt, runs):
-    """Blocks (run, ray, step, pts) of the march samples on each (first, count) of runs.
+def _live_samples(o, d, t0, dt, runs):
+    """Blocks (i, ray, step, pts) of the march samples on the runs of _runs.
 
     Sample k of ray r lies at t = t0[r] + (k + 0.5) * dt[r], computed in
-    the dtype of origins, so at dirs[r] * t + origins[r], given as (3, B)
-    x, y and z rows. Each run's steps are laid out ray after ray and cut
-    into blocks of MARCH_BLOCK, and run is the index of the block's run.
+    the dtype of the (3, N) columns o and d, so at d[:, r] * t + o[:, r],
+    given as (3, B) x, y and z rows. Each support's runs are laid out run
+    after run and cut into blocks of MARCH_BLOCK samples, and i is the
+    index of the block's support.
     """
-    half = origins.dtype.type(0.5)
+    ends, ray, first, count = runs
+    half = o.dtype.type(0.5)
     # One row per quantity (origin, direction, t0, dt), so a block's
-    # samples copy them with one repeat into contiguous rows.
-    rows = np.vstack([origins.T, dirs.T, t0, dt])
-    for run, (first, count) in enumerate(runs):
-        # Flat position i of ray r is step i - shift[r].
-        end = np.cumsum(count)
-        shift = end - count - first
-        total = int(count.sum())
-        for b in range(0, total, MARCH_BLOCK):
-            e = min(b + MARCH_BLOCK, total)
+    # samples gather them with one take into contiguous rows.
+    rows = np.vstack([o, d, t0, dt])
+    # Flat position f of run j is step f - shift[j]; the samples of
+    # support i are at flat positions [edge[i], edge[i + 1]).
+    end = np.cumsum(count)
+    shift = end - count - first
+    index = np.arange(count.size)
+    edge = [0] + [int(end[j - 1]) if j else 0 for j in ends]
+    for i in range(len(ends)):
+        for b in range(edge[i], edge[i + 1], MARCH_BLOCK):
+            e = min(b + MARCH_BLOCK, edge[i + 1])
+            # Runs r0 to r1 hold the block, which starts inside run r0.
+            # Only arrays of the block's size are made: arrays the size of
+            # its run count would leave many odd sizes in numpy's cache of
+            # small buffers, and with them a more fragmented heap.
             r0, r1 = np.searchsorted(end, (b, e - 1), side="right")
-            rays = slice(r0, r1 + 1)
-            per = np.minimum(end[rays], e) - np.maximum(end[rays] - count[rays], b)
-            ray = np.repeat(rows[:, rays], per, axis=1)
-            k = np.arange(b, e) - np.repeat(shift[rays], per)
-            t = ray[6] + (k.astype(origins.dtype) + half) * ray[7]
-            pts = ray[3:6] * t
-            pts += ray[0:3]
-            yield run, np.repeat(np.arange(r0, r1 + 1), per), k, pts
+            j = np.repeat(index[r0:r1 + 1], count[r0:r1 + 1])[b - end[r0] + count[r0]:][:e - b]
+            k = np.arange(b, e)
+            k -= shift[j]
+            r = ray[j]
+            g = np.take(rows, r, axis=1)
+            t = k.astype(o.dtype)
+            t += half
+            t *= g[7]
+            np.add(g[6], t, out=t)
+            pts = np.multiply(g[3:6], t, out=g[3:6])
+            pts += g[0:3]
+            yield i, r, k, pts
 
 
-def transmittance(scene, origins, dirs, *, offset=0.0):
-    """exp(-optical depth) from origins along dirs out of the bounds.
+def transmittance(scene, origins, dirs, *, pairs=None, offset=0.0):
+    """exp(-optical depth) along the rays (origins[p], dirs[q]) of pairs = (p, q), out of the bounds.
 
-    Each ray takes scene.march.secondary_steps midpoint samples, and its
-    live samples are added in step order, as a dense march would.
+    Each ray takes scene.march.secondary_steps midpoint samples from
+    offset, and its live samples are added in step order, as a dense
+    march would. A point's rays share its origin row, and the rays are
+    marched MARCH_CHUNK at a time as (3, N) columns taken from the
+    origin and direction tables.
 
     Args:
         scene: volume scene.
-        origins, dirs: (N, 3) arrays of matching dtype; dirs unit length.
+        origins: (P, 3) ray origins; dirs: (D, 3) unit directions, cast
+            to the dtype of origins.
+        pairs: (p, q) index arrays of equal length; None pairs row i of
+            origins with row i of dirs.
         offset: march start distance (self-occlusion offset).
 
     Returns:
-        (N,) transmittance in the dtype of the inputs.
+        (N,) transmittance of the N pairs, in the dtype of origins.
     """
-    origins = np.asarray(origins)
-    dirs = np.asarray(dirs, dtype=origins.dtype)
+    origins, dirs = np.asarray(origins), np.asarray(dirs)
+    if pairs is None:
+        if origins.shape[0] != dirs.shape[0]:
+            raise ValueError("origins and dirs must pair row by row when pairs is None")
+        pairs = (np.arange(origins.shape[0]),) * 2
+    p, q = pairs
+    o_cols = np.ascontiguousarray(origins.T)
+    d_cols = np.ascontiguousarray(dirs.T, dtype=origins.dtype)
     dtype, steps = origins.dtype.type, scene.march.secondary_steps
-    n = origins.shape[0]
+    n = len(p)
     out = np.empty(n, dtype=origins.dtype)
     for lo in range(0, n, MARCH_CHUNK):
         hi = min(lo + MARCH_CHUNK, n)
-        o, d = origins[lo:hi], dirs[lo:hi]
+        o, d = np.take(o_cols, p[lo:hi], axis=1), np.take(d_cols, q[lo:hi], axis=1)
         t_enter, t_exit = _exit_distance(scene, o, d)
         t0 = np.maximum(t_enter, dtype(offset))
         dt = np.maximum(t_exit - t0, 0.0) / dtype(steps)
-        first, count = _runs(t0, dt, steps, field.supports(scene, o, d, t_exit))
+        runs = _runs(t0, dt, steps, field.supports(scene, o.T, d.T, t_exit))
+        _, ray, first, count = runs
         # Each ray's steps from its first live one to its last lie ray after
         # ray in one zeroed buffer; step k of ray r is at base[r] + k.
-        live = count > 0
-        start = np.min(np.where(live, first, steps), axis=0, initial=steps)
-        size = np.max(np.where(live, first + count, 0), axis=0, initial=0) - start
+        start = np.full(hi - lo, steps, dtype=np.intp)
+        np.minimum.at(start, ray, first)
+        size = np.zeros(hi - lo, dtype=np.intp)
+        np.maximum.at(size, ray, first + count)
+        size -= start
         np.maximum(size, 0, out=size)
         base = np.cumsum(size) - size - start
         terms = np.zeros(int(size.sum()), dtype=origins.dtype)
-        for i, ray, step, pts in _live_samples(o, d, t0, dt, zip(first, count)):
+        for i, r, k, pts in _live_samples(o, d, t0, dt, runs):
             # A (ray, step) occurs once per run, so += adds each term once.
-            terms[base[ray] + step] += (field._primitive_density(scene, i, *pts)
-                                        * field._in_bounds(scene, *pts))
+            terms[base[r] + k] += (field._primitive_density(scene, i, *pts)
+                                   * field._in_bounds(scene, *pts))
         # add.at adds in index order, so each ray sums its steps in step
         # order, as a dense march does; the +0.0 between runs adds exactly.
         tau = np.zeros(hi - lo, dtype=origins.dtype)
@@ -213,21 +268,23 @@ def visibility_map(scene, positions, normals, dirs, dtype=np.float64):
     positions and normals are (P, 3), dirs (D, 3) unit directions. Only
     directions in front of each normal are marched (in dtype), from twice
     the finite-difference step; the rest, and every direction of a zero
-    normal, hold exactly zero. Returns (P, D) float64, one row per point
-    that does not depend on the other points.
+    normal, hold exactly zero. The points are taken MAP_POINTS at a time,
+    and their front (point, direction) pairs, found with one flat
+    nonzero, go to transmittance as index pairs. Returns (P, D) float64,
+    one row per point that does not depend on the other points.
     """
     positions = np.asarray(positions, dtype=np.float64)
     normals = np.asarray(normals, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     vals = np.zeros((positions.shape[0], dirs.shape[0]), dtype=np.float64)
-    # Rays are cast before they are gathered and marched MAP_POINTS points
-    # at a time, which gives the same values with small per-ray arrays.
-    origins, rays = positions.astype(dtype), dirs.astype(dtype)
+    flat = vals.reshape(-1)
+    origins = positions.astype(dtype)
     for lo in range(0, positions.shape[0], MAP_POINTS):
-        front = np.maximum(0.0, _cosine(normals[lo:lo + MAP_POINTS, None, :], dirs))
-        pt_idx, dir_idx = np.nonzero(front > 0.0)
-        v = transmittance(scene, origins[lo + pt_idx], rays[dir_idx], offset=2.0 * scene.fd_step)
-        vals[lo + pt_idx, dir_idx] = v.astype(np.float64) * front[pt_idx, dir_idx]
+        front = np.maximum(0.0, _cosine(normals[lo:lo + MAP_POINTS, None, :], dirs)).reshape(-1)
+        pair = np.flatnonzero(front > 0.0)
+        v = transmittance(scene, origins[lo:lo + MAP_POINTS], dirs,
+                          pairs=np.divmod(pair, dirs.shape[0]), offset=2.0 * scene.fd_step)
+        flat[lo * dirs.shape[0] + pair] = v.astype(np.float64) * front[pair]
     return vals
 
 
@@ -304,8 +361,8 @@ def primary_march(scene, origins, dirs):
     dt = (t1 - t0) / steps
     sigma = np.zeros((origins.shape[0], steps))
     t0s, dts = np.full(origins.shape[0], t0), np.full(origins.shape[0], dt)
-    first, count = _runs(t0s, dts, steps, field.supports(scene, origins, dirs, t1))
-    for i, ray, step, pts in _live_samples(origins, dirs, t0s, dts, zip(first, count)):
+    runs = _runs(t0s, dts, steps, field.supports(scene, origins, dirs, t1))
+    for i, ray, step, pts in _live_samples(origins.T, dirs.T, t0s, dts, runs):
         # A (ray, step) occurs once per run, so += adds each term once.
         sigma.reshape(-1)[ray * steps + step] += (field._primitive_density(scene, i, *pts)
                                                   * field._in_bounds(scene, *pts))

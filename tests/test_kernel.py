@@ -2,8 +2,9 @@
 
 The references are written out here: the per-primitive density formulas
 that evaluated each primitive on (..., 3) points, the bitwise search that
-counted a run's ends, the dense transmittance and primary marches that
-evaluated every sample, the compositing weights over every column of a
+counted a run's ends, the bounding-sphere clip summed with np.sum over
+(N, 3) rows, the dense transmittance and primary marches that evaluated
+every sample, the compositing weights over every column of a
 primary march, the normals taken with one density call per tap, and the
 surface-point sampler that marched one probe ray per try. The kernel, the
 closed-form counts, the skipping marches, the compositing window, the
@@ -76,6 +77,20 @@ def per_axis(pts, a):
     return pts[..., 0] * a[0] + pts[..., 1] * a[1] + pts[..., 2] * a[2]
 
 
+def reference_exit_distance(scene, origins, dirs):
+    """Per-ray [t0, t_exit] clipped to the bounding sphere, on (N, 3) rows with np.sum."""
+    c = scene.bounds.center.astype(origins.dtype, copy=False)
+    r2 = origins.dtype.type(scene.bounds.radius2)
+    oc = origins - c
+    b = np.sum(oc * dirs, axis=-1)
+    disc = b * b - (np.sum(oc * oc, axis=-1) - r2)
+    hit = disc > 0.0
+    root = np.sqrt(np.maximum(disc, 0.0))
+    t_enter = np.where(hit, -b - root, 0.0)
+    t_exit = np.where(hit, -b + root, 0.0)
+    return np.maximum(t_enter, 0.0), np.maximum(t_exit, 0.0)
+
+
 def dense_transmittance(scene, origins, dirs, steps, offset, window=None):
     """Every midpoint sample through field.density, summed step by step.
 
@@ -83,7 +98,7 @@ def dense_transmittance(scene, origins, dirs, steps, offset, window=None):
     when lo <= t <= hi; the others add an exact 0.0.
     """
     dtype = origins.dtype.type
-    t_enter, t_exit = transport._exit_distance(scene, origins, dirs)
+    t_enter, t_exit = reference_exit_distance(scene, origins, dirs)
     t0 = np.maximum(t_enter, dtype(offset))
     dt = np.maximum(t_exit - t0, 0.0) / dtype(steps)
     tau = np.zeros(origins.shape[0], dtype=origins.dtype)
@@ -392,7 +407,7 @@ FILLED = make_scene(dict(SPHERE, center=[0.1, 0.0, -0.1], radius=3.0, softness=0
 def sample_t(scene, origins, dirs, steps, offset, k):
     """Float64 copy of each ray's sample t at step k, as the march computes it."""
     dtype = origins.dtype.type
-    t_enter, t_exit = transport._exit_distance(scene, origins, dirs)
+    t_enter, t_exit = reference_exit_distance(scene, origins, dirs)
     t0 = np.maximum(t_enter, dtype(offset))
     dt = np.maximum(t_exit - t0, 0.0) / dtype(steps)
     return (t0 + (k.astype(origins.dtype) + dtype(0.5)) * dt).astype(np.float64)
@@ -473,7 +488,7 @@ class TestLiveSpanMarch:
 
         monkeypatch.setattr(field, "_primitive_density", spy)
         transport.transmittance(scene, o, d, offset=offset)
-        _, t_exit = transport._exit_distance(MIXED, o, d)
+        _, t_exit = reference_exit_distance(MIXED, o, d)
         t = sample_t(MIXED, o, d, steps, offset, np.arange(steps)[:, None])
         want = [np.count_nonzero((lo <= t) & (t <= hi))
                 for lo, hi in field.supports(MIXED, o, d, t_exit)]
@@ -547,6 +562,83 @@ def scenes_and_rays(draw):
 def test_skipping_march_equals_dense_march(case, dtype, steps, offset):
     scene, origins, dirs = case
     assert_march_matches_dense(scene, origins, dirs, dtype, steps=steps, offset=offset, chunk=5)
+
+
+@st.composite
+def point_major_cases(draw):
+    """A scene, (P, 3) origins, (D, 3) directions and (p, q) index pairs into them.
+
+    Some origins sit at a primitive's center, inside its support. Beside
+    random directions come axis directions, one grazing a sphere's support
+    from the first origin, one parallel to a slab, and zero, NaN and inf
+    directions. The pairs repeat, and may be empty.
+    """
+    prims = draw(st.lists(st.one_of(sphere, box, slab), min_size=0, max_size=4))
+    scene = make_scene(*prims, radius=draw(st.floats(1.0, 4.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origins = rng.uniform(-1.5, 1.5, size=(draw(st.integers(1, 6)), 3))
+    for i in range(len(origins)):
+        if prims and rng.random() < 0.4:
+            origins[i] = prims[rng.integers(len(prims))].get("center", origins[i])
+    dirs = [*unit(rng.normal(size=(draw(st.integers(0, 8)), 3))), *AXES[rng.integers(6, size=2)]]
+    for p in prims:
+        if p["type"] == "sphere":
+            to_c = np.asarray(p["center"]) - origins[0]
+            rho, dist = p["radius"] + 0.5 * p["softness"], np.linalg.norm(to_c)
+            if dist > rho:
+                side = unit(np.cross(to_c, rng.normal(size=3)))
+                dirs.append(unit(to_c / dist * np.sqrt(dist**2 - rho**2) + side * rho))
+        elif p["type"] == "slab":
+            v = rng.normal(size=3)
+            a = unit(p["axis"])
+            dirs.append(unit(v - (v @ a) * a))
+    dirs += [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]]
+    n = draw(st.sampled_from([40, 5, 1, 0]))
+    pairs = rng.integers(len(origins), size=n), rng.integers(len(dirs), size=n)
+    return scene, origins, np.array(dirs), pairs
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=point_major_cases(), steps=st.integers(1, 24), offset=st.floats(0.0, 0.3))
+def test_point_major_march_equals_dense_march_on_the_rows(dtype, case, steps, offset):
+    # transmittance on (origins, dirs) tables and index pairs gives the bits
+    # of the dense row-major march on the rows (origins[p], dirs[q]). A ray
+    # whose dt is NaN (an inf direction) has no live step, so its NaN can
+    # carry another sign than the dense march's: NaNs compare by position.
+    scene, origins, dirs, (p, q) = case
+    o, d = origins.astype(dtype), dirs.astype(dtype)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore", over="ignore"):
+        mp.setattr(transport, "MARCH_CHUNK", 7)
+        got = transport.transmittance(field.with_steps(scene, secondary_steps=steps), o, d,
+                                      pairs=(p, q), offset=offset)
+        want = dense_transmittance(scene, o[p], d[q], steps, offset)
+    nan = np.isnan(want)
+    assert got.dtype == dtype and np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_written_out_sum_of_three_is_np_sum(dtype):
+    # The march sums length-3 rows as ((0.0 + x0) + x1) + x2, which is
+    # np.sum(axis=-1) bit for bit, signed zeros, NaN and overflow included
+    # (±1e308 in float64, ±max in float32), and on random rows of products.
+    info = np.finfo(dtype)
+    tiny, big = info.smallest_subnormal, min(1e308, float(info.max))
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3 * tiny,
+                       info.smallest_normal - tiny, -(info.smallest_normal - tiny), 1.0, -1.0,
+                       big, -big, 0.1, -0.3, info.eps, 1.0 / 3.0], dtype=dtype)
+    rows = np.stack(np.meshgrid(values, values, values, indexing="ij"), axis=-1).reshape(-1, 3)
+    rng = np.random.default_rng(26)
+    a = np.vstack([rows, rng.normal(size=(20000, 3)) * 10.0 ** rng.integers(-30, 30, (20000, 1))])
+    a = a.astype(dtype)
+    b = np.vstack([np.ones_like(rows), rng.normal(size=(20000, 3))]).astype(dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = transport._sum3(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+        want = np.sum(a * b, axis=-1)
+    assert len(rows) == 18**3 and got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def exact_support_entry(prim, o, d):

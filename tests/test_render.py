@@ -350,6 +350,24 @@ class TestPeakMemory:
                 tracemalloc.stop()
         assert rest[1] - rest[0] < 2**18, [r / 2**20 for r in rest]
 
+    def test_uncached_render_peak(self, example):
+        # The benchmark's uncached render (64x32, lit, one thread) bakes
+        # float32 transfer at every anchor. Its peak was 34.29 MiB before
+        # the secondary march took (point, direction) pairs; it may not rise
+        # by more than 5%.
+        scene, camera, _ = example
+        light = lobe_sh_light()
+        render.render_image(scene, light, render.Camera(**dict(camera, width=4, height=4)),
+                            "lit", render.RenderSettings())
+        tracemalloc.start()
+        try:
+            render.render_image(scene, light, render.Camera(**dict(camera, width=64, height=32)),
+                                "lit", render.RenderSettings())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 34.29 * 1.05 * 2**20, peak / 2**20
+
 
 class TestSrgb:
     def test_endpoints(self):

@@ -652,6 +652,22 @@ class TestVisibilityMap:
             vals = transport.visibility_map(blocker_scene, pos, nrm, dirs, dtype=dtype)
             assert np.array_equal(vals, whole)
 
+    def test_bake_batch_peak(self):
+        # One bake thread's batch: 32 points of the example scene (the first
+        # 32 of the benchmark's seed-0 bake), float64, on the 32x64 grid. Its
+        # peak was 8.73 MiB before the secondary march took (point,
+        # direction) pairs; it may not rise by more than 5%.
+        scene = field.load_scene(str(EXAMPLE_SCENE))
+        pos, nrm, _, _ = transport.sample_surface_points(scene, 32, seed=0)
+        transport.bake_transfer_batch(scene, pos[:1], nrm[:1])  # builds the SH grid
+        tracemalloc.start()
+        try:
+            transport.bake_transfer_batch(scene, pos, nrm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.73 * 1.05 * 2**20, peak / 2**20
+
 
 # ------------------------------------------- batch-independent transfer
 
