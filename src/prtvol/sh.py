@@ -13,10 +13,12 @@ phase Y_{1,1}(d) = sqrt(3/(4 pi)) * x. Directions are cartesian with +z up.
 Projection uses midpoint latitude-longitude quadrature: nodes at cell
 centers of an n_theta x n_phi grid, weight sin(theta) dtheta dphi.
 
-eval_basis returns the basis direction-major, (..., n) and C-contiguous.
-Projections multiply that layout with BLAS, and a coefficient-major
-(n, N) basis would change their bits. basis_grid caches recently used
-quadrature grids up to a byte bound.
+eval_basis returns the basis direction-major, (..., n) and C-contiguous,
+and the transfer bake and the oracle multiply that layout with BLAS.
+project instead evaluates one block of nodes at a time into
+coefficient-major (n, B) rows and adds the block products in node order,
+so its memory does not grow with the grid. basis_grid caches recently
+used quadrature grids up to a byte bound.
 """
 
 import math
@@ -29,7 +31,8 @@ import numpy as np
 DEFAULT_DEGREE = 4
 MAX_DEGREE = 8
 MIN_GRID = (8, 16)  # smallest (n_theta, n_phi) quadrature grid
-# Directions per block of eval_basis; a degree-8 block's rows take 3.9 MB.
+# Directions per block of eval_basis and project; a degree-8 block's rows
+# take 3.9 MB.
 # Larger blocks ran no faster and left more heap resident after threaded
 # calls. A power of two would make the transposed copy out of a block
 # thrash the cache through its row stride.
@@ -112,15 +115,24 @@ def eval_basis(dirs, degree=DEFAULT_DEGREE):
 
     n = num_coeffs(degree)
     flat = dirs.reshape(-1, 3)
+    out = np.empty((flat.shape[0], n), dtype=np.float64)
+    for b, e, rows in _basis_blocks(flat, degree):
+        out[b:e] = rows.T
+    return out.reshape(dirs.shape[:-1] + (n,))
+
+
+def _basis_blocks(flat, degree):
+    """Yield (b, e, rows) per block of the (N, 3) flat, with the basis of
+    flat[b:e] in rows: a C-contiguous (n, e - b) view of one reused buffer,
+    so a partial last block has the layout of a full one."""
+    n = num_coeffs(degree)
     total = flat.shape[0]
-    out = np.empty((total, n), dtype=np.float64)
-    rows = np.empty((n, min(total, _BASIS_BLOCK)), dtype=np.float64)
+    buf = np.empty(n * min(total, _BASIS_BLOCK), dtype=np.float64)
     for b in range(0, total, _BASIS_BLOCK):
         e = min(b + _BASIS_BLOCK, total)
-        block = rows[:, : e - b]
-        _eval_block(flat[b:e].T.copy(), degree, block)
-        out[b:e] = block.T
-    return out.reshape(dirs.shape[:-1] + (n,))
+        rows = buf[: n * (e - b)].reshape(n, e - b)
+        _eval_block(flat[b:e].T.copy(), degree, rows)
+        yield b, e, rows
 
 
 def _eval_block(xyz, degree, rows):
@@ -216,28 +228,38 @@ _cached_grid = basis_grid
 def project(fn, degree=DEFAULT_DEGREE, n_theta=128, n_phi=256):
     """Project a function on the sphere onto the basis by quadrature.
 
+    The nodes are taken in blocks of _BASIS_BLOCK directions. fn is called
+    once per block; its weighted values are multiplied with the block's
+    coefficient-major basis rows, and the block products are added into
+    the result in node order. Memory is the node table and one block,
+    whatever the grid or degree.
+
     Args:
         fn: callable mapping an (N, 3) array of unit directions to values
-            of shape (N,) or (N, C).
+            of shape (N,) or (N, C), with N at most _BASIS_BLOCK.
         degree: highest band to keep.
         n_theta, n_phi: quadrature resolution, at least 8 x 16.
 
     Returns:
         Coefficients, shape ((degree+1)**2,) or ((degree+1)**2, C).
     """
-    # fn's temporaries are freed before the basis, the largest array, is built.
+    checked_degree(degree, "degree")
     dirs, weights = quadrature_nodes(n_theta, n_phi)
-    vals = np.asarray(fn(dirs), dtype=np.float64)
-    if vals.shape[0] != dirs.shape[0]:
-        raise ValueError("sampler returned a value per-direction mismatch")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("sampler returned non-finite values")
-    if vals.ndim not in (1, 2):
-        raise ValueError("sampler must return shape (N,) or (N, C)")
-    basis = basis_grid(degree, n_theta, n_phi)[2]
-    if vals.ndim == 1:
-        return basis.T @ (weights * vals)
-    return basis.T @ (vals * weights[:, None])
+    for b, e, rows in _basis_blocks(dirs, degree):
+        vals = np.asarray(fn(dirs[b:e]), dtype=np.float64)
+        if vals.shape[0] != e - b:
+            raise ValueError("sampler returned a value per-direction mismatch")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("sampler returned non-finite values")
+        if vals.ndim not in (1, 2):
+            raise ValueError("sampler must return shape (N,) or (N, C)")
+        w = weights[b:e] if vals.ndim == 1 else weights[b:e, None]
+        # Values near the float64 limit overflow here, and two blocks' infinities
+        # of opposite sign add to NaN; callers check the result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            part = rows @ (w * vals)
+            out = part if b == 0 else out + part
+    return out
 
 
 def reconstruct(coeffs, dirs):
@@ -250,12 +272,6 @@ def reconstruct(coeffs, dirs):
     n = coeffs.shape[0]
     basis = eval_basis(dirs, degree_for(n))
     return basis @ coeffs
-
-
-def gram_matrix(degree=DEFAULT_DEGREE, n_theta=128, n_phi=256):
-    """Quadrature Gram matrix of the basis; identity up to grid error."""
-    _, weights, basis = basis_grid(degree, n_theta, n_phi)
-    return basis.T @ (basis * weights[:, None])
 
 
 def _norm_constant(l, m):

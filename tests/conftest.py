@@ -183,6 +183,12 @@ def field_surface_point(scene, x):
     return x, n[0], albedo
 
 
+def gram_matrix(degree=sh.DEFAULT_DEGREE, n_theta=128, n_phi=256):
+    """Quadrature Gram matrix of the basis; identity up to grid error."""
+    _, weights, basis = sh.basis_grid(degree, n_theta, n_phi)
+    return basis.T @ (basis * weights[:, None])
+
+
 def random_unit_dirs(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 3))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from prtvol import cli, envlight, field, imageio, metrics, oracle, render, sh, transport
-from conftest import WALL_ALBEDO, SLAB_SIGMA, SLAB_THICKNESS, random_unit_dirs, \
+from conftest import WALL_ALBEDO, SLAB_SIGMA, SLAB_THICKNESS, gram_matrix, random_unit_dirs, \
     sphere_scene_dict
 
 
@@ -33,7 +33,7 @@ def validation_report(blocker_scene, sky_light):
 
 def test_criterion_1_sh_orthonormality():
     start = time.perf_counter()
-    gram = sh.gram_matrix(degree=4, n_theta=128, n_phi=256)
+    gram = gram_matrix(degree=4, n_theta=128, n_phi=256)
     elapsed = time.perf_counter() - start
     err = float(np.max(np.abs(gram - np.eye(25))))
     _report(1, err <= 1e-3 and elapsed < 1.0,

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,9 +72,6 @@ class TestProjectEnv:
         assert code == 1
         assert "file not found" in capsys.readouterr().err
 
-    # numpy warns as the values overflow on the way; the test pins what
-    # the command then does with them.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_exposure_writes_nothing(self, workdir, envmap_file, capsys):
         # The map times 1e308 overflows, and the light used to be written
         # with an Infinity coefficient that load_sh_light then rejects.
@@ -80,6 +80,26 @@ class TestProjectEnv:
                          "-o", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: the projected light is not finite")
+        assert not out.exists()
+
+    def test_overflowing_exposure_prints_only_the_error_line(self, workdir):
+        # The benchmark's 256x512 quickstart sky at degree 8, in a fresh
+        # interpreter as a user runs it: numpy's overflow warning used to
+        # come before the error line.
+        theta = (np.arange(256) + 0.5) / 256 * np.pi
+        sky = np.clip(np.cos(theta), 0.0, None) ** 0.5
+        rows = np.stack([0.6 * sky + 0.2, 0.7 * sky + 0.2, 0.9 * sky + 0.25], axis=-1)
+        envmap = workdir / "sky_large.pfm"
+        imageio.write_pfm(str(envmap), np.broadcast_to(rows[:, None, :], (256, 512, 3)))
+        out = workdir / "overflow_sh.json"
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "prtvol.cli", "project-env", str(envmap), "--degree", "8",
+             "--exposure", "1e308", "-o", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        assert done.stderr == ("error: the projected light is not finite: "
+                               "the map times --exposure overflows\n")
         assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prtvol import sh
+from conftest import gram_matrix
 
 
 # Closed-form polynomials for every basis function through band 4, written
@@ -251,11 +252,11 @@ class TestBasisGridCache:
 
 class TestOrthonormality:
     def test_gram_close_to_identity(self):
-        g = sh.gram_matrix(degree=4, n_theta=128, n_phi=256)
+        g = gram_matrix(degree=4, n_theta=128, n_phi=256)
         assert np.max(np.abs(g - np.eye(25))) < 1e-3
 
     def test_gram_degree_8(self):
-        g = sh.gram_matrix(degree=8, n_theta=128, n_phi=256)
+        g = gram_matrix(degree=8, n_theta=128, n_phi=256)
         assert np.max(np.abs(g - np.eye(81))) < 1e-3
 
 
@@ -321,6 +322,82 @@ class TestProjection:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             sh.quadrature_nodes(4, 8)
+
+
+def blockwise_projection(fn, degree, n_theta, n_phi):
+    """project's arithmetic written out: the in-order sum of the products of
+    each _BASIS_BLOCK block's coefficient-major basis and weighted values."""
+    dirs, weights = sh.quadrature_nodes(n_theta, n_phi)
+    total = None
+    for b in range(0, len(dirs), sh._BASIS_BLOCK):
+        d, w = dirs[b:b + sh._BASIS_BLOCK], weights[b:b + sh._BASIS_BLOCK]
+        vals = fn(d)
+        rows = np.ascontiguousarray(sh.eval_basis(d, degree).T)
+        part = rows @ (w * vals if vals.ndim == 1 else w[:, None] * vals)
+        total = part if total is None else total + part
+    return total
+
+
+class TestBlockedProjection:
+    """project samples, weights and multiplies one block of nodes at a time."""
+
+    @pytest.mark.parametrize("channels", [None, 3], ids=["scalar", "rgb"])
+    @pytest.mark.parametrize("degree, grid", [(0, (8, 16)), (4, (60, 100)), (8, (64, 128)),
+                                              (3, (120, 100)), (8, (100, 250))])
+    def test_equals_in_order_sum_of_block_products(self, degree, grid, channels):
+        # 60x100 and 120x100 are one and two whole blocks; 8x16 is one
+        # partial block, and 64x128 and 100x250 end in a partial block.
+        rng = np.random.default_rng(degree)
+        m = rng.normal(size=(3, 3 if channels is None else channels))
+
+        def fn(d):
+            v = np.exp(d @ m) - 0.5
+            return v[:, 0] if channels is None else v
+
+        got = sh.project(fn, degree, *grid)
+        want = blockwise_projection(fn, degree, *grid)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [None, 1, 7], ids=["default", "1", "7"])
+    def test_sampler_sees_each_block_once_in_node_order(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(sh, "_BASIS_BLOCK", block)
+        seen = []
+
+        def fn(d):
+            seen.append(d.copy())
+            return d[:, 2] + 1.0
+
+        grid = (8, 16) if block else (96, 250)
+        sh.project(fn, 3, *grid)
+        assert max(len(d) for d in seen) <= sh._BASIS_BLOCK
+        assert len(seen) == -(-grid[0] * grid[1] // sh._BASIS_BLOCK)
+        assert np.array_equal(np.concatenate(seen), sh.quadrature_nodes(*grid)[0])
+
+    def test_checks_each_block(self):
+        calls = []
+
+        def bad_second_block(d):
+            calls.append(len(d))
+            v = np.ones(len(d))
+            if len(calls) == 2:
+                v[-1] = np.nan
+            return v
+
+        with pytest.raises(ValueError, match="non-finite"):
+            sh.project(bad_second_block, 2, 64, 128)
+        with pytest.raises(ValueError, match="mismatch"):
+            sh.project(lambda d: np.ones(min(len(d), 100)), 2, 64, 128)
+        with pytest.raises(ValueError, match="shape"):
+            sh.project(lambda d: np.ones((len(d), 2, 2)), 2, 8, 16)
+
+    def test_overflow_gives_nonfinite_coefficients_without_warnings(self):
+        # Two hemispheres, one block each: the z coefficient's halves
+        # overflow to +inf and -inf, and their sum is NaN. The callers
+        # check the result, and pytest fails the test on a RuntimeWarning.
+        coeffs = sh.project(lambda d: np.full(len(d), 1.7e308), 2, 8, 1500)
+        assert np.isposinf(coeffs[0]) and np.isnan(coeffs[2])
 
 
 class TestReconstruct:

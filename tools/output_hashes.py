@@ -2,14 +2,17 @@
 
 Usage: python tools/output_hashes.py OUTDIR
 
-The matrix runs on docs/example_scene.json and a 32x64 sky PFM that this
-script writes itself: project-env at degree 4 and 8, then for --threads 1
-and 2 a bake, all render modes with and without the baked cache, and a
-validate. A fixed bad-input matrix follows: one bad value per flag rule
-and command, count flags and scene or cache counts far past the count
-bound, a scene and a cache sidecar holding 10**400, and albedo and
-visibility renders of a scene whose density_scale of 1e300 gives values
-past float32's range. It leaves out values that would start many threads
+The matrix runs on docs/example_scene.json and two sky PFMs that this
+script writes itself, 32x64 and 128x256: project-env of the small sky at
+degree 4 and 8 and of the large one, whose texels span several projection
+blocks, at degree 8; then for --threads 1 and 2 a bake, all render modes
+with and without the baked cache, and a validate. A fixed bad-input
+matrix follows: one bad value per flag rule and command, count flags and
+scene or cache counts far past the count bound, a scene and a cache
+sidecar holding 10**400, albedo and visibility renders of a scene whose
+density_scale of 1e300 gives values past float32's range, and a degree-8
+projection of the large sky whose --exposure of 1e308 overflows the
+coefficients. It leaves out values that would start many threads
 or probe at length (a huge --threads or --points).
 
 Outputs land in OUTDIR. The JSON printed on stdout maps each output's
@@ -50,6 +53,8 @@ def commands(out):
     for degree in (4, 8):
         light = out / f"light{degree}.json"
         runs.append((["project-env", sky, "--degree", degree, "-o", light], [light]))
+    light = out / "light8_large.json"
+    runs.append((["project-env", out / "sky_large.pfm", "--degree", 8, "-o", light], [light]))
     light = out / "light4.json"
     for threads in (1, 2):
         cache = out / f"t{threads}_cache.bin"
@@ -117,6 +122,10 @@ def bad_inputs(out):
         runs.append((f"exit:render primitives[0].density_scale 1e300 --mode {mode}",
                      ["render", path, "--env", light, "--mode", mode, "--width", 16,
                       "--height", 12, "--threads", 1, "-o", out / "bad.pfm"]))
+    # A finite map whose coefficients overflow float64.
+    runs.append(("exit:project-env sky_large.pfm --degree 8 --exposure 1e308",
+                 ["project-env", out / "sky_large.pfm", "--degree", 8, "--exposure", "1e308",
+                  "-o", out / "bad.json"]))
     return runs
 
 
@@ -131,6 +140,7 @@ def main(argv):
     out = pathlib.Path(argv[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
     write_sky(out / "sky.pfm")
+    write_sky(out / "sky_large.pfm", 128, 256)
     hashes = {}
     for args, files in commands(out):
         done = run(args)
