@@ -16,37 +16,6 @@ SH_CONVENTION = "real-sh z-up, j=l*l+l+m+1, cos for m>0 / sin for m<0"
 
 
 @dataclass(frozen=True)
-class ConstantLight:
-    """Same radiance in every direction."""
-
-    color: np.ndarray
-
-    def radiance(self, dirs):
-        dirs = np.asarray(dirs, dtype=np.float64)
-        out = np.empty(dirs.shape[:-1] + (3,), dtype=np.float64)
-        out[:] = self.color
-        return out
-
-
-@dataclass(frozen=True)
-class LobeLight:
-    """Smooth monotone lobe exp(sharpness * (dot(axis, d) - 1)) * color.
-
-    Peaks at the axis, falls to exp(-2 * sharpness) at the antipode.
-    """
-
-    axis: np.ndarray
-    sharpness: float
-    color: np.ndarray
-
-    def radiance(self, dirs):
-        dirs = np.asarray(dirs, dtype=np.float64)
-        mu = dirs @ np.asarray(self.axis, dtype=np.float64)
-        f = np.exp(self.sharpness * (mu - 1.0))
-        return f[..., None] * np.asarray(self.color, dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class EquirectLight:
     """Pixel-backed environment, pixels (H, W, 3) linear radiance."""
 

@@ -17,8 +17,9 @@ its sum.
 
 Surface normals come from the density gradient, n = -grad / |grad|,
 estimated by central differences with step h = min(softness) / 4. A
-gradient magnitude under 1e-6 (constant-density cores, empty space) makes
-the normal invalid; invalid is a value, not an error.
+gradient magnitude under 1e-6 (constant-density cores, empty space) or a
+gradient that overflows makes the normal invalid; invalid is a value, not
+an error.
 """
 
 import hashlib
@@ -534,12 +535,20 @@ def normals(scene, pts):
     h = scene.fd_step
     grad = np.empty_like(flat)
     taps = np.stack([np.eye(3) * h, np.eye(3) * -h], axis=1).reshape(6, 1, 3)
-    # Blocks of 4096 points, a render chunk's anchors at 4 per ray, bound the call.
-    for lo in range(0, flat.shape[0], 4096):
-        d = density(scene, flat[lo:lo + 4096] + taps)  # taps +x, -x, +y, -y, +z, -z
-        grad[lo:lo + 4096] = ((d[0::2] - d[1::2]) / (2.0 * h)).T
-    mag = np.linalg.norm(grad, axis=-1)
-    valid = mag >= EPS_GRAD
+    # A gradient or its squared length may overflow. A row whose squared
+    # length alone does (a grad past about 1e154) is normalised as grad
+    # over its largest |component|; a non-finite grad has no normal.
+    with np.errstate(over="ignore"):
+        # Blocks of 4096 points, a render chunk's anchors at 4 per ray, bound the call.
+        for lo in range(0, flat.shape[0], 4096):
+            d = density(scene, flat[lo:lo + 4096] + taps)  # taps +x, -x, +y, -y, +z, -z
+            grad[lo:lo + 4096] = ((d[0::2] - d[1::2]) / (2.0 * h)).T
+        mag = np.linalg.norm(grad, axis=-1)
+    big = np.flatnonzero(np.isinf(mag))
+    big = big[np.isfinite(grad[big]).all(axis=-1)]
+    grad[big] /= np.abs(grad[big]).max(axis=-1)[:, None]
+    mag[big] = np.linalg.norm(grad[big], axis=-1)
+    valid = (mag >= EPS_GRAD) & np.isfinite(mag)
     safe = np.where(valid, mag, 1.0)
     n = -grad / safe[:, None]
     n[~valid] = 0.0

@@ -1,4 +1,4 @@
-"""PFM and PPM file readers and writers.
+"""PFM file reader and writer, and a PPM writer.
 
 PFM rasters are stored bottom-to-top per the de facto format, so these
 helpers flip on read and write; in-memory arrays always have row 0 at the
@@ -127,22 +127,3 @@ def write_ppm(path, img):
     with open(path, "wb") as f:
         f.write(magic + b"\n" + f"{width} {height}\n255\n".encode("ascii"))
         f.write(np.ascontiguousarray(img).tobytes())
-
-
-def read_ppm(path):
-    """Read a binary P6/P5 PPM back into a uint8 array."""
-    with open(path, "rb") as f:
-        magic = _read_token(f)
-        if magic not in (b"P6", b"P5"):
-            raise PfmError(f"{path}: bad PPM magic {magic!r}")
-        width = _header_field(f, path, "PPM", "width", int)
-        height = _header_field(f, path, "PPM", "height", int)
-        maxval = _header_field(f, path, "PPM", "maxval", int)
-        if maxval != 255:
-            raise PfmError(f"{path}: only maxval 255 supported")
-        channels = 3 if magic == b"P6" else 1
-        raw = _read_raster(f, path, "PPM", width, height, channels, 1)
-    arr = np.frombuffer(raw, dtype=np.uint8)
-    if channels == 3:
-        return arr.reshape(height, width, 3).copy()
-    return arr.reshape(height, width).copy()

@@ -27,8 +27,13 @@ returns the points as (P, 3) positions, normals, albedo and views.
 
 visibility_map is the one implementation of V * max(0, n . d); the bake
 (bake_transfer_batch) is its SH projection and the 10-ray residual
-(nrt_rays, nrt_residuals) compares the two. Every step works per point,
-so a point's transfer is the same bits whatever batch it is baked in.
+(nrt_rays, nrt_residuals) compares the two. Both march the points
+MAP_POINTS at a time in one block loop (_map_blocks), and the bake
+projects each block as it is marched: it never holds a map of more than
+MAP_POINTS rows, so an uncached render's memory is bounded by threads x
+MAP_POINTS x transfer-grid directions, whatever its anchor count. Every
+step works per point, so a point's transfer is the same bits whatever
+batch it is baked in.
 Callers pass points as (P, 3) positions and normals (a zero normal for a
 point without one) and transfers as (P, n) coefficient arrays.
 
@@ -254,12 +259,15 @@ def bake_transfer_batch(scene, positions, normals, degree=4, resolution=BAKE_GRI
                         dtype=np.float64):
     """Transfer coefficients for (P, 3) positions with matching normals, (P, n).
 
-    Projects visibility_map on the bake grid onto the SH basis. Rows whose
-    normal is a zero vector (invalid gradient) bake to zero.
+    Projects visibility_map on the bake grid onto the SH basis, one block
+    of MAP_POINTS points at a time, so no map larger than MAP_POINTS rows
+    of the grid's directions is held. Rows whose normal is a zero vector
+    (invalid gradient) bake to zero.
     """
     dirs, _, _ = sh.basis_grid(degree, resolution[0], resolution[1])
-    vals = visibility_map(scene, positions, normals, dirs, dtype=dtype)
-    return project_map(vals, degree=degree, resolution=resolution)
+    project = _projector(degree, resolution)
+    rows = [project(vals) for vals in _map_blocks(scene, positions, normals, dirs, dtype)]
+    return np.concatenate(rows) if rows else np.zeros((0, sh.num_coeffs(degree)))
 
 
 def visibility_map(scene, positions, normals, dirs, dtype=np.float64):
@@ -268,35 +276,54 @@ def visibility_map(scene, positions, normals, dirs, dtype=np.float64):
     positions and normals are (P, 3), dirs (D, 3) unit directions. Only
     directions in front of each normal are marched (in dtype), from twice
     the finite-difference step; the rest, and every direction of a zero
-    normal, hold exactly zero. The points are taken MAP_POINTS at a time,
-    and their front (point, direction) pairs, found with one flat
-    nonzero, go to transmittance as index pairs. Returns (P, D) float64,
-    one row per point that does not depend on the other points.
+    normal, hold exactly zero. Returns (P, D) float64, one row per point
+    that does not depend on the other points.
+    """
+    vals = list(_map_blocks(scene, positions, normals, dirs, dtype))
+    return np.concatenate(vals) if vals else np.zeros((0, len(dirs)))
+
+
+def _map_blocks(scene, positions, normals, dirs, dtype):
+    """visibility_map's rows, MAP_POINTS points at a time, as fresh (B, D) float64 arrays.
+
+    Each block's cosines (n0*d0 + n1*d1) + n2*d2 are formed from (3, P)
+    and (3, D) columns, and its front (point, direction) pairs, those of
+    cosine > 0 found with one flat nonzero, go to transmittance as index
+    pairs into the points and the direction columns.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    normals = np.asarray(normals, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64)
-    vals = np.zeros((positions.shape[0], dirs.shape[0]), dtype=np.float64)
-    flat = vals.reshape(-1)
+    n_cols = np.ascontiguousarray(np.asarray(normals).T, dtype=np.float64)
+    d_cols = np.ascontiguousarray(np.asarray(dirs).T, dtype=np.float64)
     origins = positions.astype(dtype)
     for lo in range(0, positions.shape[0], MAP_POINTS):
-        front = np.maximum(0.0, _cosine(normals[lo:lo + MAP_POINTS, None, :], dirs)).reshape(-1)
-        pair = np.flatnonzero(front > 0.0)
-        v = transmittance(scene, origins[lo:lo + MAP_POINTS], dirs,
-                          pairs=np.divmod(pair, dirs.shape[0]), offset=2.0 * scene.fd_step)
-        flat[lo * dirs.shape[0] + pair] = v.astype(np.float64) * front[pair]
-    return vals
+        n = n_cols[:, lo:lo + MAP_POINTS, None]
+        vals = n[0] * d_cols[0]
+        vals += n[1] * d_cols[1]
+        vals += n[2] * d_cols[2]
+        flat = vals.reshape(-1)
+        pair = np.flatnonzero(flat > 0.0)
+        front = flat[pair]
+        v = transmittance(scene, origins[lo:lo + MAP_POINTS], d_cols.T,
+                          pairs=np.divmod(pair, d_cols.shape[1]), offset=2.0 * scene.fd_step)
+        vals.fill(0.0)
+        flat[pair] = v.astype(np.float64) * front
+        yield vals
 
 
 def project_map(values, degree=4, resolution=BAKE_GRID):
-    """SH projection of (P, D) maps on the bake grid, (P, n).
+    """SH projection of (P, D) maps on the bake grid, (P, n)."""
+    return _projector(degree, resolution)(values)
+
+
+def _projector(degree, resolution):
+    """The SH projection of (P, D) maps on the bake grid, as a function.
 
     Unlike a BLAS product, einsum sums each row in one order whatever the
     other rows are.
     """
     _, weights, basis = sh.basis_grid(degree, resolution[0], resolution[1])
-    return np.einsum("pd,nd->pn", values * weights, np.ascontiguousarray(basis.T),
-                     optimize=False)
+    return lambda values: np.einsum("pd,nd->pn", values * weights,
+                                    np.ascontiguousarray(basis.T), optimize=False)
 
 
 def nrt_rays(normal, view, seed=0):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -110,6 +111,24 @@ def blocker_scene_dict():
     return d
 
 
+@dataclass(frozen=True)
+class LobeLight:
+    """Smooth monotone lobe exp(sharpness * (dot(axis, d) - 1)) * color.
+
+    Peaks at the axis, falls to exp(-2 * sharpness) at the antipode.
+    """
+
+    axis: np.ndarray
+    sharpness: float
+    color: np.ndarray
+
+    def radiance(self, dirs):
+        dirs = np.asarray(dirs, dtype=np.float64)
+        mu = dirs @ np.asarray(self.axis, dtype=np.float64)
+        f = np.exp(self.sharpness * (mu - 1.0))
+        return f[..., None] * np.asarray(self.color, dtype=np.float64)
+
+
 def constant_sh_light(value=1.0, degree=4):
     """DC-only light whose reconstruction is exactly `value` everywhere."""
     n = sh.num_coeffs(degree)
@@ -120,7 +139,7 @@ def constant_sh_light(value=1.0, degree=4):
 
 def lobe_sh_light(degree=4):
     """Band-limited sky: a soft lobe from above, projected onto SH."""
-    lobe = envlight.LobeLight(
+    lobe = LobeLight(
         axis=np.array([0.15, -0.1, 0.98]) / np.linalg.norm([0.15, -0.1, 0.98]),
         sharpness=2.0,
         color=np.array([1.0, 0.8, 0.6]),

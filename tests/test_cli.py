@@ -390,6 +390,24 @@ class TestRender:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_normal_render_where_the_gradient_square_overflows(self, workdir, light_file):
+        # density_scale 1e300 gives finite gradients whose squared length
+        # overflows: normals used to come out zero yet valid, with numpy's
+        # overflow warning on stderr. Run in a fresh interpreter, as a user
+        # runs it.
+        data = json.loads(EXAMPLE_SCENE.read_text())
+        data["primitives"][0]["density_scale"] = 1e300
+        path = workdir / "huge_density_normals.json"
+        path.write_text(json.dumps(data))
+        out = workdir / "huge_normal.pfm"
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "prtvol.cli", "render", str(path), "--env", light_file,
+             "--mode", "normal", "--width", "16", "--height", "12", "-o", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0 and done.stderr == ""
+        assert np.isfinite(imageio.read_pfm(str(out))).all()
+
     @pytest.mark.parametrize("broken", ["no_channels", "no_degree", "nan_coefficient",
                                         "string_degree"])
     def test_malformed_light_is_runtime_error(self, workdir, scene_file, light_file, capsys,

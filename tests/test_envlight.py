@@ -1,12 +1,26 @@
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from prtvol import envlight, imageio, sh
-from conftest import random_unit_dirs, write_raw_pfm
+from conftest import LobeLight, random_unit_dirs, write_raw_pfm
+
+
+@dataclass(frozen=True)
+class ConstantLight:
+    """Same radiance in every direction."""
+
+    color: np.ndarray
+
+    def radiance(self, dirs):
+        dirs = np.asarray(dirs, dtype=np.float64)
+        out = np.empty(dirs.shape[:-1] + (3,), dtype=np.float64)
+        out[:] = self.color
+        return out
 
 
 def make_equirect(tmp_path, pixels, name="env.pfm"):
@@ -17,7 +31,7 @@ def make_equirect(tmp_path, pixels, name="env.pfm"):
 
 class TestAnalyticLights:
     def test_constant_everywhere(self):
-        light = envlight.ConstantLight(color=np.array([0.2, 0.5, 1.5]))
+        light = ConstantLight(color=np.array([0.2, 0.5, 1.5]))
         dirs = random_unit_dirs(50, seed=1)
         vals = light.radiance(dirs)
         assert vals.shape == (50, 3)
@@ -25,14 +39,14 @@ class TestAnalyticLights:
 
     def test_lobe_peak_and_antipode(self):
         axis = np.array([0.0, 0.0, 1.0])
-        light = envlight.LobeLight(axis=axis, sharpness=3.0, color=np.array([2.0, 1.0, 0.5]))
+        light = LobeLight(axis=axis, sharpness=3.0, color=np.array([2.0, 1.0, 0.5]))
         at_peak = light.radiance(axis)
         at_back = light.radiance(-axis)
         assert np.allclose(at_peak, [2.0, 1.0, 0.5], atol=1e-12)
         assert np.allclose(at_back, math.exp(-6.0) * np.array([2.0, 1.0, 0.5]), atol=1e-12)
 
     def test_lobe_monotone_in_angle(self):
-        light = envlight.LobeLight(
+        light = LobeLight(
             axis=np.array([0.0, 0.0, 1.0]), sharpness=2.0, color=np.ones(3)
         )
         thetas = np.linspace(0.0, math.pi, 20)
@@ -85,7 +99,7 @@ class TestEquirect:
 class TestProjection:
     def test_constant_light_projects_to_dc(self):
         color = np.array([0.3, 0.7, 1.1])
-        light = envlight.project_to_sh(envlight.ConstantLight(color=color), degree=4)
+        light = envlight.project_to_sh(ConstantLight(color=color), degree=4)
         assert light.coeffs.shape == (25, 3)
         assert np.allclose(light.coeffs[0], 2.0 * math.sqrt(math.pi) * color, atol=1e-12)
         assert np.max(np.abs(light.coeffs[1:])) < 1e-3

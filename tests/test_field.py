@@ -130,6 +130,26 @@ class TestNormals:
         assert np.all(va) and np.all(vb)
         assert np.max(np.abs(na - nb)) < 1e-6
 
+    def test_gradient_whose_square_overflows(self):
+        # At density_scale 1e300 the gradient is finite but its squared
+        # length is not: the normals used to be zero vectors marked valid.
+        d = sphere_scene_dict()
+        lo = field.scene_from_dict(d)
+        d["primitives"][0]["density_scale"] = 1e300
+        hi = field.scene_from_dict(d)
+        dirs = random_unit_dirs(50, seed=7)
+        na, va = field.normals(lo, dirs)
+        nb, vb = field.normals(hi, dirs)
+        assert np.all(va) and np.all(vb)
+        assert np.max(np.abs(na - nb)) < 1e-9
+
+    def test_gradient_that_overflows_has_no_normal(self):
+        d = sphere_scene_dict()
+        d["primitives"][0]["density_scale"] = 1.7e308
+        n, valid = field.normals(field.scene_from_dict(d), np.array([1.0, 0.0, 0.0]))
+        assert not valid
+        assert np.array_equal(n, np.zeros(3))
+
     def test_batch_shape_and_zero_fill(self, sphere_scene):
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         n, valid = field.normals(sphere_scene, pts)

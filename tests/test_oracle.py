@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prtvol import cli, envlight, oracle, sh, shading, transport
-from conftest import blocker_scene_dict, constant_sh_light, lobe_sh_light
+from conftest import LobeLight, blocker_scene_dict, constant_sh_light, lobe_sh_light
 
 
 class TestMcDiffuse:
@@ -151,7 +151,7 @@ class TestCompare:
         # The MC side integrates the raw lobe; the SH side sees only its
         # degree-4 projection, so the gap is the truncation error of the
         # light, bounded at 5% relative RMS on this fixture.
-        lobe = envlight.LobeLight(
+        lobe = LobeLight(
             axis=np.array([0.15, -0.1, 0.98]) / np.linalg.norm([0.15, -0.1, 0.98]),
             sharpness=2.0, color=np.array([1.0, 0.8, 0.6]))
         config = oracle.ValidationConfig(count=6, mc_samples=20000,

@@ -350,23 +350,35 @@ class TestPeakMemory:
                 tracemalloc.stop()
         assert rest[1] - rest[0] < 2**18, [r / 2**20 for r in rest]
 
-    def test_uncached_render_peak(self, example):
-        # The benchmark's uncached render (64x32, lit, one thread) bakes
-        # float32 transfer at every anchor. Its peak was 34.29 MiB before
-        # the secondary march took (point, direction) pairs; it may not rise
-        # by more than 5%.
+    def _uncached_peak(self, example, settings):
+        """Heap peak of the benchmark's uncached render (64x32, lit, one thread), MiB."""
         scene, camera, _ = example
         light = lobe_sh_light()
         render.render_image(scene, light, render.Camera(**dict(camera, width=4, height=4)),
-                            "lit", render.RenderSettings())
+                            "lit", settings)
         tracemalloc.start()
         try:
             render.render_image(scene, light, render.Camera(**dict(camera, width=64, height=32)),
-                                "lit", render.RenderSettings())
-            peak = tracemalloc.get_traced_memory()[1]
+                                "lit", settings)
+            return tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        assert peak < 34.29 * 1.05 * 2**20, peak / 2**20
+
+    def test_uncached_render_peak(self, example):
+        # The render bakes float32 transfer at every anchor. Its peak was
+        # 34.29 MiB while a bake held the whole map of a chunk's anchors,
+        # and 10.88 MiB once it held one block of MAP_POINTS anchors; it
+        # may not rise by more than 5%.
+        peak = self._uncached_peak(example, render.RenderSettings())
+        assert peak < 10.88 * 1.05, peak
+
+    def test_uncached_peak_on_a_fine_transfer_grid(self, example):
+        # Eight anchors per ray on the 32x64 grid: 261 MiB while a bake
+        # held the whole map of a chunk's 8,192 anchors, 22.60 MiB with one
+        # block of MAP_POINTS anchors; it may not rise by more than 5%.
+        peak = self._uncached_peak(example, render.RenderSettings(transfer_grid=(32, 64),
+                                                                  anchors_per_ray=8))
+        assert peak < 22.60 * 1.05, peak
 
 
 class TestSrgb:

@@ -743,3 +743,22 @@ def test_projection_reduces_each_row_on_its_own():
             got = transport.project_map(at_offset(values[idx], offset), degree=4,
                                         resolution=res)
             assert got.tobytes() == whole[idx].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bake_of_several_point_blocks_matches_points_alone(monkeypatch, dtype):
+    # A bake of more points than MAP_POINTS projects them block by block;
+    # in blocks of MAP_POINTS, 1 or 3 points, each point's transfer row is
+    # the row it has baked alone, bit for bit.
+    scene = BATCH_SCENES["example"]
+    pos, nrm, _, _ = transport.sample_surface_points(scene, transport.MAP_POINTS + 4, seed=1)
+    pos, nrm = np.vstack([pos, [0.1, 0.2, 0.3]]), np.vstack([nrm, np.zeros(3)])
+    assert pos.shape[0] == transport.MAP_POINTS + 5
+    grid = (8, 16)
+    alone = np.array([transport.bake_transfer_batch(scene, p[None, :], n[None, :],
+                                                    resolution=grid, dtype=dtype)[0]
+                      for p, n in zip(pos, nrm)])
+    for block in (transport.MAP_POINTS, 1, 3):
+        monkeypatch.setattr(transport, "MAP_POINTS", block)
+        got = transport.bake_transfer_batch(scene, pos, nrm, resolution=grid, dtype=dtype)
+        assert got.tobytes() == alone.tobytes(), block

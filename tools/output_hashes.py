@@ -10,7 +10,8 @@ with and without the baked cache, and a validate. A fixed bad-input
 matrix follows: one bad value per flag rule and command, count flags and
 scene or cache counts far past the count bound, a scene and a cache
 sidecar holding 10**400, albedo and visibility renders of a scene whose
-density_scale of 1e300 gives values past float32's range, and a degree-8
+density_scale of 1e300 gives values past float32's range, a normal render
+of that scene, whose gradients have squares past float64's, and a degree-8
 projection of the large sky whose --exposure of 1e308 overflows the
 coefficients. It leaves out values that would start many threads
 or probe at length (a huge --threads or --points).
@@ -114,11 +115,12 @@ def bad_inputs(out):
     sidecar = json.loads(pathlib.Path(f"{cache}.json").read_text())
     pathlib.Path(f"{huge}.json").write_text(json.dumps({**sidecar, "count": 10**400}))
     runs.append(("exit:render cache count 10**400", ["render", *base["render"], "--cache", huge]))
-    # A density_scale whose finite float64 image lies past float32's range.
+    # A density_scale whose finite float64 image lies past float32's range
+    # (albedo, visibility), and whose gradients' squares overflow (normal).
     path = out / "bad_density_scale.json"
     first = {**scene["primitives"][0], "density_scale": 1e300}
     path.write_text(json.dumps({**scene, "primitives": [first, *scene["primitives"][1:]]}))
-    for mode in ("albedo", "visibility"):
+    for mode in ("albedo", "visibility", "normal"):
         runs.append((f"exit:render primitives[0].density_scale 1e300 --mode {mode}",
                      ["render", path, "--env", light, "--mode", mode, "--width", 16,
                       "--height", 12, "--threads", 1, "-o", out / "bad.pfm"]))
