@@ -25,11 +25,11 @@ probes of up to PROBE_BLOCK tries are marched together, and their hits
 share one field.normals and one field.material call; sample_surface_points
 returns the points as (P, 3) positions, normals, albedo and views.
 
-visibility_map is the one implementation of V * max(0, n . d); the bake
-(bake_transfer_batch) is its SH projection and the 10-ray residual
-(nrt_rays, nrt_residuals) compares the two. Both march the points
-MAP_POINTS at a time in one block loop (_map_blocks), and the bake
-projects each block as it is marched: it never holds a map of more than
+visibility_map is the one implementation of V * max(0, n . d), and marches
+the points it is given in one pass; project_map is the one SH projection;
+the bake (bake_transfer_batch) is project_map(visibility_map(block)) for
+each block of MAP_POINTS points, and the 10-ray residual (nrt_rays,
+nrt_residuals) compares the two. A bake never holds a map of more than
 MAP_POINTS rows, so an uncached render's memory is bounded by threads x
 MAP_POINTS x transfer-grid directions, whatever its anchor count. Every
 step works per point, so a point's transfer is the same bits whatever
@@ -58,13 +58,8 @@ MARCH_CHUNK = 16384  # rays per internal batch of transmittance
 MARCH_BLOCK = 1 << 13  # samples per primitive kernel call of either march
 
 
-def _cosine(n, d):
-    """n0*d0 + n1*d1 + n2*d2 of broadcast (..., 3) arrays, batch-independent."""
-    return n[..., 0] * d[..., 0] + n[..., 1] * d[..., 1] + n[..., 2] * d[..., 2]
-
-
 def _sum3(a, b):
-    """((0.0 + a0*b0) + a1*b1) + a2*b2 of (3, N) columns: np.sum's bits over rows of 3."""
+    """((0.0 + a0*b0) + a1*b1) + a2*b2 of (3, ...) columns: np.sum's bits over rows of 3."""
     s = 0.0 + a[0] * b[0]
     s += a[1] * b[1]
     s += a[2] * b[2]
@@ -152,14 +147,14 @@ def _runs(t0, dt, steps, supports):
     return np.searchsorted(keep, cut[1:]), ray[keep], first[keep], count[keep]
 
 
-def _live_samples(o, d, t0, dt, runs):
-    """Blocks (i, ray, step, pts) of the march samples on the runs of _runs.
+def _live_samples(scene, o, d, t0, dt, runs):
+    """Blocks (ray, step, term) of the march samples on the runs of _runs.
 
     Sample k of ray r lies at t = t0[r] + (k + 0.5) * dt[r], computed in
-    the dtype of the (3, N) columns o and d, so at d[:, r] * t + o[:, r],
-    given as (3, B) x, y and z rows. Each support's runs are laid out run
-    after run and cut into blocks of MARCH_BLOCK samples, and i is the
-    index of the block's support.
+    the dtype of the (3, N) columns o and d, so at d[:, r] * t + o[:, r].
+    Each support's runs are laid out run after run and cut into blocks of
+    MARCH_BLOCK samples, and term is the block's primitive density there
+    times the bounds mask.
     """
     ends, ray, first, count = runs
     half = o.dtype.type(0.5)
@@ -191,7 +186,7 @@ def _live_samples(o, d, t0, dt, runs):
             np.add(g[6], t, out=t)
             pts = np.multiply(g[3:6], t, out=g[3:6])
             pts += g[0:3]
-            yield i, r, k, pts
+            yield r, k, field._primitive_density(scene, i, *pts) * field._in_bounds(scene, *pts)
 
 
 def transmittance(scene, origins, dirs, *, pairs=None, offset=0.0):
@@ -243,14 +238,15 @@ def transmittance(scene, origins, dirs, *, pairs=None, offset=0.0):
         np.maximum(size, 0, out=size)
         base = np.cumsum(size) - size - start
         terms = np.zeros(int(size.sum()), dtype=origins.dtype)
-        for i, r, k, pts in _live_samples(o, d, t0, dt, runs):
+        for r, k, term in _live_samples(scene, o, d, t0, dt, runs):
             # A (ray, step) occurs once per run, so += adds each term once.
-            terms[base[r] + k] += (field._primitive_density(scene, i, *pts)
-                                   * field._in_bounds(scene, *pts))
+            terms[base[r] + k] += term
         # add.at adds in index order, so each ray sums its steps in step
         # order, as a dense march does; the +0.0 between runs adds exactly.
+        # A depth past the dtype's range is inf: transmittance 0.
         tau = np.zeros(hi - lo, dtype=origins.dtype)
-        np.add.at(tau, np.repeat(np.arange(hi - lo), size), terms)
+        with np.errstate(over="ignore"):
+            np.add.at(tau, np.repeat(np.arange(hi - lo), size), terms)
         out[lo:hi] = np.exp(-tau * dt)
     return out
 
@@ -259,71 +255,52 @@ def bake_transfer_batch(scene, positions, normals, degree=4, resolution=BAKE_GRI
                         dtype=np.float64):
     """Transfer coefficients for (P, 3) positions with matching normals, (P, n).
 
-    Projects visibility_map on the bake grid onto the SH basis, one block
-    of MAP_POINTS points at a time, so no map larger than MAP_POINTS rows
-    of the grid's directions is held. Rows whose normal is a zero vector
-    (invalid gradient) bake to zero.
+    Projects the visibility_map of MAP_POINTS points at a time on the bake
+    grid onto the SH basis, so no map larger than MAP_POINTS rows of the
+    grid's directions is held. Rows whose normal is a zero vector (invalid
+    gradient) bake to zero.
     """
-    dirs, _, _ = sh.basis_grid(degree, resolution[0], resolution[1])
-    project = _projector(degree, resolution)
-    rows = [project(vals) for vals in _map_blocks(scene, positions, normals, dirs, dtype)]
+    dirs, _, _ = sh.basis_grid(degree, *resolution)
+    positions, normals = np.asarray(positions), np.asarray(normals)
+    rows = [project_map(visibility_map(scene, positions[lo:lo + MAP_POINTS],
+                                       normals[lo:lo + MAP_POINTS], dirs, dtype),
+                        degree, resolution)
+            for lo in range(0, positions.shape[0], MAP_POINTS)]
     return np.concatenate(rows) if rows else np.zeros((0, sh.num_coeffs(degree)))
 
 
 def visibility_map(scene, positions, normals, dirs, dtype=np.float64):
     """Ray-traced visibility * clamped cosine, V(x, d) * max(0, n . d).
 
-    positions and normals are (P, 3), dirs (D, 3) unit directions. Only
-    directions in front of each normal are marched (in dtype), from twice
-    the finite-difference step; the rest, and every direction of a zero
+    positions and normals are (P, 3), dirs (D, 3) unit directions, marched
+    in one pass: the (point, direction) pairs of cosine > 0 go to
+    transmittance as index pairs, marched in dtype from twice the
+    finite-difference step. The rest, and every direction of a zero
     normal, hold exactly zero. Returns (P, D) float64, one row per point
     that does not depend on the other points.
     """
-    vals = list(_map_blocks(scene, positions, normals, dirs, dtype))
-    return np.concatenate(vals) if vals else np.zeros((0, len(dirs)))
-
-
-def _map_blocks(scene, positions, normals, dirs, dtype):
-    """visibility_map's rows, MAP_POINTS points at a time, as fresh (B, D) float64 arrays.
-
-    Each block's cosines (n0*d0 + n1*d1) + n2*d2 are formed from (3, P)
-    and (3, D) columns, and its front (point, direction) pairs, those of
-    cosine > 0 found with one flat nonzero, go to transmittance as index
-    pairs into the points and the direction columns.
-    """
-    positions = np.asarray(positions, dtype=np.float64)
-    n_cols = np.ascontiguousarray(np.asarray(normals).T, dtype=np.float64)
-    d_cols = np.ascontiguousarray(np.asarray(dirs).T, dtype=np.float64)
-    origins = positions.astype(dtype)
-    for lo in range(0, positions.shape[0], MAP_POINTS):
-        n = n_cols[:, lo:lo + MAP_POINTS, None]
-        vals = n[0] * d_cols[0]
-        vals += n[1] * d_cols[1]
-        vals += n[2] * d_cols[2]
-        flat = vals.reshape(-1)
-        pair = np.flatnonzero(flat > 0.0)
-        front = flat[pair]
-        v = transmittance(scene, origins[lo:lo + MAP_POINTS], d_cols.T,
-                          pairs=np.divmod(pair, d_cols.shape[1]), offset=2.0 * scene.fd_step)
-        vals.fill(0.0)
-        flat[pair] = v.astype(np.float64) * front
-        yield vals
+    n = np.asarray(normals, dtype=np.float64).T[:, :, None]
+    d = np.ascontiguousarray(np.asarray(dirs, dtype=np.float64).T)
+    vals = _sum3(n, d[:, None, :])
+    flat = vals.reshape(-1)
+    pair = np.flatnonzero(flat > 0.0)
+    front = flat[pair]
+    v = transmittance(scene, np.asarray(positions, dtype=dtype), d.T,
+                      pairs=np.divmod(pair, d.shape[1]), offset=2.0 * scene.fd_step)
+    vals.fill(0.0)
+    flat[pair] = v.astype(np.float64) * front
+    return vals
 
 
 def project_map(values, degree=4, resolution=BAKE_GRID):
-    """SH projection of (P, D) maps on the bake grid, (P, n)."""
-    return _projector(degree, resolution)(values)
-
-
-def _projector(degree, resolution):
-    """The SH projection of (P, D) maps on the bake grid, as a function.
+    """SH projection of (P, D) maps on the bake grid, (P, n).
 
     Unlike a BLAS product, einsum sums each row in one order whatever the
     other rows are.
     """
-    _, weights, basis = sh.basis_grid(degree, resolution[0], resolution[1])
-    return lambda values: np.einsum("pd,nd->pn", values * weights,
-                                    np.ascontiguousarray(basis.T), optimize=False)
+    _, weights, basis = sh.basis_grid(degree, *resolution)
+    return np.einsum("pd,nd->pn", values * weights, np.ascontiguousarray(basis.T),
+                     optimize=False)
 
 
 def nrt_rays(normal, view, seed=0):
@@ -389,10 +366,9 @@ def primary_march(scene, origins, dirs):
     sigma = np.zeros((origins.shape[0], steps))
     t0s, dts = np.full(origins.shape[0], t0), np.full(origins.shape[0], dt)
     runs = _runs(t0s, dts, steps, field.supports(scene, origins, dirs, t1))
-    for i, ray, step, pts in _live_samples(origins.T, dirs.T, t0s, dts, runs):
+    for ray, step, term in _live_samples(scene, origins.T, dirs.T, t0s, dts, runs):
         # A (ray, step) occurs once per run, so += adds each term once.
-        sigma.reshape(-1)[ray * steps + step] += (field._primitive_density(scene, i, *pts)
-                                                  * field._in_bounds(scene, *pts))
+        sigma.reshape(-1)[ray * steps + step] += term
     return sigma, t0 + (np.arange(steps) + 0.5) * dt, dt
 
 
@@ -417,10 +393,13 @@ def _march_weights(sigma, dt, width):
     c0 = max(min(lo, c1 - width), 0)
     depth = np.multiply(sigma, dt, out=sigma)
     win = depth[:, c0:c1]
-    trans = np.cumsum(win, axis=1)
+    # A depth sum past float64's range is inf: transmittance 0, alpha 1.
+    with np.errstate(over="ignore"):
+        trans = np.cumsum(win, axis=1)
+        tau = np.sum(depth, axis=1)
     trans -= win
     np.exp(np.negative(trans, out=trans), out=trans)
-    return np.sum(depth, axis=1), live[:, c0:c1], c0, trans, trans * win
+    return tau, live[:, c0:c1], c0, trans, trans * win
 
 
 def _probe(scene, origins, dirs):
@@ -440,7 +419,7 @@ def _probe(scene, origins, dirs):
     w = weight[rows]
     x = primary_points(origins, dirs, t, rows, np.argmax(w, axis=1) + c0 * w.any(axis=1))
     nrm, valid = field.normals(scene, x)
-    keep = valid & (_cosine(nrm, dirs[rows]) < 0.0)
+    keep = valid & (_sum3(nrm.T, dirs[rows].T) < 0.0)
     albedo, _ = field.material(scene, x[keep])
     return rows[keep], x[keep], nrm[keep], albedo
 

@@ -915,6 +915,36 @@ class TestHugeValues:
                                    "up to 2147483647")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["render", "bake", "validate"])
+    def test_optical_depth_past_float64_runs_silently(self, workdir, light_file, command):
+        # density_scale 1e308 sums optical depths past float64's range. They
+        # are inf, so transmittance 0, yet numpy's overflow warnings reached
+        # stderr of runs that exit 0. Run in a fresh interpreter, as a user
+        # runs it.
+        data = json.loads(EXAMPLE_SCENE.read_text())
+        data["primitives"][0]["density_scale"] = 1e308
+        path = workdir / "depth_overflow.json"
+        path.write_text(json.dumps(data))
+        out = workdir / f"depth_overflow_{command}.out"
+        flags = {"render": ["--env", light_file, "--mode", "normal", "--width", "16",
+                            "--height", "12"],
+                 "bake": ["--points", "16"],
+                 "validate": ["--env", light_file, "--points", "4", "--mc-samples", "200",
+                              "--grid", "16", "32"]}[command]
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "prtvol.cli", command, str(path), *flags, "--threads", "1",
+             "-o", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        if command == "render":
+            assert np.isfinite(imageio.read_pfm(str(out))).all()
+        elif command == "bake":
+            cache = transport.load_transfer_cache(str(out), field.load_scene(str(path)))
+            assert cache.coeffs.shape == (16, 25)
+        else:
+            json.loads(out.read_text(), parse_constant=pytest.fail)
+
 
 # Flag text and the value a JSON file holds for it.
 RULE_VALUES = [("0", 0), ("-1", -1), ("1", 1), ("8", 8), ("9", 9), (str(2**31 - 1), 2**31 - 1),

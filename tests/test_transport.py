@@ -643,14 +643,19 @@ class TestVisibilityMap:
         assert np.array_equal(vals[3], np.zeros_like(vals[3]))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_point_blocks_do_not_change_the_map(self, blocker_scene, monkeypatch, dtype):
-        pos, nrm, _, _ = transport.sample_surface_points(blocker_scene, 7, seed=6)
-        dirs, _, _ = sh.basis_grid(0, 8, 16)
-        whole = transport.visibility_map(blocker_scene, pos, nrm, dirs, dtype=dtype)
-        for block in (1, 3):
+    def test_point_blocks_do_not_change_the_map(self, monkeypatch, dtype):
+        # The bake is project_map(visibility_map(...)) of the points in one
+        # pass, row for row, whatever the point blocks it marches.
+        scene = BATCH_SCENES["example"]
+        pos, nrm = several_blocks()
+        grid = (8, 16)
+        dirs, _, _ = sh.basis_grid(4, *grid)
+        whole = transport.visibility_map(scene, pos, nrm, dirs, dtype=dtype)
+        want = transport.project_map(whole, degree=4, resolution=grid)
+        for block in (1, 3, transport.MAP_POINTS):
             monkeypatch.setattr(transport, "MAP_POINTS", block)
-            vals = transport.visibility_map(blocker_scene, pos, nrm, dirs, dtype=dtype)
-            assert np.array_equal(vals, whole)
+            got = transport.bake_transfer_batch(scene, pos, nrm, resolution=grid, dtype=dtype)
+            assert got.tobytes() == want.tobytes(), block
 
     def test_bake_batch_peak(self):
         # One bake thread's batch: 32 points of the example scene (the first
@@ -745,15 +750,23 @@ def test_projection_reduces_each_row_on_its_own():
             assert got.tobytes() == whole[idx].tobytes()
 
 
+@functools.lru_cache(maxsize=None)
+def several_blocks():
+    """MAP_POINTS + 5 example-scene points, the last with a zero normal."""
+    pos, nrm, _, _ = transport.sample_surface_points(BATCH_SCENES["example"],
+                                                     transport.MAP_POINTS + 4, seed=1)
+    pos, nrm = np.vstack([pos, [0.1, 0.2, 0.3]]), np.vstack([nrm, np.zeros(3)])
+    assert pos.shape[0] == transport.MAP_POINTS + 5
+    return pos, nrm
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_bake_of_several_point_blocks_matches_points_alone(monkeypatch, dtype):
     # A bake of more points than MAP_POINTS projects them block by block;
     # in blocks of MAP_POINTS, 1 or 3 points, each point's transfer row is
     # the row it has baked alone, bit for bit.
     scene = BATCH_SCENES["example"]
-    pos, nrm, _, _ = transport.sample_surface_points(scene, transport.MAP_POINTS + 4, seed=1)
-    pos, nrm = np.vstack([pos, [0.1, 0.2, 0.3]]), np.vstack([nrm, np.zeros(3)])
-    assert pos.shape[0] == transport.MAP_POINTS + 5
+    pos, nrm = several_blocks()
     grid = (8, 16)
     alone = np.array([transport.bake_transfer_batch(scene, p[None, :], n[None, :],
                                                     resolution=grid, dtype=dtype)[0]
@@ -762,3 +775,45 @@ def test_bake_of_several_point_blocks_matches_points_alone(monkeypatch, dtype):
         monkeypatch.setattr(transport, "MAP_POINTS", block)
         got = transport.bake_transfer_batch(scene, pos, nrm, resolution=grid, dtype=dtype)
         assert got.tobytes() == alone.tobytes(), block
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_map_of_more_than_map_points_matches_points_alone(dtype):
+    # visibility_map marches all the points it is given in one pass, more
+    # than MAP_POINTS of them here; each row is its point's map alone.
+    scene = BATCH_SCENES["example"]
+    pos, nrm = several_blocks()
+    dirs, _, _ = sh.basis_grid(0, 8, 16)
+    vals = transport.visibility_map(scene, pos, nrm, dirs, dtype=dtype)
+    alone = np.array([transport.visibility_map(scene, p[None, :], n[None, :], dirs,
+                                               dtype=dtype)[0] for p, n in zip(pos, nrm)])
+    assert vals.tobytes() == alone.tobytes()
+    assert not vals[-1].any()
+
+
+def reference_cosine(n, d):
+    """n0*d0 + n1*d1 + n2*d2 of broadcast (..., 3) arrays, the row form of the dot product."""
+    return n[..., 0] * d[..., 0] + n[..., 1] * d[..., 1] + n[..., 2] * d[..., 2]
+
+
+def test_sum3_takes_the_reference_cosine_decisions():
+    # _sum3 adds a leading 0.0, which can only turn a -0.0 result into
+    # +0.0; neither < 0.0 nor > 0.0 sees that sign, so the facing test of
+    # the probes and the front test of the map decide as the reference.
+    special = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf, np.nan]
+    triples = np.array(np.meshgrid(special, special, special)).reshape(3, -1).T
+    n = np.repeat(triples, len(triples), axis=0)
+    d = np.tile(triples, (len(triples), 1))
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((2, 20000, 3))
+    rows[:, :10000] = np.round(rows[:, :10000])  # exact cancellations, signed zeros
+    n, d = np.vstack([n, rows[0]]), np.vstack([d, rows[1]])
+    with np.errstate(all="ignore"):
+        want = reference_cosine(n, d)
+        got = transport._sum3(np.ascontiguousarray(n.T), np.ascontiguousarray(d.T))
+        # The map's form: (3, P, 1) normal columns against (3, 1, D) directions.
+        grid = transport._sum3(triples.T[:, :, None], triples.T[:, None, :]).reshape(-1)
+    assert np.array_equal(got < 0.0, want < 0.0) and np.array_equal(got > 0.0, want > 0.0)
+    m = len(triples) ** 2
+    assert np.array_equal(grid < 0.0, want[:m] < 0.0)
+    assert np.array_equal(grid > 0.0, want[:m] > 0.0)

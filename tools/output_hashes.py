@@ -11,9 +11,11 @@ matrix follows: one bad value per flag rule and command, count flags and
 scene or cache counts far past the count bound, a scene and a cache
 sidecar holding 10**400, albedo and visibility renders of a scene whose
 density_scale of 1e300 gives values past float32's range, a normal render
-of that scene, whose gradients have squares past float64's, and a degree-8
-projection of the large sky whose --exposure of 1e308 overflows the
-coefficients. It leaves out values that would start many threads
+of that scene, whose gradients have squares past float64's, a normal
+render, a bake and a validate of a scene whose density_scale of 1e308
+gives optical depths past float64's range (each must exit 0 with an empty
+stderr), and a degree-8 projection of the large sky whose --exposure of
+1e308 overflows the coefficients. It leaves out values that would start many threads
 or probe at length (a huge --threads or --points).
 
 Outputs land in OUTDIR. The JSON printed on stdout maps each output's
@@ -124,6 +126,21 @@ def bad_inputs(out):
         runs.append((f"exit:render primitives[0].density_scale 1e300 --mode {mode}",
                      ["render", path, "--env", light, "--mode", mode, "--width", 16,
                       "--height", 12, "--threads", 1, "-o", out / "bad.pfm"]))
+    # A density_scale of 1e308, whose optical depths overflow float64: they
+    # are inf (transmittance 0, alpha 1), and the runs exit 0 silently.
+    path = out / "bad_density_scale_1e308.json"
+    first = {**scene["primitives"][0], "density_scale": 1e308}
+    path.write_text(json.dumps({**scene, "primitives": [first, *scene["primitives"][1:]]}))
+    for key, argv in (
+            ("render primitives[0].density_scale 1e308 --mode normal",
+             ["render", path, "--env", light, "--mode", "normal", "--width", 16, "--height", 12,
+              "-o", out / "bad.pfm"]),
+            ("bake primitives[0].density_scale 1e308 --points 16",
+             ["bake", path, "--points", 16, "-o", out / "bad.bin"]),
+            ("validate primitives[0].density_scale 1e308 --points 4",
+             ["validate", path, "--env", light, "--points", 4, "--mc-samples", 200,
+              "--grid", 16, 32, "-o", out / "bad.json"])):
+        runs.append((f"exit:{key}", [*argv, "--threads", 1]))
     # A finite map whose coefficients overflow float64.
     runs.append(("exit:project-env sky_large.pfm --degree 8 --exposure 1e308",
                  ["project-env", out / "sky_large.pfm", "--degree", 8, "--exposure", "1e308",
