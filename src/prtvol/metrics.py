@@ -66,28 +66,6 @@ def load_normal_map(path, mask_path=None):
     return NormalMap(normals=np.asarray(normals, dtype=np.float64), mask=mask)
 
 
-def save_normal_map(path, nm, mask_path=None):
-    imageio.write_pfm(path, nm.normals)
-    if mask_path is not None:
-        imageio.write_pfm(mask_path, nm.mask)
-
-
-def from_render(image, alpha_floor=1e-3):
-    """NormalMap from a rendered normal-mode image (values 0.5 * (n + 1)).
-
-    The alpha channel becomes the mask; pixels whose decoded vector is
-    too short to renormalize are masked out.
-    """
-    alpha = np.clip(np.asarray(image.alpha, dtype=np.float64), 0.0, 1.0)
-    pix = np.asarray(image.pixels, dtype=np.float64)
-    safe = np.maximum(alpha, alpha_floor)[:, :, None]
-    decoded = 2.0 * (pix / safe) - 1.0
-    lengths = np.linalg.norm(decoded, axis=-1)
-    ok = (alpha >= alpha_floor) & (lengths > 1e-6)
-    normals = np.where(ok[:, :, None], decoded / np.maximum(lengths, 1e-6)[:, :, None], 0.0)
-    return NormalMap(normals=normals, mask=np.where(ok, alpha, 0.0))
-
-
 def _check_dims(a, b):
     if (a.height, a.width) != (b.height, b.width):
         raise ValueError(

@@ -11,9 +11,13 @@ residual, and visibility_l2, the L2 gap between reconstructed and
 ray-traced visibility maps at the truncation degrees 2, 3 and 4 up to
 the configured degree.
 
-All three take V * max(0, n . d) from transport.visibility_map; each
-point's map is marched once for its transfer and visibility_l2, and the
-transfer is the same bits as the point's row of a bake on the same grid.
+All three take V * max(0, n . d) from transport.visibility_map. Each
+point's bake-grid directions and its 10 residual rays are marched in one
+visibility_map call: the grid part of the row gives the transfer and
+visibility_l2, and the rest is the V * H that transport.nrt_residuals
+scores. The transfer is the same bits as the point's row of a bake on
+the same grid; mc_diffuse_radiance marches its own directions, since it
+is the independent reference.
 
 compare_prt_vs_mc returns the report as the dict that `prtvol validate`
 writes as JSON: "config", then "entries" with one dict per point
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chunks, envlight, field, sh, shading, transport
+from . import chunks, field, sh, shading, transport
 
 
 def _uniform_sphere(rng, count):
@@ -123,18 +127,15 @@ def compare_prt_vs_mc(scene, light, config):
     """Validate baked transfer against the Monte Carlo oracle.
 
     The points are config.count probes of transport.sample_surface_points,
-    each with a valid normal facing its probe. The SH side uses the
-    light's coefficients (an analytic light is projected first, and an SH
-    light truncated, before any point is sampled); the MC side integrates
-    the light as given, so the two agree within sampling error exactly
-    when the light is band-limited. Returns the report dict the module
+    each with a valid normal facing its probe. light is an envlight.ShLight;
+    the SH side uses its coefficients truncated to config.degree (checked
+    before any point is sampled), and the MC side integrates the light as
+    given, so the two agree within sampling error exactly when the light
+    has no band above config.degree. Returns the report dict the module
     docstring describes.
     """
     scene = field.with_steps(scene, secondary_steps=config.secondary_steps)
-    if isinstance(light, envlight.ShLight):
-        sh_light = light.truncated(config.degree)
-    else:
-        sh_light = envlight.project_to_sh(light, degree=config.degree)
+    sh_light = light.truncated(config.degree)
     positions, normals, albedo, views = transport.sample_surface_points(
         scene, config.count, seed=config.seed)
 
@@ -142,14 +143,15 @@ def compare_prt_vs_mc(scene, light, config):
 
     def run(i, _end):
         x, n = positions[i], normals[i]
-        vals = transport.visibility_map(scene, x[None], n[None], dirs)
-        transfer = transport.project_map(vals, degree=config.degree,
+        rays = transport.nrt_rays(n, views[i], seed=(config.seed, i))
+        vals = transport.visibility_map(scene, x[None], n[None], np.concatenate([dirs, rays]))
+        grid, vh = vals[:, :len(dirs)], vals[0, len(dirs):]
+        transfer = transport.project_map(grid, degree=config.degree,
                                          resolution=config.resolution)[0]
         mc, stderr = mc_diffuse_radiance(
             scene, light, x, n, albedo[i], config.mc_samples, seed=(config.seed, i))
-        residuals = transport.nrt_residuals(
-            scene, x, n, transfer, transport.nrt_rays(n, views[i], seed=(config.seed, i)))
-        l2 = visibility_l2(vals[0], transfer, config.degrees, config.resolution)
+        residuals = transport.nrt_residuals(transfer, rays, vh)
+        l2 = visibility_l2(grid[0], transfer, config.degrees, config.resolution)
         return {
             "position": x.tolist(),
             "nrt_residual_mean": float(np.mean(residuals)),

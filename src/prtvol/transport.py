@@ -29,11 +29,12 @@ visibility_map is the one implementation of V * max(0, n . d), and marches
 the points it is given in one pass; project_map is the one SH projection;
 the bake (bake_transfer_batch) is project_map(visibility_map(block)) for
 each block of MAP_POINTS points, and the 10-ray residual (nrt_rays,
-nrt_residuals) compares the two. A bake never holds a map of more than
-MAP_POINTS rows, so an uncached render's memory is bounded by threads x
-MAP_POINTS x transfer-grid directions, whatever its anchor count. Every
-step works per point, so a point's transfer is the same bits whatever
-batch it is baked in.
+nrt_residuals) compares a transfer with the V * H its caller marched
+along the rays. A bake never holds a map of more than MAP_POINTS rows,
+so an uncached render's memory is bounded by threads x MAP_POINTS x
+transfer-grid directions, whatever its anchor count. Every step works per
+point, so a point's transfer is the same bits whatever batch it is baked
+in.
 Callers pass points as (P, 3) positions and normals (a zero normal for a
 point without one) and transfers as (P, n) coefficient arrays.
 
@@ -334,20 +335,19 @@ def nrt_rays(normal, view, seed=0):
     return np.vstack([view[None, :], -view[None, :], aux])
 
 
-def nrt_residuals(scene, position, normal, transfer, dirs):
+def nrt_residuals(transfer, dirs, vh):
     """Squared error between reconstructed transfer and ray-traced V*H.
 
-    One entry per row of the (D, 3) dirs; V*H comes from visibility_map,
-    with a zero normal standing for a point without one.
+    One entry per row of the (D, 3) dirs; vh holds the (D,) V*H along
+    them, a row of visibility_map, which the caller marches.
     """
-    dirs = np.asarray(dirs, dtype=np.float64)
     t = np.asarray(transfer, dtype=np.float64)
-    ref = visibility_map(scene, [position], [normal], dirs)[0]
     # Reconstructions are one dot product per direction, and squares are
     # Python float powers: a matrix-vector product or a numpy square can
     # round differently in the last bit.
-    basis = sh.eval_basis(dirs, sh.degree_for(t.shape[0]))
-    return np.array([(float(row @ t) - r) ** 2 for row, r in zip(basis, ref.tolist())])
+    basis = sh.eval_basis(np.asarray(dirs, dtype=np.float64), sh.degree_for(t.shape[0]))
+    return np.array([(float(row @ t) - r) ** 2
+                     for row, r in zip(basis, np.asarray(vh, dtype=np.float64).tolist())])
 
 
 def primary_march(scene, origins, dirs):

@@ -92,9 +92,9 @@ def test_criterion_5_reconstruction_residual_bound(sphere_scene):
     zero_transfer = np.zeros(coeffs.shape[1])
     for i, (x, n, v) in enumerate(zip(positions, normals, views)):
         rays = transport.nrt_rays(n, v, seed=(0, i))
-        baked.append(np.mean(transport.nrt_residuals(sphere_scene, x, n, coeffs[i], rays)))
-        zeroed.append(np.mean(transport.nrt_residuals(sphere_scene, x, n, zero_transfer,
-                                                      rays)))
+        vh = transport.visibility_map(sphere_scene, [x], [n], rays)[0]
+        baked.append(np.mean(transport.nrt_residuals(coeffs[i], rays, vh)))
+        zeroed.append(np.mean(transport.nrt_residuals(zero_transfer, rays, vh)))
         map_rms.append(oracle.visibility_l2(maps[i], zero_transfer, (4,),
                                             transport.BAKE_GRID)[4])
     elapsed = time.perf_counter() - start
@@ -134,7 +134,8 @@ def test_criterion_7_normals_and_zero_reference(sphere_scene):
     for i, (x, n, v) in enumerate(zip(positions, normals, views)):
         t = transport.bake_transfer_batch(sphere_scene, [x], [n], resolution=(16, 32))[0]
         rays = transport.nrt_rays(n, v, seed=(2, i))
-        residuals = transport.nrt_residuals(sphere_scene, x, n, t, rays)
+        vh = transport.visibility_map(sphere_scene, [x], [n], rays)[0]
+        residuals = transport.nrt_residuals(t, rays, vh)
         # Rows 2 to 9 are the auxiliary rays.
         for d, r in zip(rays[2:], residuals[2:]):
             rec = float(sh.reconstruct(t, d))

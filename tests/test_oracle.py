@@ -110,6 +110,19 @@ class TestCompare:
             want = shading.diffuse_radiance(a, row, sky_light)
             assert np.array(e["sh_diffuse"]).tobytes() == want.tobytes()
 
+    def test_one_map_per_point_besides_the_mc_reference(self, blocker_scene, sky_light,
+                                                         monkeypatch):
+        # A point's grid directions and its 10 residual rays share one
+        # visibility_map call; only mc_diffuse_radiance marches apart.
+        config = oracle.ValidationConfig(count=3, mc_samples=100, resolution=(8, 16), seed=3)
+        march = transport.visibility_map
+        sizes = []
+        monkeypatch.setattr(transport, "visibility_map",
+                            lambda *a, **k: sizes.append(len(a[3])) or march(*a, **k))
+        points = len(oracle.compare_prt_vs_mc(blocker_scene, sky_light, config)["entries"])
+        assert points == config.count
+        assert sorted(sizes) == [100] * points + [8 * 16 + 10] * points
+
     def test_band_limited_light_within_3_sigma(self, blocker_report):
         for e in blocker_report["entries"]:
             z = np.abs(np.subtract(e["sh_diffuse"], e["mc_diffuse"])) / e["mc_stderr"]
@@ -131,34 +144,44 @@ class TestCompare:
             assert abs(aggregate["visibility_l2"][d] - want_d) < 1e-15
 
     def test_entries_match_standalone_bake_and_l2(self, blocker_scene, blocker_report):
-        # compare_prt_vs_mc marches each point's map once and reuses it for
-        # the transfer and the L2 scores; both must equal the standalone
-        # routes bit for bit.
+        # compare_prt_vs_mc marches each point's grid and residual rays in
+        # one map and reuses it for the transfer, the L2 scores and the
+        # residual; all three must equal the routes that march each map
+        # on its own, bit for bit.
         config = BLOCKER_CONFIG
         light = lobe_sh_light().truncated(config.degree)
-        pos, nrm, albedo, _ = transport.sample_surface_points(blocker_scene, config.count,
-                                                             seed=config.seed)
+        pos, nrm, albedo, views = transport.sample_surface_points(blocker_scene, config.count,
+                                                                  seed=config.seed)
         dirs, _, _ = sh.basis_grid(0, *config.resolution)
-        for x, n, a, e in zip(pos, nrm, albedo, blocker_report["entries"]):
+        for i, (x, n, a, e) in enumerate(zip(pos, nrm, albedo, blocker_report["entries"])):
             t = transport.bake_transfer_batch(blocker_scene, [x], [n], degree=config.degree,
                                               resolution=config.resolution)[0]
             assert np.array_equal(e["sh_diffuse"], shading.diffuse_radiance(a, t, light))
             vals = transport.visibility_map(blocker_scene, [x], [n], dirs)[0]
             l2 = oracle.visibility_l2(vals, t, config.degrees, config.resolution)
             assert e["visibility_l2"] == {str(d): v for d, v in l2.items()}
+            rays = transport.nrt_rays(n, views[i], seed=(config.seed, i))
+            vh = transport.visibility_map(blocker_scene, [x], [n], rays)[0]
+            assert e["nrt_residual_mean"] == float(np.mean(transport.nrt_residuals(t, rays, vh)))
 
     def test_full_band_light_relative_rms(self, blocker_scene):
-        # The MC side integrates the raw lobe; the SH side sees only its
-        # degree-4 projection, so the gap is the truncation error of the
-        # light, bounded at 5% relative RMS on this fixture.
+        # MC integrates the raw lobe at the report's points, with the
+        # report's per-point seeds; the SH side sees only its degree-4
+        # projection, so the gap is the truncation error of the light,
+        # bounded at 5% relative RMS on this fixture.
         lobe = LobeLight(
             axis=np.array([0.15, -0.1, 0.98]) / np.linalg.norm([0.15, -0.1, 0.98]),
             sharpness=2.0, color=np.array([1.0, 0.8, 0.6]))
         config = oracle.ValidationConfig(count=6, mc_samples=20000,
                                          resolution=(48, 96), seed=9)
-        report = oracle.compare_prt_vs_mc(blocker_scene, lobe, config=config)
+        report = oracle.compare_prt_vs_mc(
+            blocker_scene, envlight.project_to_sh(lobe, degree=config.degree), config=config)
+        pos, nrm, albedo, _ = transport.sample_surface_points(blocker_scene, config.count,
+                                                             seed=config.seed)
         sh_vals = np.array([e["sh_diffuse"] for e in report["entries"]])
-        mc_vals = np.array([e["mc_diffuse"] for e in report["entries"]])
+        mc_vals = np.array([oracle.mc_diffuse_radiance(blocker_scene, lobe, x, n, a,
+                                                       config.mc_samples, seed=(config.seed, i))[0]
+                            for i, (x, n, a) in enumerate(zip(pos, nrm, albedo))])
         rel = np.sqrt(np.mean((sh_vals - mc_vals) ** 2) / np.mean(mc_vals ** 2))
         assert rel <= 0.05
 

@@ -241,7 +241,8 @@ class TestNrtResidual:
         t = transport.bake_transfer_batch(sphere_scene, [x], [n])[0]
         back_dir = sh.normalize(np.array([-1.0, 0.1, 0.0]))
         assert float(np.dot(n, back_dir)) < 0.0
-        r = transport.nrt_residuals(sphere_scene, x, n, t, [back_dir])
+        vh = transport.visibility_map(sphere_scene, [x], [n], [back_dir])[0]
+        r = transport.nrt_residuals(t, [back_dir], vh)
         rec = float(sh.reconstruct(t, back_dir))
         assert r[0] == rec ** 2
 
@@ -256,11 +257,13 @@ class TestNrtResidual:
         dirs = random_unit_dirs(50, seed=17)
         dirs[:, 2] = np.abs(dirs[:, 2]) + 0.05
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        assert np.all(transport.nrt_residuals(empty_scene, np.zeros(3), n, t, dirs) < 1e-10)
+        vh = transport.visibility_map(empty_scene, [np.zeros(3)], [n], dirs)[0]
+        assert np.all(transport.nrt_residuals(t, dirs, vh) < 1e-10)
 
     def test_zero_transfer_back_hemisphere_residual_zero(self, empty_scene):
         d = sh.normalize(np.array([0.3, 0.3, -0.9]))
-        r = transport.nrt_residuals(empty_scene, np.zeros(3), [0.0, 0.0, 1.0], np.zeros(25), [d])
+        vh = transport.visibility_map(empty_scene, [np.zeros(3)], [[0.0, 0.0, 1.0]], [d])[0]
+        r = transport.nrt_residuals(np.zeros(25), [d], vh)
         assert r[0] == 0.0
 
     def test_residual_matches_direct_formula(self, blocker_scene):
@@ -269,7 +272,8 @@ class TestNrtResidual:
         x, n, _ = field_surface_point(blocker_scene, [0.0, 1.0, 0.0])
         t = transport.bake_transfer_batch(blocker_scene, [x], [n])[0]
         dirs = random_unit_dirs(20, seed=23)
-        got_all = transport.nrt_residuals(blocker_scene, x, n, t, dirs)
+        vh = transport.visibility_map(blocker_scene, [x], [n], dirs)[0]
+        got_all = transport.nrt_residuals(t, dirs, vh)
         for d, got in zip(dirs, got_all):
             h = max(0.0, float(n @ d))
             v = transport.transmittance(blocker_scene, x[None, :], d[None, :],
@@ -285,7 +289,8 @@ class TestNrtResidual:
         for i, (x, n, view) in enumerate(zip(pos, nrm, views)):
             t = transport.bake_transfer_batch(sphere_scene, [x], [n])[0]
             rays = transport.nrt_rays(n, view, seed=i)
-            total.append(np.mean(transport.nrt_residuals(sphere_scene, x, n, t, rays)))
+            vh = transport.visibility_map(sphere_scene, [x], [n], rays)[0]
+            total.append(np.mean(transport.nrt_residuals(t, rays, vh)))
         assert float(np.mean(total)) < 0.05
 
 
@@ -789,6 +794,30 @@ def test_map_of_more_than_map_points_matches_points_alone(dtype):
                                                dtype=dtype)[0] for p, n in zip(pos, nrm)])
     assert vals.tobytes() == alone.tobytes()
     assert not vals[-1].any()
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SCENES))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_map_of_concatenated_directions_matches_separate_maps(name, dtype):
+    # validate marches a point's bake grid and its residual rays in one
+    # visibility_map call. Over the concatenated direction table each
+    # point's row is its separate maps side by side, bit for bit, whether
+    # the points are marched together or one at a time; the last point
+    # has a zero normal.
+    scene = BATCH_SCENES[name]
+    pos, nrm = batch_points(name)
+    grid, _, _ = sh.basis_grid(0, 8, 16)
+    rays = random_unit_dirs(10, seed=31)
+    apart = np.concatenate([transport.visibility_map(scene, pos, nrm, grid, dtype=dtype),
+                            transport.visibility_map(scene, pos, nrm, rays, dtype=dtype)],
+                           axis=1)
+    both = np.concatenate([grid, rays])
+    assert transport.visibility_map(scene, pos, nrm, both, dtype=dtype).tobytes() == \
+        apart.tobytes()
+    for p, n, want in zip(pos, nrm, apart):
+        got = transport.visibility_map(scene, p[None, :], n[None, :], both, dtype=dtype)[0]
+        assert got.tobytes() == want.tobytes()
+    assert not apart[-1].any()
 
 
 def reference_cosine(n, d):
