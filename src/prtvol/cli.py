@@ -148,22 +148,21 @@ def _cmd_render(args):
     light = _load_light(args.env, args.degree) if args.env else None
     cache = None
     if args.cache:
-        cache = transport.load_transfer_cache(_require_file(args.cache), scene=scene)
-    settings = render.RenderSettings(
-        transfer_grid=tuple(args.transfer_grid), anchors_per_ray=args.anchors,
-        transfer_cache=cache)
-    img = render.render_image(field.with_steps(scene, args.steps, args.secondary_steps), light,
-                              camera, mode=args.mode, settings=settings, threads=args.threads)
-    if not (np.isfinite(img.pixels).all() and np.isfinite(img.alpha).all()):
+        cache = transport.load_transfer_cache(_require_file(args.cache), scene)
+    pixels, alpha = render.render_image(
+        field.with_steps(scene, args.steps, args.secondary_steps), light, camera, args.mode,
+        transfer_grid=tuple(args.transfer_grid), anchors=args.anchors, cache=cache,
+        threads=args.threads)
+    if not (np.isfinite(pixels).all() and np.isfinite(alpha).all()):
         raise ValueError("the rendered image is not finite: a value of the scene overflows")
     if args.output:
-        imageio.write_pfm(args.output, img.pixels)
+        imageio.write_pfm(args.output, pixels)
         print(f"wrote {args.output}")
     if args.srgb:
-        imageio.write_ppm(args.srgb, render.srgb_u8(img.pixels, exposure=args.exposure))
+        imageio.write_ppm(args.srgb, render.srgb_u8(pixels, exposure=args.exposure))
         print(f"wrote {args.srgb}")
     if args.alpha:
-        imageio.write_ppm(args.alpha, render.alpha_u8(img.alpha))
+        imageio.write_ppm(args.alpha, render.alpha_u8(alpha))
         print(f"wrote {args.alpha}")
 
 
@@ -173,11 +172,10 @@ def _cmd_validate(args):
     if light.degree < args.degree:
         raise ValueError(f"--degree {args.degree} exceeds the degree {light.degree} "
                          f"of the SH light {args.env}")
-    config = oracle.ValidationConfig(
-        count=args.points, mc_samples=args.mc_samples, degree=args.degree,
-        resolution=tuple(args.grid), secondary_steps=args.secondary_steps,
-        seed=args.seed, threads=args.threads)
-    report = oracle.compare_prt_vs_mc(scene, light, config=config)
+    report = oracle.compare_prt_vs_mc(
+        scene, light, points=args.points, mc_samples=args.mc_samples, degree=args.degree,
+        grid=tuple(args.grid), secondary_steps=args.secondary_steps, seed=args.seed,
+        threads=args.threads)
     _warn_shortfall(len(report["entries"]), args.points)
     print(oracle.format_table(report))
     if args.output:
@@ -246,9 +244,9 @@ def build_parser():
     p.add_argument("--mode", choices=render.MODES, default="lit", help="output channel")
     p.add_argument("--steps", type=_COUNT, default=None,
                    help="primary march steps; scene value if omitted")
-    p.add_argument("--transfer-grid", action=_Grid,
-                   default=list(render.RenderSettings.transfer_grid), help="per-anchor bake grid")
-    p.add_argument("--anchors", type=_COUNT, default=render.RenderSettings.anchors_per_ray,
+    p.add_argument("--transfer-grid", action=_Grid, default=list(render.TRANSFER_GRID),
+                   help="per-anchor bake grid")
+    p.add_argument("--anchors", type=_COUNT, default=render.ANCHORS_PER_RAY,
                    help="transfer anchors per primary ray")
     p.add_argument("--cache", default=None,
                    help="transfer cache file; anchors look up instead of baking")
@@ -273,15 +271,12 @@ def build_parser():
     p.add_argument("scene", help="scene JSON")
     p.add_argument("--env", required=True,
                    help="SH light JSON, or a PFM map projected at --degree")
-    config = oracle.ValidationConfig
-    p.add_argument("--points", type=_COUNT, default=config.count,
-                   help="surface points to validate")
-    p.add_argument("--mc-samples", type=_COUNT, default=config.mc_samples,
+    p.add_argument("--points", type=_COUNT, default=100, help="surface points to validate")
+    p.add_argument("--mc-samples", type=_COUNT, default=10000,
                    help="Monte Carlo directions per point")
-    p.add_argument("--degree", type=_DEGREE, default=config.degree, help="SH truncation degree")
-    p.add_argument("--grid", action=_Grid, default=list(config.resolution),
-                   help="bake and visibility-map grid")
-    p.add_argument("--seed", type=_flag(int, _seed), default=config.seed, help="RNG seed")
+    p.add_argument("--degree", type=_DEGREE, default=4, help="SH truncation degree")
+    p.add_argument("--grid", action=_Grid, default=[64, 128], help="bake and visibility-map grid")
+    p.add_argument("--seed", type=_flag(int, _seed), default=0, help="RNG seed")
     p.add_argument("-o", "--output", default=None,
                    help="report JSON path; printed to stdout if omitted")
     p.set_defaults(func=_cmd_validate)

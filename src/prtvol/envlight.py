@@ -47,12 +47,16 @@ def load_envmap(path, exposure=1.0):
     """Load a color PFM as an equirectangular light.
 
     The exposure multiplier is applied to the pixels at load time.
-    Rejects single-channel maps and non-finite samples.
+    Rejects single-channel maps, non-finite samples, and an exposure
+    that takes a sample past float64's range.
     """
     img = imageio.read_pfm(path)
     if img.ndim != 3:
         raise imageio.PfmError(f"{path}: environment map must be a color 'PF' file")
-    pixels = img * float(exposure)
+    with np.errstate(over="ignore"):
+        pixels = img * float(exposure)
+    if not np.isfinite(pixels).all():
+        raise ValueError(f"{path}: the map times exposure {float(exposure)!r} overflows")
     return EquirectLight(pixels=pixels)
 
 

@@ -488,11 +488,15 @@ def supports(scene, origins, dirs, t_max):
                np.where(meets, np.fmin(hi, np.inf), -np.inf))
 
 
-def density(scene, pts):
-    """Total density at pts (..., 3), computed in the dtype of pts."""
+def _points(pts):
+    """pts as an array in the dtype it is marched in: float32 stays, all else is float64."""
     pts = np.asarray(pts)
-    if pts.dtype not in (np.float32, np.float64):
-        pts = pts.astype(np.float64)
+    return pts if pts.dtype == np.float32 else pts.astype(np.float64, copy=False)
+
+
+def density(scene, pts):
+    """Total density at pts (..., 3), computed in float32 for float32 pts, else in float64."""
+    pts = _points(pts)
     total, _ = _total_density(scene, *_columns(pts))
     return total.reshape(pts.shape[:-1])
 

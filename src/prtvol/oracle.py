@@ -9,7 +9,9 @@ scores baked transfer three ways per point: the coefficient dot product
 against the MC estimate, the mean squared 10-ray reconstruction
 residual, and visibility_l2, the L2 gap between reconstructed and
 ray-traced visibility maps at the truncation degrees 2, 3 and 4 up to
-the configured degree.
+the validation degree. compare_prt_vs_mc takes every setting as a
+keyword argument with no default; the `prtvol validate` flags hold the
+defaults.
 
 All three take V * max(0, n . d) from transport.visibility_map. Each
 point's bake-grid directions and its 10 residual rays are marched in one
@@ -28,8 +30,6 @@ sh_negative_rate. Key order fixes the JSON bytes, and the report holds no
 timing. Per-point randomness derives from (seed, point index), so serial
 and parallel runs produce identical reports.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,22 +96,6 @@ def visibility_l2(vals, transfer, degrees, resolution):
     return out
 
 
-@dataclass(frozen=True)
-class ValidationConfig:
-    count: int = 100                   # surface points probed
-    mc_samples: int = 10000
-    degree: int = 4
-    resolution: tuple = (64, 128)      # bake and visibility-map grid
-    secondary_steps: int | None = None  # replaces scene.march.secondary_steps if set
-    seed: int = 0
-    threads: int = 1
-
-    @property
-    def degrees(self):
-        """Visibility-L2 degrees: those of 2, 3, 4 up to degree, else degree alone."""
-        return tuple(d for d in (2, 3, 4) if d <= self.degree) or (self.degree,)
-
-
 def format_table(report):
     """Human-readable per-point table plus the aggregate row of a report dict."""
     degrees = report["config"]["degrees"]
@@ -123,35 +107,37 @@ def format_table(report):
     return "\n".join(lines)
 
 
-def compare_prt_vs_mc(scene, light, config):
+def compare_prt_vs_mc(scene, light, *, points, mc_samples, degree, grid, secondary_steps,
+                      seed, threads):
     """Validate baked transfer against the Monte Carlo oracle.
 
-    The points are config.count probes of transport.sample_surface_points,
-    each with a valid normal facing its probe. light is an envlight.ShLight;
-    the SH side uses its coefficients truncated to config.degree (checked
-    before any point is sampled), and the MC side integrates the light as
-    given, so the two agree within sampling error exactly when the light
-    has no band above config.degree. Returns the report dict the module
-    docstring describes.
+    The points are `points` probes of transport.sample_surface_points
+    (seeded by seed), each with a valid normal facing its probe. light is
+    an envlight.ShLight; the SH side uses its coefficients truncated to
+    degree (checked before any point is sampled), and the MC side
+    integrates the light as given with mc_samples directions, so the two
+    agree within sampling error exactly when the light has no band above
+    degree. grid is the (H, W) bake and visibility-map grid, and
+    secondary_steps, unless None, replaces scene.march.secondary_steps.
+    Returns the report dict the module docstring describes.
     """
-    scene = field.with_steps(scene, secondary_steps=config.secondary_steps)
-    sh_light = light.truncated(config.degree)
-    positions, normals, albedo, views = transport.sample_surface_points(
-        scene, config.count, seed=config.seed)
+    scene = field.with_steps(scene, secondary_steps=secondary_steps)
+    sh_light = light.truncated(degree)
+    # Visibility-L2 degrees: those of 2, 3, 4 up to degree, else degree alone.
+    degrees = tuple(d for d in (2, 3, 4) if d <= degree) or (degree,)
+    positions, normals, albedo, views = transport.sample_surface_points(scene, points, seed=seed)
 
-    dirs, _, _ = sh.basis_grid(config.degree, config.resolution[0], config.resolution[1])
+    dirs, _, _ = sh.basis_grid(degree, grid[0], grid[1])
 
     def run(i, _end):
         x, n = positions[i], normals[i]
-        rays = transport.nrt_rays(n, views[i], seed=(config.seed, i))
+        rays = transport.nrt_rays(n, views[i], seed=(seed, i))
         vals = transport.visibility_map(scene, x[None], n[None], np.concatenate([dirs, rays]))
-        grid, vh = vals[:, :len(dirs)], vals[0, len(dirs):]
-        transfer = transport.project_map(grid, degree=config.degree,
-                                         resolution=config.resolution)[0]
-        mc, stderr = mc_diffuse_radiance(
-            scene, light, x, n, albedo[i], config.mc_samples, seed=(config.seed, i))
+        row, vh = vals[:, :len(dirs)], vals[0, len(dirs):]
+        transfer = transport.project_map(row, degree=degree, resolution=grid)[0]
+        mc, stderr = mc_diffuse_radiance(scene, light, x, n, albedo[i], mc_samples, seed=(seed, i))
         residuals = transport.nrt_residuals(transfer, rays, vh)
-        l2 = visibility_l2(grid[0], transfer, config.degrees, config.resolution)
+        l2 = visibility_l2(row[0], transfer, degrees, grid)
         return {
             "position": x.tolist(),
             "nrt_residual_mean": float(np.mean(residuals)),
@@ -161,22 +147,22 @@ def compare_prt_vs_mc(scene, light, config):
             "mc_stderr": stderr.tolist(),
         }
 
-    entries = chunks.map_chunks(run, len(positions), 1, config.threads)
+    entries = chunks.map_chunks(run, len(positions), 1, threads)
     return {
         "config": {
-            "mc_samples": config.mc_samples,
-            "degree": config.degree,
-            "degrees": list(config.degrees),
-            "resolution": list(config.resolution),
-            "secondary_steps": config.secondary_steps,
-            "seed": config.seed,
+            "mc_samples": mc_samples,
+            "degree": degree,
+            "degrees": list(degrees),
+            "resolution": list(grid),
+            "secondary_steps": secondary_steps,
+            "seed": seed,
         },
         "entries": entries,
         "aggregate": {
             "points": len(entries),
             "nrt_residual_mean": float(np.mean([e["nrt_residual_mean"] for e in entries])),
             "visibility_l2": {str(d): float(np.mean([e["visibility_l2"][str(d)] for e in entries]))
-                              for d in config.degrees},
+                              for d in degrees},
             # Shading keeps signed reconstructions and clamps only at image
             # export, so this is where SH ringing below zero is surfaced.
             "sh_negative_rate": float(np.mean(np.array([e["sh_diffuse"] for e in entries]) < 0.0)),

@@ -30,6 +30,8 @@ MODES = ("lit", "diffuse", "specular", "albedo", "normal", "irradiance", "visibi
 SHADED_MODES = ("lit", "diffuse", "specular", "irradiance")  # modes that need an SH light
 DEFAULT_RESOLUTION = 64
 RAY_CHUNK = 1024  # rays per batch; fixed so thread count cannot affect results
+TRANSFER_GRID = (16, 32)  # on-the-fly bake grid per anchor
+ANCHORS_PER_RAY = 4
 
 
 @dataclass(frozen=True)
@@ -75,21 +77,6 @@ class Camera:
         return np.broadcast_to(pos, d.shape), d
 
 
-@dataclass(frozen=True)
-class LinearImage:
-    pixels: np.ndarray
-    alpha: np.ndarray
-
-
-@dataclass(frozen=True)
-class RenderSettings:
-    """Shading settings; march step counts come from the scene's march block."""
-
-    transfer_grid: tuple = (16, 32)   # on-the-fly bake grid per anchor
-    anchors_per_ray: int = 4
-    transfer_cache: object = None     # TransferCache for lookup shading
-
-
 def linear_to_srgb(values):
     """Linear [0, 1] to sRGB transfer; input is clipped first.
 
@@ -111,19 +98,20 @@ def alpha_u8(alpha):
     return np.round(255.0 * np.clip(np.asarray(alpha), 0.0, 1.0)).astype(np.uint8)
 
 
-def render_image(scene, light, camera, mode="lit", settings=None, threads=1):
-    """Render the camera's view; returns a LinearImage.
+def render_image(scene, light, camera, mode="lit", *, transfer_grid=TRANSFER_GRID,
+                 anchors=ANCHORS_PER_RAY, cache=None, threads=1):
+    """Render the camera's view; returns linear (pixels (H, W, 3), alpha (H, W)).
 
-    Work is split into fixed-size ray chunks; the thread count only
-    schedules those chunks, so output is independent of it.
+    Shaded modes bake transfer on transfer_grid at `anchors` samples per
+    ray, or look it up in cache (a TransferCache). Work is split into
+    fixed-size ray chunks; the thread count only schedules those chunks,
+    so output is independent of it.
     """
-    settings = settings or RenderSettings()
     if mode not in MODES:
         raise ValueError(f"unknown render mode {mode!r}; expected one of {MODES}")
     if mode in SHADED_MODES:
         if light is None:
             raise ValueError(f"mode {mode!r} requires an SH light")
-        cache = settings.transfer_cache
         if cache is not None and cache.degree != light.degree:
             raise ValueError(f"transfer cache degree {cache.degree} does not match light "
                              f"degree {light.degree}")
@@ -133,17 +121,16 @@ def render_image(scene, light, camera, mode="lit", settings=None, threads=1):
 
     def run(lo, hi):
         rgb[lo:hi], alpha[lo:hi] = _trace_batch(scene, light, *camera.rays(lo, hi), mode,
-                                                settings)
+                                                transfer_grid, anchors, cache)
 
     chunks.map_chunks(run, n, RAY_CHUNK, threads)
-    return LinearImage(pixels=rgb.reshape(camera.height, camera.width, 3),
-                       alpha=alpha.reshape(camera.height, camera.width))
+    return rgb.reshape(camera.height, camera.width, 3), alpha.reshape(camera.height, camera.width)
 
 
-def _trace_batch(scene, light, origins, dirs, mode, settings):
+def _trace_batch(scene, light, origins, dirs, mode, transfer_grid, anchors, cache):
     n_rays = origins.shape[0]
     sigma, t, dt = transport.primary_march(scene, origins, dirs)
-    tau, live, c0, trans, weight = transport._march_weights(sigma, dt, settings.anchors_per_ray)
+    tau, live, c0, trans, weight = transport._march_weights(sigma, dt, anchors)
     alpha = 1.0 - np.exp(-tau)
 
     if not np.any(live):
@@ -159,7 +146,7 @@ def _trace_batch(scene, light, origins, dirs, mode, settings):
         ray_idx, col = np.nonzero(live)
         w = weight[ray_idx, col]
     else:
-        m = min(settings.anchors_per_ray, weight.shape[1])
+        m = min(anchors, weight.shape[1])
         col = np.sort(np.argpartition(weight, -m, axis=1)[:, -m:], axis=1)
         w = np.take_along_axis(weight, col, axis=1).ravel()
         ray_idx, col = np.repeat(np.arange(n_rays), m), col.ravel()
@@ -179,7 +166,7 @@ def _trace_batch(scene, light, origins, dirs, mode, settings):
         scale = np.divide(alpha, den, out=np.zeros_like(den), where=den > 0.0)
         return _splat(ray_idx, w[:, None] * 0.5 * (nrm + 1.0), n_rays) * scale[:, None], alpha
 
-    avalid, anrm, coeffs = _anchor_transfers(scene, light, pts, w, settings)
+    avalid, anrm, coeffs = _anchor_transfers(scene, light, pts, w, transfer_grid, cache)
     aw = (w * avalid).reshape(n_rays, m)
     coeffs = coeffs.reshape(n_rays, m, -1)
     wsum = np.sum(aw, axis=1)
@@ -216,12 +203,13 @@ def _splat(ray_idx, values, n_rays):
                      for c in range(3)], axis=1)
 
 
-def _anchor_transfers(scene, light, apos, aw, settings):
-    """Bake or look up transfer at anchor positions apos (N, 3) of weights aw.
+def _anchor_transfers(scene, light, apos, aw, transfer_grid, cache):
+    """Bake on transfer_grid, or look up in cache, transfer at anchors apos (N, 3) of weights aw.
 
-    Returns (valid (N,), normals (N, 3), coeffs (N, n)); anchors without
-    weight or without a recoverable surface normal (flat interior of the
-    medium) are invalid and hold zero normals and coefficients.
+    The bake marches the anchors as float32 positions. Returns (valid
+    (N,), normals (N, 3), coeffs (N, n)); anchors without weight or
+    without a recoverable surface normal (flat interior of the medium) are
+    invalid and hold zero normals and coefficients.
     """
     degree = light.degree
     avalid = aw > 0.0
@@ -232,12 +220,10 @@ def _anchor_transfers(scene, light, apos, aw, settings):
         return avalid, anrm, coeffs
     pos = apos[sel]
     anrm[sel], avalid[sel] = field.normals(scene, pos)
-    cache = settings.transfer_cache
     if cache is not None:
         sel = sel[avalid[sel]]
         coeffs[sel] = cache.coeffs[cache.nearest(apos[sel])]
     else:
         coeffs[sel] = transport.bake_transfer_batch(
-            scene, pos, anrm[sel], degree=degree, resolution=settings.transfer_grid,
-            dtype=np.float32)
+            scene, pos.astype(np.float32), anrm[sel], degree=degree, resolution=transfer_grid)
     return avalid, anrm, coeffs

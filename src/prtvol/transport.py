@@ -36,7 +36,9 @@ transfer-grid directions, whatever its anchor count. Every step works per
 point, so a point's transfer is the same bits whatever batch it is baked
 in.
 Callers pass points as (P, 3) positions and normals (a zero normal for a
-point without one) and transfers as (P, n) coefficient arrays.
+point without one) and transfers as (P, n) coefficient arrays; the
+positions' dtype sets the march's precision by field.density's rule
+(float32 stays float32, anything else is float64).
 
 A TransferCache rejects non-finite records and sizes a grid over its
 points once. TransferCache.nearest returns exactly the indices a
@@ -252,33 +254,34 @@ def transmittance(scene, origins, dirs, *, pairs=None, offset=0.0):
     return out
 
 
-def bake_transfer_batch(scene, positions, normals, degree=4, resolution=BAKE_GRID,
-                        dtype=np.float64):
+def bake_transfer_batch(scene, positions, normals, degree=4, resolution=BAKE_GRID):
     """Transfer coefficients for (P, 3) positions with matching normals, (P, n).
 
     Projects the visibility_map of MAP_POINTS points at a time on the bake
     grid onto the SH basis, so no map larger than MAP_POINTS rows of the
     grid's directions is held. Rows whose normal is a zero vector (invalid
-    gradient) bake to zero.
+    gradient) bake to zero. The march runs in the dtype visibility_map
+    takes from the positions.
     """
     dirs, _, _ = sh.basis_grid(degree, *resolution)
     positions, normals = np.asarray(positions), np.asarray(normals)
     rows = [project_map(visibility_map(scene, positions[lo:lo + MAP_POINTS],
-                                       normals[lo:lo + MAP_POINTS], dirs, dtype),
+                                       normals[lo:lo + MAP_POINTS], dirs),
                         degree, resolution)
             for lo in range(0, positions.shape[0], MAP_POINTS)]
     return np.concatenate(rows) if rows else np.zeros((0, sh.num_coeffs(degree)))
 
 
-def visibility_map(scene, positions, normals, dirs, dtype=np.float64):
+def visibility_map(scene, positions, normals, dirs):
     """Ray-traced visibility * clamped cosine, V(x, d) * max(0, n . d).
 
     positions and normals are (P, 3), dirs (D, 3) unit directions, marched
     in one pass: the (point, direction) pairs of cosine > 0 go to
-    transmittance as index pairs, marched in dtype from twice the
-    finite-difference step. The rest, and every direction of a zero
-    normal, hold exactly zero. Returns (P, D) float64, one row per point
-    that does not depend on the other points.
+    transmittance as index pairs, marched from twice the finite-difference
+    step in the positions' dtype by field.density's rule (float32 stays
+    float32, anything else is float64). The rest, and every direction of
+    a zero normal, hold exactly zero. Returns (P, D) float64, one row per
+    point that does not depend on the other points.
     """
     n = np.asarray(normals, dtype=np.float64).T[:, :, None]
     d = np.ascontiguousarray(np.asarray(dirs, dtype=np.float64).T)
@@ -286,7 +289,7 @@ def visibility_map(scene, positions, normals, dirs, dtype=np.float64):
     flat = vals.reshape(-1)
     pair = np.flatnonzero(flat > 0.0)
     front = flat[pair]
-    v = transmittance(scene, np.asarray(positions, dtype=dtype), d.T,
+    v = transmittance(scene, field._points(positions), d.T,
                       pairs=np.divmod(pair, d.shape[1]), offset=2.0 * scene.fd_step)
     vals.fill(0.0)
     flat[pair] = v.astype(np.float64) * front
@@ -653,8 +656,8 @@ class TransferCache:
         return out
 
 
-def load_transfer_cache(path, scene=None):
-    """Load a baked cache; verifies the sidecar against scene if given."""
+def load_transfer_cache(path, scene):
+    """Load a baked cache; verifies the sidecar against scene."""
     sidecar_path = path + ".json"
     if not os.path.exists(sidecar_path):
         raise ValueError(f"transfer cache sidecar missing: {sidecar_path}")
@@ -673,12 +676,12 @@ def load_transfer_cache(path, scene=None):
 
 
 def _sidecar(sidecar, scene):
-    """(degree, count) of a cache sidecar's JSON value, checked against scene if given."""
+    """(degree, count) of a cache sidecar's JSON value, checked against scene."""
     field._object(sidecar, "transfer cache sidecar", ("degree", "count", "scene_hash"))
     degree = sh.checked_degree(sidecar["degree"], "transfer cache degree")
     count = field._count(sidecar["count"], "transfer cache count")
     if not isinstance(sidecar["scene_hash"], str):
         raise ValueError("transfer cache sidecar scene_hash must be a string")
-    if scene is not None and sidecar["scene_hash"] != field.scene_hash(scene):
+    if sidecar["scene_hash"] != field.scene_hash(scene):
         raise ValueError("transfer cache was baked for a different scene")
     return degree, count

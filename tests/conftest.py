@@ -137,6 +137,12 @@ def constant_sh_light(value=1.0, degree=4):
     return envlight.ShLight(coeffs=coeffs)
 
 
+def validate_args(**overrides):
+    """oracle.compare_prt_vs_mc keyword arguments: the validate command's defaults, overridden."""
+    return dict(points=100, mc_samples=10000, degree=4, grid=(64, 128), secondary_steps=None,
+                seed=0, threads=1) | overrides
+
+
 def lobe_sh_light(degree=4):
     """Band-limited sky: a soft lobe from above, projected onto SH."""
     lobe = LobeLight(

@@ -13,7 +13,7 @@ import pytest
 
 from prtvol import cli, envlight, field, imageio, metrics, oracle, render, sh, transport
 from conftest import WALL_ALBEDO, SLAB_SIGMA, SLAB_THICKNESS, gram_matrix, random_unit_dirs, \
-    sphere_scene_dict
+    sphere_scene_dict, validate_args
 
 
 def _report(num, ok, detail):
@@ -24,10 +24,9 @@ def _report(num, ok, detail):
 @pytest.fixture(scope="module")
 def validation_report(blocker_scene, sky_light):
     """Full-size oracle comparison, shared by criteria 4 and 6."""
-    config = oracle.ValidationConfig(count=50, mc_samples=100000,
-                                     resolution=(64, 128), seed=0, threads=4)
+    config = validate_args(points=50, mc_samples=100000, grid=(64, 128), seed=0, threads=4)
     start = time.perf_counter()
-    report = oracle.compare_prt_vs_mc(blocker_scene, sky_light, config=config)
+    report = oracle.compare_prt_vs_mc(blocker_scene, sky_light, **config)
     return report, time.perf_counter() - start
 
 
@@ -44,11 +43,10 @@ def test_criterion_2_constant_light_albedo_recovery(wall_scene, white_light):
     camera = render.Camera(position=(0.0, 0.0, 3.0), look_at=(0.0, 0.0, 0.0),
                            up=(0.0, 1.0, 0.0), fov_y_deg=40.0, width=64, height=64)
     start = time.perf_counter()
-    img = render.render_image(wall_scene, white_light, camera, mode="lit",
-                              threads=4)
+    pixels, alpha = render.render_image(wall_scene, white_light, camera, mode="lit", threads=4)
     elapsed = time.perf_counter() - start
     albedo = np.asarray(WALL_ALBEDO)
-    rel = np.abs(img.pixels - albedo[None, None, :] * img.alpha[:, :, None])
+    rel = np.abs(pixels - albedo[None, None, :] * alpha[:, :, None])
     rel /= albedo[None, None, :]
     worst = float(np.max(rel))
     _report(2, worst <= 0.02 and elapsed < 10.0,

@@ -102,6 +102,23 @@ class TestProjectEnv:
                                "the map times --exposure overflows\n")
         assert not out.exists()
 
+    def test_exposure_past_float64_range_names_the_map(self, workdir):
+        # A flat 1.5 map times 1.7e308 leaves float64's range on load. In a
+        # fresh interpreter stderr holds only the error line, which names
+        # the map and the exposure; numpy's warnings used to come first,
+        # and the error named neither.
+        envmap = workdir / "flat.pfm"
+        imageio.write_pfm(str(envmap), np.full((8, 16, 3), 1.5))
+        out = workdir / "flat_sh.json"
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "prtvol.cli", "project-env", str(envmap), "--exposure",
+             "1.7e308", "-o", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        assert done.stderr == f"error: {envmap}: the map times exposure 1.7e+308 overflows\n"
+        assert not out.exists()
+
 
 class TestBake:
     def test_cache_loads_back(self, workdir, scene_file, capsys):
@@ -110,7 +127,7 @@ class TestBake:
         assert code == 0
         assert "baked 12 points" in capsys.readouterr().out
         scene = field.load_scene(scene_file)
-        cache = transport.load_transfer_cache(out, scene=scene)
+        cache = transport.load_transfer_cache(out, scene)
         assert cache.coeffs.shape == (12, 25)
         assert cache.positions.shape == (12, 3)
         assert cache.degree == 4
@@ -515,7 +532,8 @@ class TestShortfall:
         captured = capsys.readouterr()
         assert captured.err == f"warning: found {found} of 10 requested surface points\n"
         assert f"baked {found} points" in captured.out
-        assert transport.load_transfer_cache(out).positions.shape == (found, 3)
+        cache = transport.load_transfer_cache(out, field.load_scene(sparse_scene_file))
+        assert cache.positions.shape == (found, 3)
 
     def test_validate_warns(self, workdir, sparse_scene_file, light_file, capsys):
         found = len(transport.sample_surface_points(field.load_scene(sparse_scene_file), 10)[0])
@@ -952,6 +970,10 @@ RULE_VALUES = [("0", 0), ("-1", -1), ("1", 1), ("8", 8), ("9", 9), (str(2**31 - 
                ("-0.5", -0.5), ("1e300", 1e300), ("true", True), ("nan", math.nan),
                ("inf", math.inf), ("-inf", -math.inf), ("wide", "wide")]
 
+# A cache sidecar of the sphere scene, as transport._sidecar checks it.
+SIDECAR_SCENE = field.scene_from_dict(sphere_scene_dict())
+SIDECAR = {"degree": 0, "count": 1, "scene_hash": field.scene_hash(SIDECAR_SCENE)}
+
 # Each rule shared by a flag and a file field: the flag's argv (its text
 # goes in at {}), its parsed attribute, and the value the file reader takes
 # from a field holding v. --sigma and the grid flags have no file field.
@@ -962,14 +984,14 @@ SHARED_RULES = {
             {**sphere_scene_dict(), "march": {"primary_steps": v}}).march.primary_steps),
     "count: cache count": (
         ["render", "S", "--anchors={}"], "anchors",
-        lambda v: transport._sidecar({"degree": 0, "count": v, "scene_hash": ""}, None)[1]),
+        lambda v: transport._sidecar({**SIDECAR, "count": v}, SIDECAR_SCENE)[1]),
     "count: camera width": (
         ["render", "S", "--width={}"], "width",
         lambda v: render.Camera(position=(0.0, -3.0, 0.0), look_at=(0.0, 0.0, 0.0),
                                 width=v).width),
     "degree: cache degree": (
         ["bake", "S", "-o", "C", "--degree={}"], "degree",
-        lambda v: transport._sidecar({"degree": v, "count": 1, "scene_hash": ""}, None)[0]),
+        lambda v: transport._sidecar({**SIDECAR, "degree": v}, SIDECAR_SCENE)[0]),
     "finite: light channel": (
         ["project-env", "E", "-o", "L", "--exposure={}"], "exposure",
         lambda v: envlight.ShLight.from_dict({"degree": 0, "channels": [[v]] * 3}).coeffs[0, 0]),

@@ -1024,11 +1024,11 @@ def test_trace_equals_dense_weights_on_edge_cases(name, mode, monkeypatch):
     origins, dirs = camera.rays(0, 6)
     t = centered_t(sigma, dt)
     monkeypatch.setattr(transport, "primary_march", lambda *_: (sigma.copy(), t, dt))
-    settings = render.RenderSettings(transfer_grid=(8, 16))
     outputs = []
     for weights in (transport._march_weights, dense_march_weights):
         monkeypatch.setattr(transport, "_march_weights", weights)
-        rgb, alpha = render._trace_batch(MIXED, lobe_sh_light(), origins, dirs, mode, settings)
+        rgb, alpha = render._trace_batch(MIXED, lobe_sh_light(), origins, dirs, mode, (8, 16),
+                                         render.ANCHORS_PER_RAY, None)
         outputs.append((rgb.tobytes(), alpha.tobytes()))
     assert outputs[0] == outputs[1]
 

@@ -12,14 +12,14 @@ def save_normal_map(path, nm, mask_path=None):
         imageio.write_pfm(mask_path, nm.mask)
 
 
-def from_render(image, alpha_floor=1e-3):
+def from_render(pixels, alpha, alpha_floor=1e-3):
     """NormalMap from a rendered normal-mode image (values 0.5 * (n + 1)).
 
     The alpha channel becomes the mask; pixels whose decoded vector is
     too short to renormalize are masked out.
     """
-    alpha = np.clip(np.asarray(image.alpha, dtype=np.float64), 0.0, 1.0)
-    pix = np.asarray(image.pixels, dtype=np.float64)
+    alpha = np.clip(np.asarray(alpha, dtype=np.float64), 0.0, 1.0)
+    pix = np.asarray(pixels, dtype=np.float64)
     safe = np.maximum(alpha, alpha_floor)[:, :, None]
     decoded = 2.0 * (pix / safe) - 1.0
     lengths = np.linalg.norm(decoded, axis=-1)
@@ -230,8 +230,7 @@ class TestFromRender:
         alpha = np.full((3, 3), 0.6)
         alpha[0, 0] = 1e-5
         pixels = alpha[:, :, None] * 0.5 * (n + 1.0)
-        img = render.LinearImage(pixels=pixels, alpha=alpha)
-        nm = from_render(img)
+        nm = from_render(pixels, alpha)
         assert np.max(np.abs(nm.normals[1, 1] - n)) < 1e-12
         assert nm.mask[1, 1] == 0.6
         assert nm.mask[0, 0] == 0.0
@@ -239,8 +238,7 @@ class TestFromRender:
     def test_rendered_sphere_decodes_radial_normal(self, sphere_scene):
         cam = render.Camera(position=(0.0, -2.8, 0.9), look_at=(0.0, 0.0, 0.0),
                             fov_y_deg=42.0, width=13, height=13)
-        img = render.render_image(sphere_scene, None, cam, mode="normal")
-        nm = from_render(img)
+        nm = from_render(*render.render_image(sphere_scene, None, cam, mode="normal"))
         # The center ray passes through the sphere's center, so the
         # contributing samples all look straight back at the camera.
         # Finite-difference probes span half the density ramp here, which

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from prtvol import cli, envlight, oracle, sh, shading, transport
-from conftest import LobeLight, blocker_scene_dict, constant_sh_light, lobe_sh_light
+from conftest import LobeLight, blocker_scene_dict, constant_sh_light, lobe_sh_light, \
+    validate_args
 
 
 class TestMcDiffuse:
@@ -81,29 +82,29 @@ class TestVisibilityL2:
                                  transport.BAKE_GRID)
 
 
-BLOCKER_CONFIG = oracle.ValidationConfig(count=8, mc_samples=20000, resolution=(48, 96), seed=5)
+BLOCKER_CONFIG = validate_args(points=8, mc_samples=20000, grid=(48, 96), seed=5)
 
 
 @pytest.fixture(scope="module")
 def blocker_report(blocker_scene):
-    return oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), config=BLOCKER_CONFIG)
+    return oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), **BLOCKER_CONFIG)
 
 
 class TestCompare:
     def test_entry_transfer_equals_bake_row(self, blocker_scene, sky_light, monkeypatch):
         # validate projects each point's map alone; bake projects the
         # points together. Both give the point the same transfer bits.
-        config = oracle.ValidationConfig(count=6, mc_samples=200, resolution=(16, 32), seed=3)
+        config = validate_args(points=6, mc_samples=200, grid=(16, 32), seed=3)
         project = transport.project_map
         used = []
         monkeypatch.setattr(transport, "project_map",
                             lambda *a, **k: used.append(project(*a, **k)) or used[-1])
-        report = oracle.compare_prt_vs_mc(blocker_scene, sky_light, config=config)
+        report = oracle.compare_prt_vs_mc(blocker_scene, sky_light, **config)
         monkeypatch.undo()
-        pos, nrm, albedo, _ = transport.sample_surface_points(blocker_scene, config.count,
-                                                             seed=config.seed)
+        pos, nrm, albedo, _ = transport.sample_surface_points(blocker_scene, config["points"],
+                                                             seed=config["seed"])
         baked = transport.bake_transfer_batch(blocker_scene, pos, nrm,
-                                              resolution=config.resolution)
+                                              resolution=config["grid"])
         assert len(used) == len(report["entries"]) == baked.shape[0]
         for got, row, a, e in zip(used, baked, albedo, report["entries"]):
             assert got[0].tobytes() == row.tobytes()
@@ -114,13 +115,13 @@ class TestCompare:
                                                          monkeypatch):
         # A point's grid directions and its 10 residual rays share one
         # visibility_map call; only mc_diffuse_radiance marches apart.
-        config = oracle.ValidationConfig(count=3, mc_samples=100, resolution=(8, 16), seed=3)
+        config = validate_args(points=3, mc_samples=100, grid=(8, 16), seed=3)
         march = transport.visibility_map
         sizes = []
         monkeypatch.setattr(transport, "visibility_map",
                             lambda *a, **k: sizes.append(len(a[3])) or march(*a, **k))
-        points = len(oracle.compare_prt_vs_mc(blocker_scene, sky_light, config)["entries"])
-        assert points == config.count
+        points = len(oracle.compare_prt_vs_mc(blocker_scene, sky_light, **config)["entries"])
+        assert points == config["points"]
         assert sorted(sizes) == [100] * points + [8 * 16 + 10] * points
 
     def test_band_limited_light_within_3_sigma(self, blocker_report):
@@ -149,18 +150,18 @@ class TestCompare:
         # residual; all three must equal the routes that march each map
         # on its own, bit for bit.
         config = BLOCKER_CONFIG
-        light = lobe_sh_light().truncated(config.degree)
-        pos, nrm, albedo, views = transport.sample_surface_points(blocker_scene, config.count,
-                                                                  seed=config.seed)
-        dirs, _, _ = sh.basis_grid(0, *config.resolution)
+        light = lobe_sh_light().truncated(config["degree"])
+        pos, nrm, albedo, views = transport.sample_surface_points(
+            blocker_scene, config["points"], seed=config["seed"])
+        dirs, _, _ = sh.basis_grid(0, *config["grid"])
         for i, (x, n, a, e) in enumerate(zip(pos, nrm, albedo, blocker_report["entries"])):
-            t = transport.bake_transfer_batch(blocker_scene, [x], [n], degree=config.degree,
-                                              resolution=config.resolution)[0]
+            t = transport.bake_transfer_batch(blocker_scene, [x], [n], degree=config["degree"],
+                                              resolution=config["grid"])[0]
             assert np.array_equal(e["sh_diffuse"], shading.diffuse_radiance(a, t, light))
             vals = transport.visibility_map(blocker_scene, [x], [n], dirs)[0]
-            l2 = oracle.visibility_l2(vals, t, config.degrees, config.resolution)
+            l2 = oracle.visibility_l2(vals, t, (2, 3, 4), config["grid"])
             assert e["visibility_l2"] == {str(d): v for d, v in l2.items()}
-            rays = transport.nrt_rays(n, views[i], seed=(config.seed, i))
+            rays = transport.nrt_rays(n, views[i], seed=(config["seed"], i))
             vh = transport.visibility_map(blocker_scene, [x], [n], rays)[0]
             assert e["nrt_residual_mean"] == float(np.mean(transport.nrt_residuals(t, rays, vh)))
 
@@ -172,33 +173,30 @@ class TestCompare:
         lobe = LobeLight(
             axis=np.array([0.15, -0.1, 0.98]) / np.linalg.norm([0.15, -0.1, 0.98]),
             sharpness=2.0, color=np.array([1.0, 0.8, 0.6]))
-        config = oracle.ValidationConfig(count=6, mc_samples=20000,
-                                         resolution=(48, 96), seed=9)
+        config = validate_args(points=6, mc_samples=20000, grid=(48, 96), seed=9)
         report = oracle.compare_prt_vs_mc(
-            blocker_scene, envlight.project_to_sh(lobe, degree=config.degree), config=config)
-        pos, nrm, albedo, _ = transport.sample_surface_points(blocker_scene, config.count,
-                                                             seed=config.seed)
+            blocker_scene, envlight.project_to_sh(lobe, degree=config["degree"]), **config)
+        pos, nrm, albedo, _ = transport.sample_surface_points(blocker_scene, config["points"],
+                                                             seed=config["seed"])
         sh_vals = np.array([e["sh_diffuse"] for e in report["entries"]])
         mc_vals = np.array([oracle.mc_diffuse_radiance(blocker_scene, lobe, x, n, a,
-                                                       config.mc_samples, seed=(config.seed, i))[0]
+                                                       config["mc_samples"],
+                                                       seed=(config["seed"], i))[0]
                             for i, (x, n, a) in enumerate(zip(pos, nrm, albedo))])
         rel = np.sqrt(np.mean((sh_vals - mc_vals) ** 2) / np.mean(mc_vals ** 2))
         assert rel <= 0.05
 
     def test_report_bit_reproducible(self, blocker_scene):
-        config = oracle.ValidationConfig(count=3, mc_samples=2000,
-                                         resolution=(32, 64), seed=11)
-        a = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), config=config)
-        b = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), config=config)
+        config = validate_args(points=3, mc_samples=2000, grid=(32, 64), seed=11)
+        a = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), **config)
+        b = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), **config)
         assert json.dumps(a) == json.dumps(b)
 
     def test_threads_do_not_change_report(self, blocker_scene):
-        base = oracle.ValidationConfig(count=4, mc_samples=2000,
-                                       resolution=(32, 64), seed=13)
-        threaded = oracle.ValidationConfig(count=4, mc_samples=2000,
-                                           resolution=(32, 64), seed=13, threads=3)
-        a = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), config=base)
-        b = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), config=threaded)
+        base = validate_args(points=4, mc_samples=2000, grid=(32, 64), seed=13)
+        threaded = dict(base, threads=3)
+        a = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), **base)
+        b = oracle.compare_prt_vs_mc(blocker_scene, lobe_sh_light(), **threaded)
         assert json.dumps(a) == json.dumps(b)
 
     def test_negative_rate_in_aggregate(self, blocker_report):
@@ -210,9 +208,8 @@ class TestCompare:
     def test_negative_rate_zero_under_dc_light(self, sphere_scene, white_light):
         # A DC-only light dots a non-negative transfer DC term, so no
         # channel can ring below zero.
-        config = oracle.ValidationConfig(count=3, mc_samples=100,
-                                         resolution=(16, 32), seed=21)
-        report = oracle.compare_prt_vs_mc(sphere_scene, white_light, config=config)
+        config = validate_args(points=3, mc_samples=100, grid=(16, 32), seed=21)
+        report = oracle.compare_prt_vs_mc(sphere_scene, white_light, **config)
         assert report["aggregate"]["sh_negative_rate"] == 0.0
 
     def test_report_key_order_and_cli_file(self, blocker_report, tmp_path, capsys):
@@ -244,14 +241,17 @@ class TestCompare:
         def never(*args, **kwargs):
             raise AssertionError("probed surface points")
         monkeypatch.setattr(transport, "sample_surface_points", never)
-        config = oracle.ValidationConfig(count=3, mc_samples=100, degree=4)
+        config = validate_args(points=3, mc_samples=100, degree=4)
         with pytest.raises(ValueError, match="cannot extend degree 2 light to 4"):
-            oracle.compare_prt_vs_mc(sphere_scene, constant_sh_light(degree=2), config=config)
+            oracle.compare_prt_vs_mc(sphere_scene, constant_sh_light(degree=2), **config)
 
     @pytest.mark.parametrize("degree, want", [
         (0, (0,)), (1, (1,)), (2, (2,)), (3, (2, 3)), (4, (2, 3, 4)), (8, (2, 3, 4))])
-    def test_l2_degrees_stop_at_the_degree(self, degree, want):
-        assert oracle.ValidationConfig(degree=degree).degrees == want
+    def test_l2_degrees_stop_at_the_degree(self, sphere_scene, degree, want):
+        config = validate_args(points=1, mc_samples=1, degree=degree, grid=(8, 16))
+        report = oracle.compare_prt_vs_mc(sphere_scene, constant_sh_light(degree=degree),
+                                          **config)
+        assert tuple(report["config"]["degrees"]) == want
 
     def test_format_table(self, blocker_report):
         text = oracle.format_table(blocker_report)

@@ -64,11 +64,11 @@ class TestCamera:
             render.Camera(position=np.array([0.0, 0.0, 3.0]), look_at=np.array([0.0, 0.0, 3.0]))
 
 
-def trace_one(scene, light, origin, direction, mode="lit", settings=None):
+def trace_one(scene, light, origin, direction, mode="lit"):
     """_trace_batch on a one-row batch; returns (rgb (3,), alpha)."""
     rgb, alpha = render._trace_batch(scene, light, np.asarray(origin, dtype=np.float64)[None, :],
                                      np.asarray(direction, dtype=np.float64)[None, :], mode,
-                                     settings or render.RenderSettings())
+                                     render.TRANSFER_GRID, render.ANCHORS_PER_RAY, None)
     return rgb[0], float(alpha[0])
 
 
@@ -113,11 +113,11 @@ class TestImages:
     def test_diffuse_plus_specular_equals_lit(self, shiny_sphere_scene, sky_light):
         cam = sphere_camera()
         scene = field.with_steps(shiny_sphere_scene, 96, 24)
-        lit = render.render_image(scene, sky_light, cam, "lit")
-        dif = render.render_image(scene, sky_light, cam, "diffuse")
-        spc = render.render_image(scene, sky_light, cam, "specular")
-        assert np.max(np.abs(dif.pixels + spc.pixels - lit.pixels)) < 1e-9
-        assert np.max(np.abs(dif.alpha - lit.alpha)) == 0.0
+        lit, lit_alpha = render.render_image(scene, sky_light, cam, "lit")
+        dif, dif_alpha = render.render_image(scene, sky_light, cam, "diffuse")
+        spc, _ = render.render_image(scene, sky_light, cam, "specular")
+        assert np.max(np.abs(dif + spc - lit)) < 1e-9
+        assert np.max(np.abs(dif_alpha - lit_alpha)) == 0.0
 
     def test_specular_anchor_normals_are_field_normals(self, shiny_sphere_scene, sky_light,
                                                        monkeypatch):
@@ -160,8 +160,7 @@ class TestImages:
         cache = transport.TransferCache(positions=pos, normals=np.zeros_like(pos),
                                         coeffs=np.ones((40, sky_light.coeffs.shape[0])))
         calls.clear()
-        render.render_image(scene, sky_light, sphere_camera(6, 6), "specular",
-                            render.RenderSettings(transfer_cache=cache))
+        render.render_image(scene, sky_light, sphere_camera(6, 6), "specular", cache=cache)
         assert len(calls["nearest"]) == len(calls["normals"]) == 1
         weighted = calls["normals"][0][1]
         _, valid = normals(shiny_sphere_scene, weighted)
@@ -172,50 +171,49 @@ class TestImages:
         # One material everywhere, so the relation holds per pixel.
         cam = sphere_camera()
         scene = field.with_steps(sphere_scene, 96, 24)
-        dif = render.render_image(scene, sky_light, cam, "diffuse")
-        irr = render.render_image(scene, sky_light, cam, "irradiance")
-        want = np.array([0.6, 0.5, 0.4]) / math.pi * irr.pixels
-        assert np.max(np.abs(dif.pixels - want)) < 1e-12
+        dif, _ = render.render_image(scene, sky_light, cam, "diffuse")
+        irr, _ = render.render_image(scene, sky_light, cam, "irradiance")
+        want = np.array([0.6, 0.5, 0.4]) / math.pi * irr
+        assert np.max(np.abs(dif - want)) < 1e-12
 
     def test_render_twice_bit_identical(self, sphere_scene, sky_light):
         cam = sphere_camera()
         scene = field.with_steps(sphere_scene, 64, 16)
-        a = render.render_image(scene, sky_light, cam, "lit")
-        b = render.render_image(scene, sky_light, cam, "lit")
-        assert np.array_equal(a.pixels, b.pixels)
-        assert np.array_equal(a.alpha, b.alpha)
+        a_pixels, a_alpha = render.render_image(scene, sky_light, cam, "lit")
+        b_pixels, b_alpha = render.render_image(scene, sky_light, cam, "lit")
+        assert np.array_equal(a_pixels, b_pixels)
+        assert np.array_equal(a_alpha, b_alpha)
 
     def test_thread_count_does_not_change_pixels(self, sphere_scene, sky_light):
         cam = sphere_camera(16, 16)
         scene = field.with_steps(sphere_scene, 64, 16)
-        one = render.render_image(scene, sky_light, cam, "lit", threads=1)
+        one_pixels, one_alpha = render.render_image(scene, sky_light, cam, "lit", threads=1)
         for threads in (2, 5):
-            many = render.render_image(scene, sky_light, cam, "lit", threads=threads)
-            assert np.array_equal(one.pixels, many.pixels)
-            assert np.array_equal(one.alpha, many.alpha)
+            pixels, alpha = render.render_image(scene, sky_light, cam, "lit", threads=threads)
+            assert np.array_equal(one_pixels, pixels)
+            assert np.array_equal(one_alpha, alpha)
 
     def test_step_doubling_converges(self, wall_scene, white_light):
         cam = wall_camera(8, 8)
         imgs = {}
         for steps in (64, 128, 256):
-            imgs[steps] = render.render_image(field.with_steps(wall_scene, steps, 32),
-                                              white_light, cam, "lit").pixels
+            imgs[steps], _ = render.render_image(field.with_steps(wall_scene, steps, 32),
+                                                 white_light, cam, "lit")
         d_coarse = np.max(np.abs(imgs[64] - imgs[128]))
         d_fine = np.max(np.abs(imgs[128] - imgs[256]))
         assert d_fine <= d_coarse
 
     def test_wall_pixels_recover_albedo(self, wall_scene, white_light):
         cam = wall_camera(16, 16)
-        img = render.render_image(wall_scene, white_light, cam, "lit",
-                                  render.RenderSettings(), threads=2)
-        assert np.all(img.alpha > 0.99)
-        ratio = img.pixels / (img.alpha[:, :, None] * np.asarray(WALL_ALBEDO))
+        pixels, alpha = render.render_image(wall_scene, white_light, cam, "lit", threads=2)
+        assert np.all(alpha > 0.99)
+        ratio = pixels / (alpha[:, :, None] * np.asarray(WALL_ALBEDO))
         assert np.max(np.abs(ratio - 1.0)) < 0.02
 
     def test_albedo_mode_shows_material(self, wall_scene):
         cam = wall_camera(8, 8)
-        img = render.render_image(field.with_steps(wall_scene, 256), None, cam, "albedo")
-        ratio = img.pixels[4, 4] / np.asarray(WALL_ALBEDO)
+        pixels, _ = render.render_image(field.with_steps(wall_scene, 256), None, cam, "albedo")
+        ratio = pixels[4, 4] / np.asarray(WALL_ALBEDO)
         assert np.all(np.abs(ratio / ratio[0] - 1.0) < 1e-9)
         assert abs(ratio[0] - 1.0) < 0.03
 
@@ -223,17 +221,17 @@ class TestImages:
         # The lit face of the wall points at the camera, +z, which encodes
         # to blue 1.0; the in-plane channels stay near 0.5.
         cam = wall_camera(8, 8)
-        img = render.render_image(field.with_steps(wall_scene, 256), None, cam, "normal")
-        px = img.pixels[4, 4] / img.alpha[4, 4]
+        pixels, alpha = render.render_image(field.with_steps(wall_scene, 256), None, cam, "normal")
+        px = pixels[4, 4] / alpha[4, 4]
         assert px[2] > 0.8
         assert abs(px[0] - 0.5 * px[2]) < 0.1 * px[2]
 
     def test_alpha_in_unit_range(self, blocker_scene, sky_light):
         cam = sphere_camera(10, 10)
-        img = render.render_image(field.with_steps(blocker_scene, 64, 16), sky_light, cam,
-                                  "lit")
-        assert np.all(img.alpha >= 0.0) and np.all(img.alpha <= 1.0)
-        assert np.all(np.isfinite(img.pixels))
+        pixels, alpha = render.render_image(field.with_steps(blocker_scene, 64, 16), sky_light,
+                                            cam, "lit")
+        assert np.all(alpha >= 0.0) and np.all(alpha <= 1.0)
+        assert np.all(np.isfinite(pixels))
 
 
 class TestCacheRender:
@@ -243,7 +241,7 @@ class TestCacheRender:
                                                positions, normals, resolution=(16, 32))
         path = str(tmp_path / "cache.bin")
         transport.save_transfer_cache(path, scene, positions, normals, coeffs)
-        return transport.load_transfer_cache(path, scene=scene)
+        return transport.load_transfer_cache(path, scene)
 
     def test_cache_degree_checked_before_marching(self, sphere_scene, sky_light, tmp_path,
                                                   monkeypatch):
@@ -252,7 +250,6 @@ class TestCacheRender:
         # transfer and render as usual.
         cache = self._cache(sphere_scene, tmp_path, count=8)
         light = sky_light.truncated(2)
-        settings = render.RenderSettings(transfer_cache=cache)
         scene = field.with_steps(sphere_scene, 32)
         march = transport.primary_march
         marched = []
@@ -264,24 +261,22 @@ class TestCacheRender:
         monkeypatch.setattr(transport, "primary_march", spy)
         for mode in ("lit", "diffuse", "specular", "irradiance"):
             with pytest.raises(ValueError, match="cache degree 4 does not match light degree 2"):
-                render.render_image(scene, light, sphere_camera(4, 4), mode, settings)
+                render.render_image(scene, light, sphere_camera(4, 4), mode, cache=cache)
         assert marched == []
         for mode in ("albedo", "normal", "visibility"):
-            img = render.render_image(scene, light, sphere_camera(4, 4), mode, settings)
-            assert np.all(np.isfinite(img.pixels))
+            pixels, _ = render.render_image(scene, light, sphere_camera(4, 4), mode, cache=cache)
+            assert np.all(np.isfinite(pixels))
         assert sum(marched) == 3 * 16
 
     def test_cached_render_close_to_direct(self, sphere_scene, sky_light, tmp_path):
         cam = sphere_camera()
         cache = self._cache(sphere_scene, tmp_path)
         scene = field.with_steps(sphere_scene, 96, 24)
-        direct = render.render_image(scene, sky_light, cam, "lit")
-        cached = render.render_image(scene, sky_light, cam, "lit",
-                                     render.RenderSettings(transfer_cache=cache))
-        mask = direct.alpha > 0.5
+        direct, direct_alpha = render.render_image(scene, sky_light, cam, "lit")
+        cached, _ = render.render_image(scene, sky_light, cam, "lit", cache=cache)
+        mask = direct_alpha > 0.5
         assert mask.any()
-        rel = (np.abs(cached.pixels - direct.pixels)[mask]
-               / np.maximum(np.abs(direct.pixels[mask]), 1e-3))
+        rel = np.abs(cached - direct)[mask] / np.maximum(np.abs(direct[mask]), 1e-3)
         assert np.mean(rel) < 0.25
 
     def test_cache_degree_mismatch(self, sphere_scene, tmp_path):
@@ -290,7 +285,7 @@ class TestCacheRender:
         cam = sphere_camera(4, 4)
         with pytest.raises(ValueError, match="cache degree"):
             render.render_image(field.with_steps(sphere_scene, 32), light, cam, "lit",
-                                render.RenderSettings(transfer_cache=cache))
+                                cache=cache)
 
 
 class TestPeakMemory:
@@ -302,7 +297,7 @@ class TestPeakMemory:
                          "16", "-o", cache]) == 0
         scene = field.load_scene(str(EXAMPLE_SCENE))
         camera = json.loads(EXAMPLE_SCENE.read_text())["camera"]
-        return scene, camera, transport.load_transfer_cache(cache, scene=scene)
+        return scene, camera, transport.load_transfer_cache(cache, scene)
 
     # Peaks before the compositing window: lit 19.2 MiB, normal 40.8 MiB and
     # visibility 15.3 MiB. Normal and visibility may not rise by more than
@@ -312,16 +307,15 @@ class TestPeakMemory:
                              ids=["lit", "normal", "visibility"])
     def test_cached_render_on_two_threads(self, example, mode, limit):
         scene, camera, cache = example
-        settings = render.RenderSettings(transfer_cache=cache)
         light = lobe_sh_light()
         # A small render first, so lazily built state is not counted.
         render.render_image(scene, light, render.Camera(**dict(camera, width=4, height=4)),
-                            mode, settings, threads=2)
+                            mode, cache=cache, threads=2)
         tracemalloc.start()
         try:
             render.render_image(scene, light, render.Camera(**dict(camera, width=128,
                                                                    height=128)),
-                                mode, settings, threads=2)
+                                mode, cache=cache, threads=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -334,32 +328,31 @@ class TestPeakMemory:
         # on two, how the threads' chunk peaks overlap moves the peak by
         # up to about 1 MiB from run to run.
         scene, camera, cache = example
-        settings = render.RenderSettings(transfer_cache=cache)
         light = lobe_sh_light()
         render.render_image(scene, light, render.Camera(**dict(camera, width=4, height=4)),
-                            "lit", settings)
+                            "lit", cache=cache)
         rest = []
         for size in (128, 256):
             tracemalloc.start()
             try:
                 render.render_image(scene, light, render.Camera(**dict(camera, width=size,
                                                                        height=size)),
-                                    "lit", settings)
+                                    "lit", cache=cache)
                 rest.append(tracemalloc.get_traced_memory()[1] - 32 * size * size)
             finally:
                 tracemalloc.stop()
         assert rest[1] - rest[0] < 2**18, [r / 2**20 for r in rest]
 
-    def _uncached_peak(self, example, settings):
+    def _uncached_peak(self, example, **options):
         """Heap peak of the benchmark's uncached render (64x32, lit, one thread), MiB."""
         scene, camera, _ = example
         light = lobe_sh_light()
         render.render_image(scene, light, render.Camera(**dict(camera, width=4, height=4)),
-                            "lit", settings)
+                            "lit", **options)
         tracemalloc.start()
         try:
             render.render_image(scene, light, render.Camera(**dict(camera, width=64, height=32)),
-                                "lit", settings)
+                                "lit", **options)
             return tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
@@ -370,7 +363,7 @@ class TestPeakMemory:
         # 10.88 MiB once it held one block of MAP_POINTS anchors, and 9.40
         # MiB once a block's map was freed before the next was marched; it
         # may not rise by more than 5%.
-        peak = self._uncached_peak(example, render.RenderSettings())
+        peak = self._uncached_peak(example)
         assert peak < 9.40 * 1.05, peak
 
     def test_uncached_peak_on_a_fine_transfer_grid(self, example):
@@ -378,8 +371,7 @@ class TestPeakMemory:
         # held the whole map of a chunk's 8,192 anchors, 22.60 MiB with one
         # block of MAP_POINTS anchors, 18.43 MiB once a block's map was
         # freed before the next was marched; it may not rise by more than 5%.
-        peak = self._uncached_peak(example, render.RenderSettings(transfer_grid=(32, 64),
-                                                                  anchors_per_ray=8))
+        peak = self._uncached_peak(example, transfer_grid=(32, 64), anchors=8)
         assert peak < 18.43 * 1.05, peak
 
 

@@ -373,7 +373,7 @@ class TestTransferCache:
         samples = self._bake_samples(sphere_scene, 6, seed=31)
         path = str(tmp_path / "cache.bin")
         transport.save_transfer_cache(path, sphere_scene, *samples)
-        cache = transport.load_transfer_cache(path, scene=sphere_scene)
+        cache = transport.load_transfer_cache(path, sphere_scene)
         assert cache.degree == 4
         assert cache.positions.shape == (6, 3)
         positions, _, coeffs = samples
@@ -404,7 +404,7 @@ class TestTransferCache:
         samples = self._bake_samples(sphere_scene, 6, seed=31)
         path = str(tmp_path / "cache.bin")
         transport.save_transfer_cache(path, sphere_scene, *samples)
-        cache = transport.load_transfer_cache(path)
+        cache = transport.load_transfer_cache(path, sphere_scene)
         idx = cache.nearest(cache.positions[3][None, :] + 1e-6)
         assert idx[0] == 3
 
@@ -454,20 +454,20 @@ class TestTransferCache:
         rows[1, column] = bad
         rows.tofile(path)
         with pytest.raises(ValueError, match="transfer cache record 1 is not finite"):
-            transport.load_transfer_cache(path)
+            transport.load_transfer_cache(path, sphere_scene)
 
     def test_wrong_scene_rejected(self, sphere_scene, blocker_scene, tmp_path):
         samples = self._bake_samples(sphere_scene, 3, seed=2)
         path = str(tmp_path / "cache.bin")
         transport.save_transfer_cache(path, sphere_scene, *samples)
         with pytest.raises(ValueError, match="different scene"):
-            transport.load_transfer_cache(path, scene=blocker_scene)
+            transport.load_transfer_cache(path, blocker_scene)
 
-    def test_missing_sidecar(self, tmp_path):
+    def test_missing_sidecar(self, sphere_scene, tmp_path):
         path = tmp_path / "cache.bin"
         path.write_bytes(b"\x00" * 8)
         with pytest.raises(ValueError, match="sidecar missing"):
-            transport.load_transfer_cache(str(path))
+            transport.load_transfer_cache(str(path), sphere_scene)
 
     def test_truncated_payload(self, sphere_scene, tmp_path):
         samples = self._bake_samples(sphere_scene, 3, seed=2)
@@ -477,7 +477,7 @@ class TestTransferCache:
         with open(path, "wb") as f:
             f.write(data[:-8])
         with pytest.raises(ValueError, match="expected"):
-            transport.load_transfer_cache(path)
+            transport.load_transfer_cache(path, sphere_scene)
 
     @pytest.mark.parametrize("cut, extra", [(0, 3), (0, 8), (3, 0)],
                              ids=["trailing_3", "trailing_8", "missing_3"])
@@ -492,7 +492,7 @@ class TestTransferCache:
             f.write(data[:len(data) - cut] + b"\x00" * extra)
         with pytest.raises(ValueError, match=f"holds {len(data) - cut + extra} bytes, "
                                              f"expected {len(data)}"):
-            transport.load_transfer_cache(path)
+            transport.load_transfer_cache(path, sphere_scene)
 
     @pytest.mark.parametrize("change", [
         {"degree": None},                   # missing key
@@ -522,17 +522,16 @@ class TestTransferCache:
                 sidecar[key] = value
         with open(path + ".json", "w") as f:
             json.dump(sidecar, f)
-        for scene in (None, sphere_scene):
-            with pytest.raises(ValueError, match="sidecar|transfer cache"):
-                transport.load_transfer_cache(path, scene=scene)
+        with pytest.raises(ValueError, match="sidecar|transfer cache"):
+            transport.load_transfer_cache(path, sphere_scene)
 
     @pytest.mark.parametrize("text", ["[4, 3]", "\"cache\"", "{not json"])
-    def test_sidecar_must_be_a_json_object(self, tmp_path, text):
+    def test_sidecar_must_be_a_json_object(self, sphere_scene, tmp_path, text):
         path = tmp_path / "cache.bin"
         path.write_bytes(b"\x00" * 8)
         (tmp_path / "cache.bin.json").write_text(text)
         with pytest.raises(ValueError):
-            transport.load_transfer_cache(str(path))
+            transport.load_transfer_cache(str(path), sphere_scene)
 
 
 @st.composite
@@ -655,11 +654,12 @@ class TestVisibilityMap:
         pos, nrm = several_blocks()
         grid = (8, 16)
         dirs, _, _ = sh.basis_grid(4, *grid)
-        whole = transport.visibility_map(scene, pos, nrm, dirs, dtype=dtype)
+        pos = pos.astype(dtype)
+        whole = transport.visibility_map(scene, pos, nrm, dirs)
         want = transport.project_map(whole, degree=4, resolution=grid)
         for block in (1, 3, transport.MAP_POINTS):
             monkeypatch.setattr(transport, "MAP_POINTS", block)
-            got = transport.bake_transfer_batch(scene, pos, nrm, resolution=grid, dtype=dtype)
+            got = transport.bake_transfer_batch(scene, pos, nrm, resolution=grid)
             assert got.tobytes() == want.tobytes(), block
 
     def test_bake_batch_peak(self):
@@ -700,11 +700,11 @@ def rows_alone(name, dtype):
     scene = BATCH_SCENES[name]
     pos, nrm = batch_points(name)
     dirs, _, _ = sh.basis_grid(4, *BATCH_GRID)
-    maps = [transport.visibility_map(scene, p[None, :], n[None, :], dirs, dtype=dtype)[0]
-            for p, n in zip(pos, nrm)]
+    maps = [transport.visibility_map(scene, p[None, :], n[None, :], dirs)[0]
+            for p, n in zip(pos.astype(dtype), nrm)]
     transfers = [transport.bake_transfer_batch(scene, p[None, :], n[None, :],
-                                               resolution=BATCH_GRID, dtype=dtype)[0]
-                 for p, n in zip(pos, nrm)]
+                                               resolution=BATCH_GRID)[0]
+                 for p, n in zip(pos.astype(dtype), nrm)]
     return np.array(maps), np.array(transfers)
 
 
@@ -730,12 +730,12 @@ def test_point_rows_do_not_depend_on_the_batch(name, dtype, order, map_points, o
     pos, nrm = batch_points(name)
     maps, transfers = rows_alone(name, dtype)
     idx = list(order)
-    p, n = at_offset(pos[idx], offset), at_offset(nrm[idx], offset)
+    p, n = at_offset(pos[idx].astype(dtype), offset), at_offset(nrm[idx], offset)
     dirs, _, _ = sh.basis_grid(4, *BATCH_GRID)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "MAP_POINTS", map_points)
-        vals = transport.visibility_map(scene, p, n, dirs, dtype=dtype)
-        t = transport.bake_transfer_batch(scene, p, n, resolution=BATCH_GRID, dtype=dtype)
+        vals = transport.visibility_map(scene, p, n, dirs)
+        t = transport.bake_transfer_batch(scene, p, n, resolution=BATCH_GRID)
     assert vals.tobytes() == maps[idx].tobytes()
     assert t.tobytes() == transfers[idx].tobytes()
 
@@ -772,13 +772,14 @@ def test_bake_of_several_point_blocks_matches_points_alone(monkeypatch, dtype):
     # the row it has baked alone, bit for bit.
     scene = BATCH_SCENES["example"]
     pos, nrm = several_blocks()
+    pos = pos.astype(dtype)
     grid = (8, 16)
     alone = np.array([transport.bake_transfer_batch(scene, p[None, :], n[None, :],
-                                                    resolution=grid, dtype=dtype)[0]
+                                                    resolution=grid)[0]
                       for p, n in zip(pos, nrm)])
     for block in (transport.MAP_POINTS, 1, 3):
         monkeypatch.setattr(transport, "MAP_POINTS", block)
-        got = transport.bake_transfer_batch(scene, pos, nrm, resolution=grid, dtype=dtype)
+        got = transport.bake_transfer_batch(scene, pos, nrm, resolution=grid)
         assert got.tobytes() == alone.tobytes(), block
 
 
@@ -788,10 +789,11 @@ def test_map_of_more_than_map_points_matches_points_alone(dtype):
     # than MAP_POINTS of them here; each row is its point's map alone.
     scene = BATCH_SCENES["example"]
     pos, nrm = several_blocks()
+    pos = pos.astype(dtype)
     dirs, _, _ = sh.basis_grid(0, 8, 16)
-    vals = transport.visibility_map(scene, pos, nrm, dirs, dtype=dtype)
-    alone = np.array([transport.visibility_map(scene, p[None, :], n[None, :], dirs,
-                                               dtype=dtype)[0] for p, n in zip(pos, nrm)])
+    vals = transport.visibility_map(scene, pos, nrm, dirs)
+    alone = np.array([transport.visibility_map(scene, p[None, :], n[None, :], dirs)[0]
+                      for p, n in zip(pos, nrm)])
     assert vals.tobytes() == alone.tobytes()
     assert not vals[-1].any()
 
@@ -806,18 +808,51 @@ def test_map_of_concatenated_directions_matches_separate_maps(name, dtype):
     # has a zero normal.
     scene = BATCH_SCENES[name]
     pos, nrm = batch_points(name)
+    pos = pos.astype(dtype)
     grid, _, _ = sh.basis_grid(0, 8, 16)
     rays = random_unit_dirs(10, seed=31)
-    apart = np.concatenate([transport.visibility_map(scene, pos, nrm, grid, dtype=dtype),
-                            transport.visibility_map(scene, pos, nrm, rays, dtype=dtype)],
-                           axis=1)
+    apart = np.concatenate([transport.visibility_map(scene, pos, nrm, grid),
+                            transport.visibility_map(scene, pos, nrm, rays)], axis=1)
     both = np.concatenate([grid, rays])
-    assert transport.visibility_map(scene, pos, nrm, both, dtype=dtype).tobytes() == \
-        apart.tobytes()
+    assert transport.visibility_map(scene, pos, nrm, both).tobytes() == apart.tobytes()
     for p, n, want in zip(pos, nrm, apart):
-        got = transport.visibility_map(scene, p[None, :], n[None, :], both, dtype=dtype)[0]
+        got = transport.visibility_map(scene, p[None, :], n[None, :], both)[0]
         assert got.tobytes() == want.tobytes()
     assert not apart[-1].any()
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SCENES))
+@pytest.mark.parametrize("form, dtype", [
+    ("float32", np.float32), ("float64", np.float64), ("list", np.float64),
+    ("integer", np.float64), ("float16", np.float64)],
+    ids=["float32", "float64", "list", "integer", "float16"])
+def test_positions_march_in_their_own_precision(empty_scene, name, form, dtype):
+    # visibility_map and the bake take field.density's rule: float32
+    # positions march in float32, any others in float64. Each map is the
+    # transmittance of the positions in that dtype times the clamped
+    # cosine (the map of the empty scene, where V is exactly 1), bit for
+    # bit, and differs from the march in the other dtype.
+    scene = BATCH_SCENES[name]
+    pos, nrm = batch_points(name)
+    given = {"float32": pos.astype(np.float32), "float64": pos, "list": pos.tolist(),
+             "integer": np.round(2.0 * pos).astype(np.int64),
+             "float16": pos.astype(np.float16)}[form]
+    dirs, _, _ = sh.basis_grid(4, *BATCH_GRID)
+    cos = transport.visibility_map(empty_scene, given, nrm, dirs)
+    p, q = np.nonzero(cos > 0.0)
+    marched = {}
+    for march in (np.float32, np.float64):
+        v = transport.transmittance(scene, np.asarray(given).astype(march), dirs, pairs=(p, q),
+                                    offset=2.0 * scene.fd_step)
+        marched[march] = np.zeros_like(cos)
+        marched[march][p, q] = v.astype(np.float64) * cos[p, q]
+    other = np.float64 if dtype is np.float32 else np.float32
+    vals = transport.visibility_map(scene, given, nrm, dirs)
+    assert vals.tobytes() == marched[dtype].tobytes()
+    assert vals.tobytes() != marched[other].tobytes()
+    baked = transport.bake_transfer_batch(scene, given, nrm, resolution=BATCH_GRID)
+    want = transport.project_map(marched[dtype], degree=4, resolution=BATCH_GRID)
+    assert baked.tobytes() == want.tobytes()
 
 
 def reference_cosine(n, d):

@@ -14,8 +14,10 @@ density_scale of 1e300 gives values past float32's range, a normal render
 of that scene, whose gradients have squares past float64's, a normal
 render, a bake and a validate of a scene whose density_scale of 1e308
 gives optical depths past float64's range (each must exit 0 with an empty
-stderr), and a degree-8 projection of the large sky whose --exposure of
-1e308 overflows the coefficients. It leaves out values that would start many threads
+stderr), a degree-8 projection of the large sky whose --exposure of
+1e308 overflows the coefficients, and a projection of the small sky whose
+--exposure of 1.7e308 overflows the map itself ("exit:project-env sky.pfm
+--exposure 1.7e308"). It leaves out values that would start many threads
 or probe at length (a huge --threads or --points).
 
 Outputs land in OUTDIR. The JSON printed on stdout maps each output's
@@ -145,6 +147,9 @@ def bad_inputs(out):
     runs.append(("exit:project-env sky_large.pfm --degree 8 --exposure 1e308",
                  ["project-env", out / "sky_large.pfm", "--degree", 8, "--exposure", "1e308",
                   "-o", out / "bad.json"]))
+    # A map whose texels (up to 1.33) times the exposure leave float64's range.
+    runs.append(("exit:project-env sky.pfm --exposure 1.7e308",
+                 ["project-env", sky, "--exposure", "1.7e308", "-o", out / "bad.json"]))
     return runs
 
 
