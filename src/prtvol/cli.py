@@ -176,13 +176,17 @@ def _cmd_validate(args):
         scene, light, points=args.points, mc_samples=args.mc_samples, degree=args.degree,
         grid=tuple(args.grid), secondary_steps=args.secondary_steps, seed=args.seed,
         threads=args.threads)
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError("the report is not finite: a light or scene value overflows") from None
     _warn_shortfall(len(report["entries"]), args.points)
     print(oracle.format_table(report))
     if args.output:
         field.write_json(args.output, report)
         print(f"wrote {args.output}")
     else:
-        print(json.dumps(report, indent=2))
+        print(text)
 
 
 def _cmd_metrics(args):

@@ -10,10 +10,10 @@ Each scene is compiled once, when it is built, into one parameter row
 per primitive, in scene order. density and material evaluate that kernel
 on separate x, y and z arrays and sum the primitives in scene order,
 rounding exactly as the per-point formulas do; each point's value is
-independent of the other points in the batch. supports gives each
-ray's span outside which a primitive is exactly +0.0, so a march may
-evaluate each primitive only inside its span, without changing a bit of
-its sum.
+independent of the other points in the batch. supports tabulates, for
+rays held as (3, N) columns, each primitive's span on each ray as (S, N)
+arrays; outside its span a primitive is exactly +0.0, so a march may
+evaluate it only there without changing a bit of its sum.
 
 Surface normals come from the density gradient, n = -grad / |grad|,
 estimated by central differences with step h = min(softness) / 4. A
@@ -297,9 +297,10 @@ def read_json(path, parse):
 
 
 def write_json(path, value):
-    """Write value to path as JSON indented by 2, with a trailing newline."""
+    """Write value to path as JSON indented by 2; NaN or inf raises before the file opens."""
+    text = json.dumps(value, indent=2, allow_nan=False) + "\n"
     with open(path, "w") as f:
-        f.write(json.dumps(value, indent=2) + "\n")
+        f.write(text)
 
 
 def load_scene(path):
@@ -459,12 +460,12 @@ def _slab_support(row, grow, o, d):
 _SUPPORT = {"sphere": _sphere_support, "box": _box_support, "slab": _slab_support}
 
 
-def supports(scene, origins, dirs, t_max):
-    """Each primitive's float64 (lo, hi) along each ray, yielded in scene order.
+def supports(scene, o, d, t_max):
+    """Each primitive's float64 (lo, hi) along each ray, as (S, N) arrays in scene order.
 
-    For rays origins + t * dirs ((R, 3) each) sampled at 0 <= t <= t_max
-    (scalar or (R,)), a point whose t lies outside [lo, hi] gets exactly
-    +0.0 from the primitive, computed in the dtype of origins. A primitive
+    For rays o + t * d ((3, N) columns each) sampled at 0 <= t <= t_max
+    (scalar or (N,)), a point whose t lies outside [lo, hi] gets exactly
+    +0.0 from the primitive, computed in the dtype of o. A primitive
     is zero once its signed distance reaches softness / 2 (a sphere of
     radius + softness / 2, a box grown by softness / 2, a band of half
     thickness + softness / 2); each support is grown further by 2**-12
@@ -473,19 +474,21 @@ def supports(scene, origins, dirs, t_max):
     cannot be computed (non-finite or zero-length input, a ray on the
     support's edge) it spans all t.
     """
-    o = np.ascontiguousarray(np.asarray(origins).T, dtype=np.float64)
-    d = np.ascontiguousarray(np.asarray(dirs).T, dtype=np.float64)
+    o = np.ascontiguousarray(o, dtype=np.float64)
+    d = np.ascontiguousarray(d, dtype=np.float64)
     size = np.abs(o[0]) + np.abs(o[1]) + np.abs(o[2])
     size += (np.abs(d[0]) + np.abs(d[1]) + np.abs(d[2])) * t_max
+    lo, hi = [], []
     for _, support, row, _, softness in scene._kernel:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             own = np.sum(np.abs(row)) + softness
             grow = (0.5 * softness + _SUPPORT_PAD * own) + _SUPPORT_PAD * size
-            lo, hi = support(row, grow, o, d)
+            a, b = support(row, grow, o, d)
             # NaN (unknown) passes this test, and then spans all t.
-            meets = ~(hi < np.maximum(lo, 0.0))
-        yield (np.where(meets, np.fmax(lo, -np.inf), np.inf),
-               np.where(meets, np.fmin(hi, np.inf), -np.inf))
+            meets = ~(b < np.maximum(a, 0.0))
+        lo.append(np.where(meets, np.fmax(a, -np.inf), np.inf))
+        hi.append(np.where(meets, np.fmin(b, np.inf), -np.inf))
+    return np.reshape(lo, (len(lo), o.shape[1])), np.reshape(hi, (len(hi), o.shape[1]))
 
 
 def _points(pts):

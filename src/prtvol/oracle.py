@@ -63,11 +63,13 @@ def mc_diffuse_radiance(scene, light, x, n, albedo, samples, seed=0):
     vh = transport.visibility_map(scene, [x], [n], dirs)[0]
     g = radiance * vh[:, None]  # (S, C) integrand per direction
     scale = albedo / np.pi * 4.0 * np.pi
-    value = scale * np.mean(g, axis=0)
-    if samples > 1:
-        stderr = scale * np.std(g, axis=0, ddof=1) / np.sqrt(samples)
-    else:
-        stderr = np.zeros_like(value)
+    # A light past float64's range gives inf here, which the caller refuses.
+    with np.errstate(over="ignore"):
+        value = scale * np.mean(g, axis=0)
+        if samples > 1:
+            stderr = scale * np.std(g, axis=0, ddof=1) / np.sqrt(samples)
+        else:
+            stderr = np.zeros_like(value)
     return value, stderr
 
 

@@ -6,12 +6,12 @@ midpoint steps from a small self-occlusion offset (twice the normal
 finite-difference step) out to the bounding sphere. primary_march
 marches the renderer's and the probes' rays in scene.march.primary_steps
 over [t_near, t_far]; _march_weights composites both on the live window.
-Both evaluate each primitive of field.supports only on its own run of
-steps (_runs, _live_samples), and only on rays that meet its support,
-adding the terms in scene order; every skipped term is an exact +0.0, so
-both equal a dense march bit for bit. transmittance lays each ray's
-steps from its first live one to its last in one buffer, and sums it in
-step order.
+Both list each primitive's run of steps on each ray that meets its span
+in field.supports' table (_runs), and _add_terms evaluates each term
+there alone and adds it into the march's buffer, in scene order: every
+skipped term is an exact +0.0, so both equal a dense march bit for bit.
+transmittance's buffer holds each ray's steps from its first live one to
+its last, summed in step order; primary_march's is its (R, K) densities.
 transmittance is point-major: it marches the rays (origins[p], dirs[q])
 of index pairs into a table of points and a table of directions, so
 visibility_map hands it each point once and the directions in front of
@@ -122,42 +122,36 @@ def _count_before(t0, dt, s, steps, before):
     return lo
 
 
-def _runs(t0, dt, steps, supports):
+def _runs(t0, dt, steps, lo, hi):
     """The non-empty per-ray runs of steps of every support, as (ends, ray, first, count).
 
     Sample k < steps of ray r lies at t0[r] + (k + 0.5) * dt[r] ((N,)
-    arrays in the samples' dtype); for each float64 (lo, hi) of supports,
-    its samples with lo <= t <= hi are its steps first <= k < first + count
-    (_count_before), counted only on the rays where lo <= hi. The runs
+    arrays in the samples' dtype). Support i's samples with lo[i, r] <= t
+    <= hi[i, r] ((S, N) float64, from field.supports) are steps first <= k
+    < first + count (_count_before), counted only where lo <= hi. The runs
     with count > 0 are listed support after support, each with the flat
     index of its ray; those of support i are [ends[i - 1], ends[i]).
     """
-    n, supports = t0.shape[0], list(supports)
-    lo = np.concatenate([lo for lo, _ in supports] + [np.zeros(0)])
-    hi = np.concatenate([hi for _, hi in supports] + [np.zeros(0)])
-    # Pair i * n + r is support i on ray r, so the pairs of support i are
-    # [cut[i], cut[i + 1]), support after support.
-    ray = np.flatnonzero(lo <= hi)
-    lo, hi = lo[ray], hi[ray]
-    cut = np.searchsorted(ray, np.arange(len(supports) + 1) * n)
-    for i in range(1, len(supports)):
-        ray[cut[i]:cut[i + 1]] -= i * n
+    # Pair i * N + r is support i on ray r, so the pairs come support after support.
+    pair = np.flatnonzero(lo <= hi)
+    support, ray = np.divmod(pair, t0.shape[0])
     a, b = t0[ray], dt[ray]
-    first = _count_before(a, b, lo, steps, np.less)
-    count = _count_before(a, b, hi, steps, np.less_equal)
+    first = _count_before(a, b, lo.reshape(-1)[pair], steps, np.less)
+    count = _count_before(a, b, hi.reshape(-1)[pair], steps, np.less_equal)
     count -= first
     keep = np.flatnonzero(count > 0)
-    return np.searchsorted(keep, cut[1:]), ray[keep], first[keep], count[keep]
+    ends = np.searchsorted(support[keep], np.arange(lo.shape[0]), side="right")
+    return ends, ray[keep], first[keep], count[keep]
 
 
-def _live_samples(scene, o, d, t0, dt, runs):
-    """Blocks (ray, step, term) of the march samples on the runs of _runs.
+def _add_terms(scene, o, d, t0, dt, runs, out, base):
+    """Add each primitive's density times the bounds mask on its runs of _runs into out.
 
     Sample k of ray r lies at t = t0[r] + (k + 0.5) * dt[r], computed in
-    the dtype of the (3, N) columns o and d, so at d[:, r] * t + o[:, r].
-    Each support's runs are laid out run after run and cut into blocks of
-    MARCH_BLOCK samples, and term is the block's primitive density there
-    times the bounds mask.
+    the dtype of the (3, N) columns o and d, so at d[:, r] * t + o[:, r];
+    its term is added into out[base[r] + k], support after support in
+    scene order. Each support's runs are laid out run after run and cut
+    into blocks of MARCH_BLOCK samples.
     """
     ends, ray, first, count = runs
     half = o.dtype.type(0.5)
@@ -168,8 +162,7 @@ def _live_samples(scene, o, d, t0, dt, runs):
     # support i are at flat positions [edge[i], edge[i + 1]).
     end = np.cumsum(count)
     shift = end - count - first
-    index = np.arange(count.size)
-    edge = [0] + [int(end[j - 1]) if j else 0 for j in ends]
+    edge = [0] + np.r_[0, end][ends].tolist()
     for i in range(len(ends)):
         for b in range(edge[i], edge[i + 1], MARCH_BLOCK):
             e = min(b + MARCH_BLOCK, edge[i + 1])
@@ -178,9 +171,8 @@ def _live_samples(scene, o, d, t0, dt, runs):
             # its run count would leave many odd sizes in numpy's cache of
             # small buffers, and with them a more fragmented heap.
             r0, r1 = np.searchsorted(end, (b, e - 1), side="right")
-            j = np.repeat(index[r0:r1 + 1], count[r0:r1 + 1])[b - end[r0] + count[r0]:][:e - b]
-            k = np.arange(b, e)
-            k -= shift[j]
+            j = np.repeat(np.arange(r0, r1 + 1), count[r0:r1 + 1])[b - end[r0] + count[r0]:][:e - b]
+            k = np.arange(b, e) - shift[j]
             r = ray[j]
             g = np.take(rows, r, axis=1)
             t = k.astype(o.dtype)
@@ -189,7 +181,9 @@ def _live_samples(scene, o, d, t0, dt, runs):
             np.add(g[6], t, out=t)
             pts = np.multiply(g[3:6], t, out=g[3:6])
             pts += g[0:3]
-            yield r, k, field._primitive_density(scene, i, *pts) * field._in_bounds(scene, *pts)
+            term = field._primitive_density(scene, i, *pts) * field._in_bounds(scene, *pts)
+            # A (ray, step) occurs once per run, so += adds each term once.
+            out[base[r] + k] += term
 
 
 def transmittance(scene, origins, dirs, *, pairs=None, offset=0.0):
@@ -229,7 +223,7 @@ def transmittance(scene, origins, dirs, *, pairs=None, offset=0.0):
         t_enter, t_exit = _exit_distance(scene, o, d)
         t0 = np.maximum(t_enter, dtype(offset))
         dt = np.maximum(t_exit - t0, 0.0) / dtype(steps)
-        runs = _runs(t0, dt, steps, field.supports(scene, o.T, d.T, t_exit))
+        runs = _runs(t0, dt, steps, *field.supports(scene, o, d, t_exit))
         _, ray, first, count = runs
         # Each ray's steps from its first live one to its last lie ray after
         # ray in one zeroed buffer; step k of ray r is at base[r] + k.
@@ -241,9 +235,7 @@ def transmittance(scene, origins, dirs, *, pairs=None, offset=0.0):
         np.maximum(size, 0, out=size)
         base = np.cumsum(size) - size - start
         terms = np.zeros(int(size.sum()), dtype=origins.dtype)
-        for r, k, term in _live_samples(scene, o, d, t0, dt, runs):
-            # A (ray, step) occurs once per run, so += adds each term once.
-            terms[base[r] + k] += term
+        _add_terms(scene, o, d, t0, dt, runs, terms, base)
         # add.at adds in index order, so each ray sums its steps in step
         # order, as a dense march does; the +0.0 between runs adds exactly.
         # A depth past the dtype's range is inf: transmittance 0.
@@ -362,16 +354,14 @@ def primary_march(scene, origins, dirs):
     the bounds mask, is added on its own run in scene order; skipped terms
     are +0.0 (exact since t_near >= 0), as field.density would add them.
     """
-    origins = np.asarray(origins, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64)
+    o = np.asarray(origins, dtype=np.float64).T
+    d = np.asarray(dirs, dtype=np.float64).T
     steps, t0, t1 = scene.march.primary_steps, scene.march.t_near, scene.march.t_far
     dt = (t1 - t0) / steps
-    sigma = np.zeros((origins.shape[0], steps))
-    t0s, dts = np.full(origins.shape[0], t0), np.full(origins.shape[0], dt)
-    runs = _runs(t0s, dts, steps, field.supports(scene, origins, dirs, t1))
-    for ray, step, term in _live_samples(scene, origins.T, dirs.T, t0s, dts, runs):
-        # A (ray, step) occurs once per run, so += adds each term once.
-        sigma.reshape(-1)[ray * steps + step] += term
+    sigma = np.zeros((o.shape[1], steps))
+    t0s, dts = np.full(o.shape[1], t0), np.full(o.shape[1], dt)
+    runs = _runs(t0s, dts, steps, *field.supports(scene, o, d, t1))
+    _add_terms(scene, o, d, t0s, dts, runs, sigma.reshape(-1), np.arange(o.shape[1]) * steps)
     return sigma, t0 + (np.arange(steps) + 0.5) * dt, dt
 
 

@@ -619,6 +619,35 @@ class TestValidate:
                 f"error: {broken}: Expecting value: line 1 column 12 (char 11)\n"
         assert not out.exists()
 
+    def test_overflowing_light_writes_no_report(self, workdir):
+        # Every coefficient of a degree-4 light at 1e306: the MC estimate's
+        # spread overflows. In a fresh interpreter stderr holds only the
+        # error line, and no report is written or printed; the report used
+        # to hold Infinity, which strict JSON parsers reject, with numpy's
+        # overflow warning on stderr and exit 0.
+        light = workdir / "light_1e306.json"
+        envlight.save_sh_light(str(light), envlight.ShLight(np.full((25, 3), 1e306)))
+        out = workdir / "report_1e306.json"
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        base = [sys.executable, "-m", "prtvol.cli", "validate", str(EXAMPLE_SCENE), "--env",
+                str(light), "--points", "3", "--mc-samples", "200", "--grid", "8", "16",
+                "--threads", "1"]
+        for argv in (base + ["-o", str(out)], base):
+            done = subprocess.run(argv, capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(src)})
+            assert done.returncode == 2
+            assert done.stderr == ("error: the report is not finite: "
+                                   "a light or scene value overflows\n")
+            assert done.stdout == ""
+        assert not out.exists()
+
+    def test_write_json_refuses_non_finite_numbers(self, workdir):
+        for value in (math.inf, -math.inf, math.nan):
+            out = workdir / "never_written.json"
+            with pytest.raises(ValueError):
+                field.write_json(str(out), {"entries": [{"mc_stderr": [1.0, value]}]})
+            assert not out.exists()
+
 
 class TestMarchFlags:
     """--steps and --secondary-steps act as a per-run copy of the scene's march block."""

@@ -444,7 +444,7 @@ class TestLiveSpanMarch:
         hi = sample_t(FILLED, o, d, steps, offset, b)
         if nudge:
             lo, hi = np.nextafter(lo, nudge * np.inf), np.nextafter(hi, nudge * np.inf)
-        monkeypatch.setattr(field, "supports", lambda *args: iter([(lo, hi)]))
+        monkeypatch.setattr(field, "supports", lambda *args: (lo[None], hi[None]))
         got = transport.transmittance(field.with_steps(FILLED, secondary_steps=steps), o, d,
                                       offset=offset)
         want = dense_transmittance(FILLED, o, d, steps, offset, window=(lo, hi))
@@ -491,7 +491,7 @@ class TestLiveSpanMarch:
         _, t_exit = reference_exit_distance(MIXED, o, d)
         t = sample_t(MIXED, o, d, steps, offset, np.arange(steps)[:, None])
         want = [np.count_nonzero((lo <= t) & (t <= hi))
-                for lo, hi in field.supports(MIXED, o, d, t_exit)]
+                for lo, hi in zip(*field.supports(MIXED, o.T, d.T, t_exit))]
         assert seen.tolist() == want
         assert 0 < sum(want) < 0.5 * len(MIXED.primitives) * steps * len(o)
 
@@ -511,6 +511,61 @@ class TestLiveSpanMarch:
         assert np.isnan(want[50]) and np.isnan(want[51])
         for got in runs:
             assert got.tobytes() == want.tobytes()
+
+
+def reference_runs(t0, dt, steps, lo, hi):
+    """transport._runs as a loop over supports and rays, counted by bitwise_count_before."""
+    ends, ray, first, count = [], [], [], []
+    for i in range(lo.shape[0]):
+        for r in range(t0.shape[0]):
+            if lo[i, r] <= hi[i, r]:
+                a, b = t0[r:r + 1], dt[r:r + 1]
+                f = bitwise_count_before(a, b, lo[i, r:r + 1], steps, np.less)[0]
+                c = bitwise_count_before(a, b, hi[i, r:r + 1], steps, np.less_equal)[0] - f
+                if c > 0:
+                    ray.append(r), first.append(f), count.append(c)
+        ends.append(len(ray))
+    return [ends, ray, first, count]
+
+
+def runs_of(scene, o, d, steps, offset):
+    """transport._runs and reference_runs on field.supports' table, as transmittance forms it."""
+    o, d = np.ascontiguousarray(o.T), np.ascontiguousarray(d.T)
+    t_enter, t_exit = transport._exit_distance(scene, o, d)
+    t0 = np.maximum(t_enter, o.dtype.type(offset))
+    dt = np.maximum(t_exit - t0, 0.0) / o.dtype.type(steps)
+    lo, hi = field.supports(scene, o, d, t_exit)
+    assert lo.dtype == hi.dtype == np.float64
+    assert lo.shape == hi.shape == (len(scene.primitives), o.shape[1])
+    got = transport._runs(t0, dt, steps, lo, hi)
+    return [x.tolist() for x in got], reference_runs(t0, dt, steps, lo, hi)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+class TestRunList:
+    """_runs equals a loop over each support and each ray."""
+
+    def test_mixed_rays(self, dtype):
+        o, d = mixed_rays(60, 26)
+        with np.errstate(invalid="ignore"):
+            got, want = runs_of(MIXED, o.astype(dtype), d.astype(dtype), 24, 0.05)
+        assert got == want
+        ends, ray, _, _ = got
+        assert len(ends) == len(MIXED.primitives) and np.all(np.diff(ends) > 0)
+        # Some rays meet no support and have no run.
+        assert 0 < len(set(ray)) < len(o)
+
+    def test_rays_that_meet_no_support(self, dtype):
+        # Rays from outside the primitives, pointing away from all of them.
+        o = np.array([[2.0, 2.0, 2.0], [-2.2, 0.0, 1.8], [0.0, -2.3, 1.5]], dtype=dtype)
+        got, want = runs_of(MIXED, o, unit(o).astype(dtype), 24, 0.0)
+        assert got == want == [[0] * len(MIXED.primitives), [], [], []]
+
+    def test_no_primitives(self, dtype):
+        rng = np.random.default_rng(27)
+        o = rng.uniform(-1.0, 1.0, size=(10, 3)).astype(dtype)
+        got, want = runs_of(make_scene(), o, unit(rng.normal(size=(10, 3))).astype(dtype), 8, 0.0)
+        assert got == want == [[], [], [], []]
 
 
 # Generated scenes: centers and rays in a 3-unit cube, sizes from thin
@@ -675,7 +730,7 @@ def test_support_interval_covers_rounding_at_the_edge(prim, dtype):
         t_edge = exact_support_entry(prim, o, d)
     keep = np.isfinite(t_edge) & (t_edge > 0.1) & (t_edge < 5.0)
     o, d, t_edge = o[keep].astype(dtype), d[keep].astype(dtype), t_edge[keep]
-    (lo, hi), = field.supports(scene, o, d, np.full(len(o), 6.0, dtype=dtype))
+    (lo,), (hi,) = field.supports(scene, o.T, d.T, np.full(len(o), 6.0, dtype=dtype))
     nonzero = 0
     for j in range(-40, 41):
         t = (t_edge * (1.0 + j * 2e-8)).astype(dtype)
@@ -693,9 +748,9 @@ def test_support_interval_brackets_every_nonzero_sample():
     dirs = unit(rng.normal(size=(200, 3)))
     t = np.linspace(0.0, 5.0, 801)
     pts = origins[:, None, :] + t[None, :, None] * dirs[:, None, :]
-    supports = list(field.supports(MIXED, origins, dirs, np.full(200, 5.0)))
-    assert len(supports) == len(MIXED.primitives)
-    for p, (lo, hi) in zip(MIXED.primitives, supports):
+    lo_all, hi_all = field.supports(MIXED, origins.T, dirs.T, np.full(200, 5.0))
+    assert lo_all.shape == hi_all.shape == (len(MIXED.primitives), 200)
+    for p, lo, hi in zip(MIXED.primitives, lo_all, hi_all):
         w = reference_primitive_density(p, pts, per_axis)
         outside = (t[None, :] < lo[:, None]) | (t[None, :] > hi[:, None])
         assert np.all(w[outside] == 0.0)
@@ -807,7 +862,7 @@ class TestPrimaryMarchCases:
         rng = np.random.default_rng(19)
         origins = np.column_stack([np.full(12, -3.0), rng.uniform(-0.1, 0.1, size=(12, 2))])
         dirs = np.tile([1.0, 0.0, 0.0], (12, 1))
-        (lo0, hi0), _, (lo2, hi2) = field.supports(scene, origins, dirs, 4.0)
+        (lo0, _, lo2), (hi0, _, hi2) = field.supports(scene, origins.T, dirs.T, 4.0)
         assert np.all((lo0 <= hi0) & (hi0 < 2.0)) and np.all((lo2 <= hi2) & (lo2 > 4.0))
         sigma = assert_primary_matches_dense(scene, origins, dirs)
         assert np.all(np.any(sigma > 0.0, axis=1))

@@ -11,26 +11,36 @@ matrix follows: one bad value per flag rule and command, count flags and
 scene or cache counts far past the count bound, a scene and a cache
 sidecar holding 10**400, albedo and visibility renders of a scene whose
 density_scale of 1e300 gives values past float32's range, a normal render
-of that scene, whose gradients have squares past float64's, a normal
-render, a bake and a validate of a scene whose density_scale of 1e308
-gives optical depths past float64's range (each must exit 0 with an empty
-stderr), a degree-8 projection of the large sky whose --exposure of
-1e308 overflows the coefficients, and a projection of the small sky whose
---exposure of 1.7e308 overflows the map itself ("exit:project-env sky.pfm
---exposure 1.7e308"). It leaves out values that would start many threads
-or probe at length (a huge --threads or --points).
+of that scene, whose gradients have squares past float64's, and a lit
+render of it, whose float32 anchor bake overflows, a normal render, a
+bake and a validate of a scene whose density_scale of 1e308 gives optical
+depths past float64's range (each must exit 0 with an empty stderr), a
+degree-8 projection of the large sky whose --exposure of 1e308 overflows
+the coefficients, a projection of the small sky whose --exposure of
+1.7e308 overflows the map itself ("exit:project-env sky.pfm --exposure
+1.7e308"), and a validate with a degree-4 light whose every coefficient
+is 1e306, so that its Monte Carlo spread overflows ("exit:validate light
+1e306"). Last come renders (16x12, lit) and bakes (20 points) of scenes
+with one value at the edge of the float range: bounds.radius 1e150
+(render and bake), march.t_far 1e300 (render and bake), a first
+primitive centered at [1e200, 0, 0] and one of softness 5e-324 (render).
+These keys record what such runs do now, numpy warnings and misleading
+errors included. It leaves out values that would start many threads or
+probe at length (a huge --threads or --points).
 
 Outputs land in OUTDIR. The JSON printed on stdout maps each output's
 name to its sha256, and each bad input's key ("exit:render --anchors 0")
 to its exit code and the first token of its stderr ("1 usage error:",
-"2 error:" or "1 Traceback"). The prtvol under test is whichever the
-interpreter imports (set PYTHONPATH to a checkout's src to pick one), so
-two checkouts compare by diffing the two JSON files.
+"2 error:", "1 Traceback", or "0 warning:" for a Python warning, whose
+text would hold the checkout's path). The prtvol under test is whichever
+the interpreter imports (set PYTHONPATH to a checkout's src to pick one),
+so two checkouts compare by diffing the two JSON files.
 """
 
 import hashlib
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -120,11 +130,12 @@ def bad_inputs(out):
     pathlib.Path(f"{huge}.json").write_text(json.dumps({**sidecar, "count": 10**400}))
     runs.append(("exit:render cache count 10**400", ["render", *base["render"], "--cache", huge]))
     # A density_scale whose finite float64 image lies past float32's range
-    # (albedo, visibility), and whose gradients' squares overflow (normal).
+    # (albedo, visibility), whose gradients' squares overflow (normal), and
+    # which overflows the float32 anchor bake (lit).
     path = out / "bad_density_scale.json"
     first = {**scene["primitives"][0], "density_scale": 1e300}
     path.write_text(json.dumps({**scene, "primitives": [first, *scene["primitives"][1:]]}))
-    for mode in ("albedo", "visibility", "normal"):
+    for mode in ("albedo", "visibility", "normal", "lit"):
         runs.append((f"exit:render primitives[0].density_scale 1e300 --mode {mode}",
                      ["render", path, "--env", light, "--mode", mode, "--width", 16,
                       "--height", 12, "--threads", 1, "-o", out / "bad.pfm"]))
@@ -150,6 +161,32 @@ def bad_inputs(out):
     # A map whose texels (up to 1.33) times the exposure leave float64's range.
     runs.append(("exit:project-env sky.pfm --exposure 1.7e308",
                  ["project-env", sky, "--exposure", "1.7e308", "-o", out / "bad.json"]))
+    # A light whose Monte Carlo spread overflows float64.
+    hot = out / "light_1e306.json"
+    values = json.loads(light.read_text())
+    values["channels"] = [[1e306] * len(c) for c in values["channels"]]
+    hot.write_text(json.dumps(values))
+    runs.append(("exit:validate light 1e306",
+                 ["validate", SCENE, "--env", hot, "--points", 3, "--mc-samples", 200,
+                  "--grid", 8, 16, "--threads", 1, "-o", out / "bad.json"]))
+    # Scene values at the edge of the float range that still print numpy
+    # warnings, or name the wrong cause; the keys record what they do.
+    first, rest = scene["primitives"][0], scene["primitives"][1:]
+    for i, (name, changed, commands) in enumerate((
+            ("bounds.radius 1e150", {"bounds": {**scene["bounds"], "radius": 1e150}},
+             ("render", "bake")),
+            ("march.t_far 1e300", {"march": {**scene["march"], "t_far": 1e300}},
+             ("render", "bake")),
+            ("primitives[0].center [1e200, 0, 0]",
+             {"primitives": [{**first, "center": [1e200, 0, 0]}, *rest]}, ("render",)),
+            ("primitives[0].softness 5e-324",
+             {"primitives": [{**first, "softness": 5e-324}, *rest]}, ("render",)))):
+        path = out / f"bad_edge{i}.json"
+        path.write_text(json.dumps({**scene, **changed}))
+        for command in commands:
+            flags = (["--env", light, "--width", 16, "--height", 12, "-o", out / "bad.pfm"]
+                     if command == "render" else ["--points", 20, "-o", out / "bad.bin"])
+            runs.append((f"exit:{command} {name}", [command, path, *flags, "--threads", 1]))
     return runs
 
 
@@ -176,6 +213,8 @@ def main(argv):
         done = run(args)
         token = next((t for t in ("usage error:", "error:", "Traceback")
                       if done.stderr.startswith(t)), done.stderr[:20])
+        if re.match(r"[^\n]*:\d+: \w*Warning: ", done.stderr):
+            token = "warning:"  # its text starts with the path of the checkout
         hashes[key] = f"{done.returncode} {token}"
     print(json.dumps(hashes, indent=2))
 
