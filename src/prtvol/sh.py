@@ -11,14 +11,14 @@ for m < 0 the sine analogue, with K(l, m) = sqrt((2l+1)/(4 pi) *
 phase Y_{1,1}(d) = sqrt(3/(4 pi)) * x. Directions are cartesian with +z up.
 
 Projection uses midpoint latitude-longitude quadrature: nodes at cell
-centers of an n_theta x n_phi grid, weight sin(theta) dtheta dphi.
+centers of an n_theta x n_phi grid, weight sin(theta) dtheta dphi. On
+that grid Y_lm separates into a Legendre factor per row and cos(m phi)
+or sin(|m| phi) per column (Driscoll and Healy 1994), so project sums
+each row against those columns, then each coefficient over the rows.
 
 eval_basis returns the basis direction-major, (..., n) and C-contiguous,
 and the transfer bake and the oracle multiply that layout with BLAS.
-project instead evaluates one block of nodes at a time into
-coefficient-major (n, B) rows and adds the block products in node order,
-so its memory does not grow with the grid. basis_grid caches recently
-used quadrature grids up to a byte bound.
+basis_grid caches recently used quadrature grids up to a byte bound.
 """
 
 import math
@@ -31,11 +31,9 @@ import numpy as np
 DEFAULT_DEGREE = 4
 MAX_DEGREE = 8
 MIN_GRID = (8, 16)  # smallest (n_theta, n_phi) quadrature grid
-# Directions per block of eval_basis and project; a degree-8 block's rows
-# take 3.9 MB.
-# Larger blocks ran no faster and left more heap resident after threaded
-# calls. A power of two would make the transposed copy out of a block
-# thrash the cache through its row stride.
+# Directions per block of eval_basis and per sampler call of project; a degree-8
+# block's basis rows take 3.9 MB. Larger blocks ran no faster and left more heap resident
+# after threaded calls, and a power of two thrashes the cache in eval_basis's transposed copy.
 _BASIS_BLOCK = 6_000
 _GRID_CACHE_BYTES = 128 << 20  # most bytes of grids that basis_grid keeps alive
 
@@ -93,11 +91,9 @@ def normalize(v):
 def eval_basis(dirs, degree=DEFAULT_DEGREE):
     """Evaluate all basis functions for bands 0..degree.
 
-    The recurrence runs over blocks of _BASIS_BLOCK directions, one
-    contiguous row per coefficient, and each block is copied into its
-    rows of the result. Every value is the same elementwise expression
-    of its own direction, so a direction gets the same bits alone as in
-    any batch.
+    The recurrence runs over blocks of _BASIS_BLOCK directions, one row
+    per coefficient. Every value is the same elementwise expression of its
+    own direction, so a direction gets the same bits alone as in any batch.
 
     Args:
         dirs: array (..., 3) of unit directions.
@@ -112,49 +108,29 @@ def eval_basis(dirs, degree=DEFAULT_DEGREE):
         raise ValueError("directions must have a trailing dimension of 3")
     if not np.all(np.isfinite(dirs)):
         raise ValueError("non-finite direction components")
-
     n = num_coeffs(degree)
     flat = dirs.reshape(-1, 3)
     out = np.empty((flat.shape[0], n), dtype=np.float64)
-    for b, e, rows in _basis_blocks(flat, degree):
-        out[b:e] = rows.T
-    return out.reshape(dirs.shape[:-1] + (n,))
-
-
-def _basis_blocks(flat, degree):
-    """Yield (b, e, rows) per block of the (N, 3) flat, with the basis of
-    flat[b:e] in rows: a C-contiguous (n, e - b) view of one reused buffer,
-    so a partial last block has the layout of a full one."""
-    n = num_coeffs(degree)
-    total = flat.shape[0]
-    buf = np.empty(n * min(total, _BASIS_BLOCK), dtype=np.float64)
-    for b in range(0, total, _BASIS_BLOCK):
-        e = min(b + _BASIS_BLOCK, total)
+    buf = np.empty(n * min(len(flat), _BASIS_BLOCK), dtype=np.float64)  # reused by each block
+    for b in range(0, len(flat), _BASIS_BLOCK):
+        e = min(b + _BASIS_BLOCK, len(flat))
         rows = buf[: n * (e - b)].reshape(n, e - b)
         _eval_block(flat[b:e].T.copy(), degree, rows)
-        yield b, e, rows
+        out[b:e] = rows.T
+    return out.reshape(dirs.shape[:-1] + (n,))
 
 
 def _eval_block(xyz, degree, rows):
     """Basis values of the directions xyz (3, B) into rows (n, B)."""
     x, y, z = xyz
     # cos(m phi) and sin(m phi) scaled by sin(theta)^m, built from x and y;
-    # the matching sin^m factor is divided out of the Legendre term below.
+    # _legendre divides the matching sin^m factor out of its term.
     cos_m = np.ones_like(x)
     sin_m = np.zeros_like(x)
     for m in range(degree + 1):
         if m > 0:
             cos_m, sin_m = x * cos_m - y * sin_m, x * sin_m + y * cos_m
-        # q holds P_l^m(z) / sin(theta)^m, which satisfies the same
-        # three-term recurrence in l for fixed m.
-        q_prev = None
-        q = np.full_like(x, _START[m])
-        for l in range(m, degree + 1):
-            if l == m + 1:
-                q_prev, q = q, (2 * m + 1) * z * q
-            elif l > m + 1:
-                q_prev, q = q, ((2 * l - 1) * z * q - (l + m - 1) * q_prev) / (l - m)
-            k = _SCALE[l][m]
+        for l, k, q in _legendre(z, m, degree):
             if m == 0:
                 np.multiply(k, q, out=rows[sh_index(l, 0)])
             else:
@@ -163,6 +139,19 @@ def _eval_block(xyz, degree, rows):
                 c_row *= q
                 np.multiply(k, sin_m, out=s_row)
                 s_row *= q
+
+
+def _legendre(z, m, degree):
+    """Yield (l, k, q) for l = m..degree at z = cos(theta): k scales basis function (l, m),
+    and q = P_l^m(z) / sin(theta)^m satisfies P's three-term recurrence in l."""
+    q_prev = None
+    q = np.full_like(z, _START[m])
+    for l in range(m, degree + 1):
+        if l == m + 1:
+            q_prev, q = q, (2 * m + 1) * z * q
+        elif l > m + 1:
+            q_prev, q = q, ((2 * l - 1) * z * q - (l + m - 1) * q_prev) / (l - m)
+        yield l, _SCALE[l][m], q
 
 
 def quadrature_nodes(n_theta=128, n_phi=256):
@@ -175,22 +164,23 @@ def quadrature_nodes(n_theta=128, n_phi=256):
         (dirs, weights) with dirs (n_theta*n_phi, 3) and weights summing
         to 4 pi up to quadrature error.
     """
+    return _nodes(n_theta, n_phi, 0, n_theta * n_phi)
+
+
+def _nodes(n_theta, n_phi, b, e):
+    """(dirs, weights) of quadrature_nodes' nodes b..e-1."""
     checked_grid(n_theta, n_phi)
     d_theta = math.pi / n_theta
     d_phi = 2.0 * math.pi / n_phi
     theta = (np.arange(n_theta) + 0.5) * d_theta
     phi = (np.arange(n_phi) + 0.5) * d_phi
-    st = np.sin(theta)[:, None]
-    dirs = np.empty((n_theta, n_phi, 3), dtype=np.float64)
-    dirs[..., 0] = st * np.cos(phi)[None, :]
-    dirs[..., 1] = st * np.sin(phi)[None, :]
-    dirs[..., 2] = np.cos(theta)[:, None] * np.ones_like(phi)[None, :]
-    # Per-cell weight is the exact solid angle of the texel, i.e. the
-    # integral of sin(theta) dtheta dphi over the cell; the weights then
-    # sum to 4 pi to machine precision.
+    i, j = np.divmod(np.arange(b, e), n_phi)
+    st = np.sin(theta)[i]
+    dirs = np.stack([st * np.cos(phi)[j], st * np.sin(phi)[j], np.cos(theta)[i]], axis=-1)
+    # Each weight is its texel's exact solid angle, the integral of sin(theta) dtheta dphi
+    # over the cell, so the weights sum to 4 pi to machine precision.
     band = np.cos(np.arange(n_theta) * d_theta) - np.cos(np.arange(n_theta + 1)[1:] * d_theta)
-    weights = np.broadcast_to(band[:, None] * d_phi, (n_theta, n_phi))
-    return dirs.reshape(-1, 3), weights.reshape(-1).copy()
+    return dirs, (band * d_phi)[i]
 
 
 _grids = OrderedDict()  # (degree, n_theta, n_phi) -> grid, least recently used first
@@ -228,11 +218,12 @@ _cached_grid = basis_grid
 def project(fn, degree=DEFAULT_DEGREE, n_theta=128, n_phi=256):
     """Project a function on the sphere onto the basis by quadrature.
 
-    The nodes are taken in blocks of _BASIS_BLOCK directions. fn is called
-    once per block; its weighted values are multiplied with the block's
-    coefficient-major basis rows, and the block products are added into
-    the result in node order. Memory is the node table and one block,
-    whatever the grid or degree.
+    fn is called once per block of _BASIS_BLOCK nodes, in node order, and
+    its weighted values fill one grid. One product with the cos(m phi) and
+    sin(|m| phi) columns gives each row's Fourier sums. Coefficient (l, m)
+    is the dot product of order m's row sums with the rows' Legendre
+    factor K(l, |m|) * P_l^|m|(cos theta), times sqrt(2) where m != 0.
+    Memory is the value grid and one block of nodes.
 
     Args:
         fn: callable mapping an (N, 3) array of unit directions to values
@@ -244,22 +235,36 @@ def project(fn, degree=DEFAULT_DEGREE, n_theta=128, n_phi=256):
         Coefficients, shape ((degree+1)**2,) or ((degree+1)**2, C).
     """
     checked_degree(degree, "degree")
-    dirs, weights = quadrature_nodes(n_theta, n_phi)
-    for b, e, rows in _basis_blocks(dirs, degree):
-        vals = np.asarray(fn(dirs[b:e]), dtype=np.float64)
-        if vals.shape[0] != e - b:
+    for b in range(0, n_theta * n_phi, _BASIS_BLOCK):
+        e = min(b + _BASIS_BLOCK, n_theta * n_phi)
+        dirs, w = _nodes(n_theta, n_phi, b, e)
+        block = np.asarray(fn(dirs), dtype=np.float64)
+        if block.shape[0] != e - b:
             raise ValueError("sampler returned a value per-direction mismatch")
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(block)):
             raise ValueError("sampler returned non-finite values")
-        if vals.ndim not in (1, 2):
+        if block.ndim not in (1, 2):
             raise ValueError("sampler must return shape (N,) or (N, C)")
-        w = weights[b:e] if vals.ndim == 1 else weights[b:e, None]
-        # Values near the float64 limit overflow here, and two blocks' infinities
-        # of opposite sign add to NaN; callers check the result.
-        with np.errstate(over="ignore", invalid="ignore"):
-            part = rows @ (w * vals)
-            out = part if b == 0 else out + part
-    return out
+        if b == 0:
+            vals = np.empty((n_theta * n_phi,) + block.shape[1:])
+        vals[b:e] = (w if block.ndim == 1 else w[:, None]) * block
+    theta = (np.arange(n_theta) + 0.5) * (math.pi / n_theta)
+    st, z = np.sin(theta), np.cos(theta)
+    # Column degree + m of trig is cos(m phi), or sin(|m| phi) for m < 0.
+    m_phi = np.outer((np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi), range(-degree, degree + 1))
+    trig = np.where(m_phi < 0, np.sin(-m_phi), np.cos(m_phi))
+    st_m = np.ones(n_theta)  # sin(theta)^m
+    # Sums near the float64 limit overflow, and inf - inf is NaN; callers check the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fourier = trig.T @ vals.reshape(n_theta, n_phi, -1)
+        out = np.empty((num_coeffs(degree), fourier.shape[2]))
+        for m in range(degree + 1):
+            for l, k, q in _legendre(z, m, degree):
+                row = k * st_m * q
+                out[sh_index(l, m)] = row @ fourier[:, degree + m]
+                out[sh_index(l, -m)] = row @ fourier[:, degree - m]
+            st_m = st_m * st
+    return out.reshape((-1,) + vals.shape[1:])
 
 
 def reconstruct(coeffs, dirs):
@@ -274,14 +279,9 @@ def reconstruct(coeffs, dirs):
     return basis @ coeffs
 
 
-def _norm_constant(l, m):
-    return math.sqrt(
-        (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
-    )
-
-
 # Start of the order-m Legendre recurrence, (2m-1)!!, and the scale of
 # basis function (l, m): K(l, 0), and sqrt(2) * K(l, m) for m > 0.
 _START = [float(math.prod(range(2 * m - 1, 0, -2))) for m in range(MAX_DEGREE + 1)]
-_SCALE = [[_norm_constant(l, 0)] + [math.sqrt(2.0) * _norm_constant(l, m) for m in range(1, l + 1)]
-          for l in range(MAX_DEGREE + 1)]
+_SCALE = [[(math.sqrt(2.0) if m else 1.0)
+           * math.sqrt((2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m))
+           for m in range(l + 1)] for l in range(MAX_DEGREE + 1)]

@@ -135,11 +135,11 @@ class TestProjection:
     @pytest.mark.parametrize("degree", range(sh.MAX_DEGREE + 1))
     @pytest.mark.parametrize("shape", [(8, 16), (64, 128), (128, 256)])
     def test_blocks_stay_close_to_the_full_basis_sum(self, degree, shape):
-        # The projection adds one product per block of nodes. The reference
+        # The projection sums each latitude row, then the rows. The reference
         # sums the terms of the whole direction-major basis exactly. One BLAS
-        # product of that basis rounds farther from it than the blocks do:
-        # 1.2e-14 of the largest coefficient against 2.6e-16 on the 128x256
-        # map at degree 2.
+        # product of that basis rounds farther from it than the separable
+        # sums do: 1.2e-14 of the largest coefficient against 2.9e-16 on the
+        # 128x256 map at degree 2.
         light = envlight.EquirectLight(pixels=np.random.default_rng(degree).random(shape + (3,)))
         got = envlight.project_to_sh(light, degree=degree).coeffs
         dirs, weights = sh.quadrature_nodes(*shape)
@@ -150,9 +150,10 @@ class TestProjection:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_degree_eight_peak_memory(self):
-        # The projection holds the node table and one block of basis rows,
-        # not the 85 MiB degree-8 basis: 9.14 MiB here, against 96 MiB when
-        # it multiplied the whole basis at once.
+        # The projection holds one grid of weighted values and one block of
+        # nodes, but no basis and no node table: 4.61 MiB here, against
+        # 9.14 MiB with the node table and a block of basis rows, and 96 MiB
+        # with the whole 85 MiB degree-8 basis.
         env = envlight.EquirectLight(pixels=np.random.default_rng(0).random((256, 512, 3)))
         tracemalloc.start()
         try:
@@ -160,7 +161,7 @@ class TestProjection:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9.14 * 1.05 * 2**20
+        assert peak < 4.61 * 1.05 * 2**20
 
 
 class TestShLight:

@@ -324,22 +324,31 @@ class TestProjection:
             sh.quadrature_nodes(4, 8)
 
 
-def blockwise_projection(fn, degree, n_theta, n_phi):
-    """project's arithmetic written out: the in-order sum of the products of
-    each _BASIS_BLOCK block's coefficient-major basis and weighted values."""
+def separable_projection(fn, degree, n_theta, n_phi):
+    """project's arithmetic written out: each latitude row's weighted values
+    summed against cos(m phi) and sin(|m| phi), then each coefficient's dot
+    product of its order's row sums with the basis on the phi = 0 meridian,
+    which is the basis's Legendre factor of order |m|."""
     dirs, weights = sh.quadrature_nodes(n_theta, n_phi)
-    total = None
-    for b in range(0, len(dirs), sh._BASIS_BLOCK):
-        d, w = dirs[b:b + sh._BASIS_BLOCK], weights[b:b + sh._BASIS_BLOCK]
-        vals = fn(d)
-        rows = np.ascontiguousarray(sh.eval_basis(d, degree).T)
-        part = rows @ (w * vals if vals.ndim == 1 else w[:, None] * vals)
-        total = part if total is None else total + part
-    return total
+    vals = np.concatenate([fn(dirs[b:b + sh._BASIS_BLOCK])
+                           for b in range(0, len(dirs), sh._BASIS_BLOCK)])
+    grid = (weights if vals.ndim == 1 else weights[:, None]) * vals
+    grid = grid.reshape(n_theta, n_phi, -1)
+    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
+    trig = np.stack([np.cos(m * phi) if m >= 0 else np.sin(-m * phi)
+                     for m in range(-degree, degree + 1)], axis=1)
+    row_sums = np.stack([trig.T @ row for row in grid])
+    theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
+    meridian = np.stack([np.sin(theta), np.zeros(n_theta), np.cos(theta)], axis=1)
+    legendre = sh.eval_basis(meridian, degree).T.copy()
+    out = np.stack([legendre[sh.sh_index(l, abs(m))] @ row_sums[:, degree + m]
+                    for l in range(degree + 1) for m in range(-l, l + 1)])
+    return out.reshape((-1,) + vals.shape[1:])
 
 
 class TestBlockedProjection:
-    """project samples, weights and multiplies one block of nodes at a time."""
+    """project samples one block of nodes at a time, then sums separably:
+    over each latitude row, then over the rows."""
 
     @pytest.mark.parametrize("channels", [None, 3], ids=["scalar", "rgb"])
     @pytest.mark.parametrize("degree, grid", [(0, (8, 16)), (4, (60, 100)), (8, (64, 128)),
@@ -355,9 +364,29 @@ class TestBlockedProjection:
             return v[:, 0] if channels is None else v
 
         got = sh.project(fn, degree, *grid)
-        want = blockwise_projection(fn, degree, *grid)
+        want = separable_projection(fn, degree, *grid)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid", [(64, 128), (100, 250)])
+    def test_degree_eight_stays_close_to_the_exact_sum(self, grid):
+        # A random RGB map, sampled texel by texel in node order; on 64x128
+        # the first sampler block ends inside a latitude row. The reference
+        # adds every term of the full direction-major basis exactly.
+        texels = np.random.default_rng(sum(grid)).random((grid[0] * grid[1], 3))
+        starts = iter(range(0, len(texels), sh._BASIS_BLOCK))
+
+        def fn(d):
+            b = next(starts)
+            return texels[b:b + len(d)]
+
+        got = sh.project(fn, 8, *grid)
+        dirs, weights = sh.quadrature_nodes(*grid)
+        basis = sh.eval_basis(dirs, 8)
+        weighted = texels * weights[:, None]
+        want = np.array([[math.fsum(terms) for terms in (basis.T * channel).tolist()]
+                         for channel in weighted.T]).T
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("block", [None, 1, 7], ids=["default", "1", "7"])
     def test_sampler_sees_each_block_once_in_node_order(self, block, monkeypatch):
